@@ -27,7 +27,8 @@ import time
 from dataclasses import dataclass, field
 
 from .presets import Q_SYSTEM, build_fn_system
-from .rewrite import enumerate_redexes, normal_form, parse_condition, parse_pattern
+from .rewrite import (compile_atoms, compile_conditions, conditions_hold, enumerate_redexes,
+                      normal_form, parse_condition, parse_pattern, render_atoms)
 
 __all__ = [
     "JointRow",
@@ -70,13 +71,7 @@ class JointRow:
 
 def render_pattern(text: str, assignment: dict[str, int], n: int | None) -> str:
     """Concrete word for a pattern like 'x a^alpha c^beta+1 x' under an assignment."""
-    out = []
-    for letter, expr in parse_pattern(text):
-        k = expr.evaluate(assignment, n)
-        if k < 0:
-            raise ValueError(f"exponent {expr} = {k} < 0 under {assignment}")
-        out.append(letter * k)
-    return "".join(out)
+    return render_atoms(compile_atoms(parse_pattern(text), n), assignment)
 
 
 def _rows(table: str, data: list[tuple]) -> tuple[JointRow, ...]:
@@ -721,7 +716,8 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5) -> RowRep
     """Check one row over all exponent assignments in 0..bound."""
     n = system.parameter_n
     report = RowReport(row=row)
-    conditions = [parse_condition(c) for c in row.conditions]
+    checks = compile_conditions(tuple(parse_condition(c) for c in row.conditions), n)
+    patterns = [compile_atoms(parse_pattern(p), n) for p in (row.t, row.t1, row.t2, row.t0)]
     variables = row.variables
     seen: set[tuple[str, str, str, str]] = set()
 
@@ -734,13 +730,11 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5) -> RowRep
 
     for values in itertools.product(range(bound + 1), repeat=len(variables)):
         assignment = dict(zip(variables, values))
-        if not all(c.holds(assignment, n) for c in conditions):
+        if not conditions_hold(checks, assignment):
             continue
         report.assignments += 1
         try:
-            words = tuple(
-                render_pattern(p, assignment, n) for p in (row.t, row.t1, row.t2, row.t0)
-            )
+            words = tuple(render_atoms(p, assignment) for p in patterns)
         except ValueError as exc:
             record(assignment, "<render>", [str(exc)])
             continue

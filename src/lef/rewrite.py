@@ -7,6 +7,19 @@ expression in the system parameter n (a constant once n is fixed) or a bare
 variable.  A variable atom consumes the whole maximal run of its letter, except
 in the last position where shorter matches are also tried.  That is exactly the
 shape of all built-in rule schemas.
+
+Each ``RewriteSystem`` compiles its schemas once, with its parameter n fixed,
+and keeps the result on itself: a table from letters to the schemas that can
+start there, already in schema order; per schema a matcher whose lhs atoms are
+``(letter, constant k or variable name)``, whose side conditions are integer
+checks ``c + sum(k_i * var_i) >= 0`` (or ``== 0``) and whose rhs is a
+precomputed atom renderer; and the rank table of its letter order.
+
+Leftmost reduction resumes near the last edit instead of at position 0.  A
+match attempt reads at most ``max_lhs_atoms`` runs of the word plus one
+look-ahead letter, so after a step at ``pos`` (no earlier position matched)
+every attempt starting ``max_lhs_atoms`` or more runs before the run holding
+``pos - 1`` reads only unchanged letters and still fails.
 """
 
 from __future__ import annotations
@@ -16,8 +29,6 @@ import os
 import random
 import re
 from dataclasses import dataclass, field
-
-from .words import shortlex_key
 
 DEFAULT_STEP_LIMIT = 100_000
 
@@ -126,14 +137,6 @@ def parse_linexpr(text: str) -> LinExpr:
 # side conditions
 
 _OP_RE = re.compile(r"(<=|>=|==|<|>|=)")
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=": lambda a, b: a == b,
-    "==": lambda a, b: a == b,
-}
 
 
 @dataclass(frozen=True)
@@ -146,11 +149,7 @@ class Condition:
     nonzero_pair: tuple[str, str] | None = None
 
     def holds(self, assignment: dict[str, int], n: int | None) -> bool:
-        if self.nonzero_pair is not None:
-            u, v = self.nonzero_pair
-            return assignment[u] != 0 or assignment[v] != 0
-        vals = [e.evaluate(assignment, n) for e in self.exprs]
-        return all(_OPS[op](vals[i], vals[i + 1]) for i, op in enumerate(self.ops))
+        return conditions_hold(compile_conditions((self,), n), assignment)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -241,6 +240,122 @@ def make_schema(rule_id: str, lhs: str, rhs: str, conditions: list[str] | None =
     )
 
 
+# ---------------------------------------------------------------------------
+# compiled forms: exponents and conditions with n folded in
+
+CompiledAtoms = tuple[tuple[str, int, tuple[tuple[str, int], ...], LinExpr], ...]
+# one integer check: (const, ((var, coeff), ...), kind) meaning
+# const + sum(coeff * var) >= 0 (kind _GE), == 0 (_EQ), or some var != 0 (_NZ)
+Check = tuple[int, tuple[tuple[str, int], ...], int]
+_GE, _EQ, _NZ = 0, 1, 2
+
+
+def _fold(expr: LinExpr, n: int | None) -> tuple[int, tuple[tuple[str, int], ...]]:
+    """(constant with n folded in, variable coefficients) of expr."""
+    if expr.n_coeff and n is None:
+        raise ValueError("expression mentions n but the system has no parameter")
+    return expr.const + expr.n_coeff * (n or 0), expr.var_coeffs
+
+
+def compile_atoms(atoms: tuple[Atom, ...], n: int | None) -> CompiledAtoms:
+    """Atoms ready for ``render_atoms``, with n folded into every exponent."""
+    return tuple((letter, *_fold(expr, n), expr) for letter, expr in atoms)
+
+
+def render_atoms(atoms: CompiledAtoms, assignment: dict[str, int]) -> str:
+    """The word spelled by compiled atoms; raises ConditionError on an exponent < 0."""
+    out = []
+    for letter, k, var_coeffs, expr in atoms:
+        for name, coeff in var_coeffs:
+            k += coeff * assignment[name]
+        if k < 0:
+            raise ConditionError(f"exponent {expr} = {k} < 0 under {assignment}")
+        out.append(letter * k)
+    return "".join(out)
+
+
+def _difference(left: tuple, right: tuple, shift: int) -> tuple[int, tuple[tuple[str, int], ...]]:
+    """left - right + shift as (const, var coefficients)."""
+    coeffs = dict(left[1])
+    for name, coeff in right[1]:
+        coeffs[name] = coeffs.get(name, 0) - coeff
+    return left[0] - right[0] + shift, tuple((k, v) for k, v in coeffs.items() if v)
+
+
+def compile_conditions(conditions: tuple[Condition, ...], n: int | None) -> tuple[Check, ...]:
+    """Integer checks equivalent to all the conditions holding.  Over the
+    integers a < b is a - b + 1 <= 0, so every comparison is one check."""
+    checks: list[Check] = []
+    for cond in conditions:
+        if cond.nonzero_pair is not None:
+            checks.append((0, tuple((name, 1) for name in cond.nonzero_pair), _NZ))
+            continue
+        folded = [_fold(e, n) for e in cond.exprs]
+        for i, op in enumerate(cond.ops):
+            a, b = folded[i], folded[i + 1]
+            if op in ("=", "=="):
+                checks.append((*_difference(a, b, 0), _EQ))
+            elif op in ("<", "<="):
+                checks.append((*_difference(b, a, -1 if op == "<" else 0), _GE))
+            else:
+                checks.append((*_difference(a, b, -1 if op == ">" else 0), _GE))
+    return tuple(checks)
+
+
+def conditions_hold(checks: tuple[Check, ...], assignment: dict[str, int]) -> bool:
+    """Whether every check compiled by ``compile_conditions`` passes."""
+    for const, var_coeffs, kind in checks:
+        if kind == _NZ:
+            if not any(assignment[name] for name, _ in var_coeffs):
+                return False
+            continue
+        for name, coeff in var_coeffs:
+            const += coeff * assignment[name]
+        if (const < 0) if kind == _GE else (const != 0):
+            return False
+    return True
+
+
+class _Matcher:
+    """One schema compiled against a fixed n.
+
+    ``head`` holds every lhs atom but the last as (letter, k or variable);
+    ``last`` is the final atom, whose variable may match a prefix of its run.
+    Checks not mentioning that variable are in ``fixed`` and run once per
+    attempt; the rest, in ``flex``, run once per candidate value.
+    """
+
+    __slots__ = ("schema", "head", "last", "fixed", "flex", "lhs", "rhs")
+
+    def __init__(self, schema: RuleSchema, n: int | None):
+        self.schema = schema
+        atoms = tuple((letter, expr.var_coeffs[0][0] if expr.is_bare_var() else _fold(expr, n)[0])
+                      for letter, expr in schema.lhs)
+        self.head, self.last = atoms[:-1], atoms[-1]
+        flex_var = self.last[1]
+        fixed, flex = [], []
+        for check in compile_conditions(schema.conditions, n):
+            mentions = any(name == flex_var for name, _ in check[1])
+            (flex if mentions else fixed).append(check)
+        self.fixed, self.flex = tuple(fixed), tuple(flex)
+        self.lhs = compile_atoms(schema.lhs, n)
+        self.rhs = compile_atoms(schema.rhs, n)
+
+    def render(self, atoms: CompiledAtoms, assignment: dict[str, int]) -> str:
+        try:
+            return render_atoms(atoms, assignment)
+        except ConditionError as exc:
+            raise ConditionError(f"{self.schema.id}: {exc}") from None
+
+    def instance(self, assignment: dict[str, int]) -> tuple[str, str]:
+        """Concrete (lhs, rhs) words; the conditions are assumed to hold."""
+        lhs = self.render(self.lhs, assignment)
+        rhs = self.render(self.rhs, assignment)
+        if not lhs:
+            raise ConditionError(f"{self.schema.id}: empty lhs under {assignment}")
+        return lhs, rhs
+
+
 @dataclass
 class RewriteSystem:
     name: str
@@ -249,7 +364,12 @@ class RewriteSystem:
     schemas: tuple[RuleSchema, ...]
     parameter_n: int | None = None
     assert_decrease: bool = False  # per-step shortlex check (verified presets)
-    _index: dict = field(default_factory=dict, repr=False)
+    # compiled in __post_init__; see the module docstring
+    _matchers: tuple = field(init=False, repr=False, compare=False)
+    _table: dict = field(init=False, repr=False, compare=False)
+    _loose: tuple = field(init=False, repr=False, compare=False)
+    _rank: dict = field(init=False, repr=False, compare=False)
+    _max_atoms: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sorted(self.alphabet) != sorted(set(self.alphabet)):
@@ -263,22 +383,25 @@ class RewriteSystem:
                     ex.n_coeff for c in s.conditions for ex in c.exprs
                 ):
                     raise ValueError(f"schema {s.id} mentions n but parameter_n is absent")
-        # index schemas by a guaranteed first letter where possible; schemas
-        # whose first atom is a variable are tried at every position
-        by_letter: dict[str, list[RuleSchema]] = {ch: [] for ch in self.alphabet}
-        loose: list[RuleSchema] = []
-        for s in self.schemas:
-            letter, expr = s.lhs[0]
+        self._matchers = tuple(_Matcher(s, self.parameter_n) for s in self.schemas)
+        table: dict[str, list[_Matcher]] = {ch: [] for ch in self.alphabet}
+        loose: list[_Matcher] = []
+        for m in self._matchers:
+            letter, expr = m.schema.lhs[0]
             if expr.is_bare_var():
-                loose.append(s)
+                # a schema whose first atom is a variable can start at any letter
+                loose.append(m)
+                for ms in table.values():
+                    ms.append(m)
             else:
-                by_letter[letter].append(s)
-        self._index = {"by_letter": by_letter, "loose": loose}
+                table[letter].append(m)
+        self._table = {ch: tuple(ms) for ch, ms in table.items()}
+        self._loose = tuple(loose)
+        self._rank = {ch: i for i, ch in enumerate(self.order)}
+        self._max_atoms = max((len(s.lhs) for s in self.schemas), default=1)
 
     def candidates(self, letter: str) -> list[RuleSchema]:
-        merged = self._index["by_letter"].get(letter, []) + self._index["loose"]
-        merged.sort(key=lambda s: self.schemas.index(s))
-        return merged
+        return [m.schema for m in self._table.get(letter, self._loose)]
 
     def schema(self, rule_id: str) -> RuleSchema:
         for s in self.schemas:
@@ -292,65 +415,46 @@ def instantiate(schema: RuleSchema, assignment: dict[str, int], n: int | None = 
     for cond in schema.conditions:
         if not cond.holds(assignment, n):
             raise ConditionError(f"{schema.id}: condition '{cond}' fails under {assignment}")
-    def render(atoms: tuple[Atom, ...]) -> str:
-        out = []
-        for letter, expr in atoms:
-            k = expr.evaluate(assignment, n)
-            if k < 0:
-                raise ConditionError(f"{schema.id}: exponent {expr} = {k} < 0 under {assignment}")
-            out.append(letter * k)
-        return "".join(out)
-    lhs = render(schema.lhs)
-    rhs = render(schema.rhs)
-    if not lhs:
-        raise ConditionError(f"{schema.id}: empty lhs under {assignment}")
-    return lhs, rhs
+    return _Matcher(schema, n).instance(assignment)
 
 
-def _match_at(schema: RuleSchema, w: str, pos: int, n: int | None,
-              all_assignments: bool = False):
-    """Match schema.lhs starting at w[pos].
+def _match_at(m: _Matcher, w: str, pos: int, all_assignments: bool = False):
+    """Match m's lhs starting at w[pos].
 
     Returns (assignment, consumed) for the smallest valid assignment, or a list
     of all of them when all_assignments is set, or None/[] on failure.
     """
+    size = len(w)
     assignment: dict[str, int] = {}
     cur = pos
-    flexible: tuple[str, int] | None = None  # (var, max run) for the last atom
-    atoms = schema.lhs
-    for idx, (letter, expr) in enumerate(atoms):
-        run = 0
-        while cur + run < len(w) and w[cur + run] == letter:
-            run += 1
-        last = idx == len(atoms) - 1
-        if expr.var_coeffs:
-            var = expr.var_coeffs[0][0]
-            if last:
-                flexible = (var, run)
-            else:
-                assignment[var] = run
-                cur += run
-        else:
-            k = expr.evaluate(assignment, n)
-            if k > run or (not last and k != run):
-                return [] if all_assignments else None
-            cur += k
-    base = cur - pos
+    for letter, exp in m.head:
+        end = cur
+        while end < size and w[end] == letter:
+            end += 1
+        if exp.__class__ is str:
+            assignment[exp] = end - cur
+        elif end - cur != exp:
+            return [] if all_assignments else None
+        cur = end
+    letter, exp = m.last
+    end = cur
+    while end < size and w[end] == letter:
+        end += 1
+    if not conditions_hold(m.fixed, assignment):
+        return [] if all_assignments else None
+    if exp.__class__ is int:
+        if exp > end - cur:
+            return [] if all_assignments else None
+        hit = (assignment, cur + exp - pos)
+        return [hit] if all_assignments else hit
     results = []
-    if flexible is None:
-        if all(c.holds(assignment, n) for c in schema.conditions):
-            results.append((dict(assignment), base))
-    else:
-        var, max_run = flexible
-        for val in range(max_run + 1):
-            assignment[var] = val
-            if all(c.holds(assignment, n) for c in schema.conditions):
-                results.append((dict(assignment), base + val))
-                if not all_assignments:
-                    break
-    if all_assignments:
-        return results
-    return results[0] if results else None
+    for val in range(end - cur + 1):
+        assignment[exp] = val
+        if conditions_hold(m.flex, assignment):
+            if not all_assignments:
+                return assignment, cur + val - pos
+            results.append((dict(assignment), cur + val - pos))
+    return results if all_assignments else None
 
 
 @dataclass(frozen=True)
@@ -363,45 +467,52 @@ class Reduction:
     replacement: str = ""
 
 
-def _apply(schema: RuleSchema, w: str, pos: int, assignment: dict[str, int],
-           consumed: int, n: int | None) -> Reduction:
-    rhs = "".join(letter * expr.evaluate(assignment, n) for letter, expr in schema.rhs)
+def _apply(m: _Matcher, w: str, pos: int, assignment: dict[str, int],
+           consumed: int) -> Reduction:
+    rhs = m.render(m.rhs, assignment)
     return Reduction(
         word=w[:pos] + rhs + w[pos + consumed:],
         position=pos,
-        rule_id=schema.id,
+        rule_id=m.schema.id,
         assignment=assignment,
         matched=w[pos:pos + consumed],
         replacement=rhs,
     )
 
 
-def reduce_once(system: RewriteSystem, w: str) -> Reduction | None:
+def _lex_key(w: str, rank: dict[str, int]) -> tuple:
+    return tuple(map(rank.__getitem__, w))
+
+
+def reduce_once(system: RewriteSystem, w: str, *, _start: int = 0) -> Reduction | None:
     """One step under the deterministic strategy: leftmost position, lowest
-    schema index, smallest assignment.  None iff w is irreducible."""
-    n = system.parameter_n
-    for pos in range(len(w)):
-        for schema in system.candidates(w[pos]):
-            hit = _match_at(schema, w, pos, n)
+    schema index, smallest assignment.  None iff w is irreducible.
+
+    ``_start`` skips positions known not to match; only ``normal_form`` sets it.
+    """
+    table, loose = system._table, system._loose
+    for pos in range(_start, len(w)):
+        for m in table.get(w[pos], loose):
+            hit = _match_at(m, w, pos)
             if hit is not None:
-                assignment, consumed = hit
-                red = _apply(schema, w, pos, assignment, consumed, n)
+                red = _apply(m, w, pos, *hit)
                 if system.assert_decrease:
-                    if not shortlex_key(red.word, system.order) < shortlex_key(w, system.order):
+                    rank = system._rank
+                    if not (len(red.word), _lex_key(red.word, rank)) < (len(w), _lex_key(w, rank)):
                         raise AssertionError(
-                            f"non-decreasing step {schema.id} on {w!r} -> {red.word!r}")
+                            f"non-decreasing step {m.schema.id} on {w!r} -> {red.word!r}")
                 return red
     return None
 
 
 def enumerate_redexes(system: RewriteSystem, w: str) -> list[Reduction]:
     """Every applicable (position, rule, assignment) reduction of w."""
-    n = system.parameter_n
+    table, loose = system._table, system._loose
     out = []
     for pos in range(len(w)):
-        for schema in system.candidates(w[pos]):
-            for assignment, consumed in _match_at(schema, w, pos, n, all_assignments=True):
-                out.append(_apply(schema, w, pos, assignment, consumed, n))
+        for m in table.get(w[pos], loose):
+            for assignment, consumed in _match_at(m, w, pos, all_assignments=True):
+                out.append(_apply(m, w, pos, assignment, consumed))
     return out
 
 
@@ -409,6 +520,21 @@ def _step_limit(step_limit: int | None) -> int:
     if step_limit is not None:
         return step_limit
     return int(os.environ.get("LEF_STEP_LIMIT", DEFAULT_STEP_LIMIT))
+
+
+def _resume_point(w: str, pos: int, runs: int) -> int:
+    """Start of the run lying runs - 1 runs before the run that holds w[pos - 1]
+    (0 if there are fewer runs).  After a leftmost step at pos, no match can
+    start before it: see the module docstring."""
+    i = pos
+    for _ in range(runs):
+        if i == 0:
+            return 0
+        i -= 1
+        letter = w[i]
+        while i > 0 and w[i - 1] == letter:
+            i -= 1
+    return i
 
 
 def normal_form(system: RewriteSystem, w: str, step_limit: int | None = None,
@@ -422,9 +548,10 @@ def normal_form(system: RewriteSystem, w: str, step_limit: int | None = None,
     if strategy == "random" and rng is None:
         rng = random.Random(0)
     steps = 0
+    start = 0
     while True:
         if strategy == "leftmost":
-            red = reduce_once(system, w)
+            red = reduce_once(system, w, _start=start)
         else:
             options = enumerate_redexes(system, w)
             red = rng.choice(options) if options else None
@@ -435,6 +562,8 @@ def normal_form(system: RewriteSystem, w: str, step_limit: int | None = None,
         if steps > limit:
             raise StepLimitError(
                 f"no normal form within {limit} steps (system {system.name}, stuck at {w[:80]!r})")
+        if strategy == "leftmost":
+            start = _resume_point(w, red.position, system._max_atoms)
 
 
 def reduction_trace(system: RewriteSystem, w: str, step_limit: int | None = None
@@ -458,15 +587,15 @@ def reduction_trace(system: RewriteSystem, w: str, step_limit: int | None = None
 def instantiate_all(system: RewriteSystem, exponent_bound: int):
     """Yield (schema, assignment, lhs, rhs) for every assignment with all
     variables in [0, exponent_bound] satisfying the side conditions."""
-    n = system.parameter_n
-    for schema in system.schemas:
-        variables = schema.variables
+    for m in system._matchers:
+        checks = m.fixed + m.flex
+        variables = m.schema.variables
         for values in itertools.product(range(exponent_bound + 1), repeat=len(variables)):
             assignment = dict(zip(variables, values))
-            if not all(c.holds(assignment, n) for c in schema.conditions):
+            if not conditions_hold(checks, assignment):
                 continue
-            lhs, rhs = instantiate(schema, assignment, n)
-            yield schema, assignment, lhs, rhs
+            lhs, rhs = m.instance(assignment)
+            yield m.schema, assignment, lhs, rhs
 
 
 @dataclass
@@ -481,11 +610,6 @@ class TerminationReport:
         return not self.shortlex_violations
 
 
-def _lex_key(w: str, order: str) -> tuple:
-    rank = {ch: i for i, ch in enumerate(order)}
-    return tuple(rank[ch] for ch in w)
-
-
 def check_termination_order(system: RewriteSystem, exponent_bound: int) -> TerminationReport:
     """Check every bounded instance decreases shortlex; also record whether the
     plain lexicographic order decreases (it does not for all preset rules,
@@ -494,14 +618,16 @@ def check_termination_order(system: RewriteSystem, exponent_bound: int) -> Termi
     shortlex_violations = []
     lex_violations = []
     per_rule: dict[str, dict] = {}
+    rank = system._rank
     for schema, assignment, lhs, rhs in instantiate_all(system, exponent_bound):
         checked += 1
         stats = per_rule.setdefault(schema.id, {"instances": 0, "shortlex_ok": True, "lex_ok": True})
         stats["instances"] += 1
-        if not shortlex_key(rhs, system.order) < shortlex_key(lhs, system.order):
+        lhs_key, rhs_key = _lex_key(lhs, rank), _lex_key(rhs, rank)
+        if not (len(rhs), rhs_key) < (len(lhs), lhs_key):
             stats["shortlex_ok"] = False
             shortlex_violations.append((schema.id, dict(assignment), lhs, rhs))
-        if not _lex_key(rhs, system.order) < _lex_key(lhs, system.order):
+        if not rhs_key < lhs_key:
             stats["lex_ok"] = False
             lex_violations.append((schema.id, dict(assignment), lhs, rhs))
     return TerminationReport(checked, shortlex_violations, lex_violations, per_rule)

@@ -196,9 +196,12 @@ def embed_partial_table(pt: PartialTable, max_order: int,
     """Complete search for a semigroup of order |elements|..max_order hosting
     the partial table, elements pinned to the first indices.
 
-    Class membership that survives completion in no predictable way
-    (J-triviality and its relatives) is tested on finished tables only; the
-    group filter additionally prunes row or column repeats eagerly.  When
+    Class filters are tested on finished tables only; the group filter
+    additionally prunes row or column repeats eagerly.  R-, L- and J-related
+    pairs witnessed by products already defined (s = tu and t = sv for R,
+    and the like) stay related in every completion, so R/L/J-triviality
+    could prune partial tables too; it does not, so an exhausted search
+    explores the same decisions under every filter but ``group``.  When
     max_order is below the element count the order range is empty and the
     negative certificate is vacuous.
     """

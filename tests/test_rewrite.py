@@ -1,9 +1,13 @@
 """Parametric rewriting: pattern parsing, reduction, termination, confluence."""
 
+import gc
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lef.rewrite
 from lef.presets import Q_SYSTEM, build_fn_system
 from lef.rewrite import (
     ConditionError,
@@ -24,6 +28,8 @@ from lef.rewrite import (
     system_from_json,
     system_to_json,
 )
+
+from conftest import all_words
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +161,74 @@ def test_step_limit_env_override(monkeypatch):
     )
     with pytest.raises(StepLimitError):
         normal_form(looping, "a")
+
+
+# ---------------------------------------------------------------------------
+# the compiled core: resuming leftmost reduction against the full rescan
+
+SYSTEMS = {"q": Q_SYSTEM, "fn:1": build_fn_system(1), "fn:2": build_fn_system(2)}
+# s2 turning "abcde" into "abcdd" creates an s1 match that starts
+# max_lhs_atoms - 1 runs before the run holding the letter left of the edit
+EDGE = RewriteSystem(name="edge", alphabet="abcde", order="abcde",
+                     schemas=(make_schema("s1", "a b c d^2", "a"), make_schema("s2", "e", "d")))
+
+
+def _long_words():
+    rng = random.Random(320)
+    yield "q", "".join(rng.choice("acebx") for _ in range(320))
+    yield "fn:2", "x" + "a" * 40 + "c" * 39 + "e" * 5 + "x"
+    yield "fn:2", "x" + "a" * 3 + "c" * 40 + "e" * 2 + "x" + "b" * 30
+    yield "fn:2", "c" * 33 + "a" * 20 + "x" + "e" * 9 + "a" * 4 + "x"
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS) + ["edge"])
+def test_resuming_normal_form_matches_full_rescan(name, monkeypatch):
+    """normal_form resumes near each edit; reduction_trace rescans from 0.
+    The step count of normal_form is read off its reduce_once calls."""
+    calls = 0
+    original = lef.rewrite.reduce_once
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lef.rewrite, "reduce_once", counting)
+    system = SYSTEMS.get(name, EDGE)
+    words = all_words(system.alphabet, 5) + [w for key, w in _long_words() if key == name]
+    for word in words:
+        final, trace = reduction_trace(system, word)
+        before = calls
+        assert normal_form(system, word) == final, word
+        assert calls - before - 1 == len(trace), word
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(name=st.sampled_from(sorted(SYSTEMS)),
+       word=st.text(alphabet="acebx", min_size=1, max_size=40),
+       seed=st.integers(0, 2**16))
+def test_leftmost_normal_form_is_strategy_independent(name, word, seed):
+    system = SYSTEMS[name]
+    assert normal_form(system, word) == \
+        normal_form(system, word, strategy="random", rng=random.Random(seed))
+
+
+def test_compiled_state_belongs_to_its_system():
+    def reduce_ab(rhs):
+        system = RewriteSystem(name="ab", alphabet="ab", order="ab",
+                               schemas=(make_schema("r1", "a b", rhs),))
+        return normal_form(system, "aab")
+
+    # built one after another, so the second may reuse the first's memory
+    assert reduce_ab("b") == "b"
+    gc.collect()
+    assert reduce_ab("a") == "aa"
+    # the same rule ids with exponents that depend on n
+    assert normal_form(build_fn_system(1), "aaa") == "a"
+    assert normal_form(build_fn_system(2), "aaa") == "aaa"
+    assert normal_form(build_fn_system(2), "aaaaa") == "a"
+    assert normal_form(build_fn_system(1), "xaaac") == "xe"
+    assert normal_form(build_fn_system(2), "xaaac") == "xaae"
 
 
 # ---------------------------------------------------------------------------
