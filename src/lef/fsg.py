@@ -2,7 +2,10 @@
 relations, structural classification, enumeration, and relational assignments.
 
 Tables are numpy int arrays with table[i, j] = index of the product of i and j
-(row = left factor).
+(row = left factor).  Enumeration, and the embedding search in ``search``,
+run one propagation engine on flat tables (``_TableSearch``); enumeration up
+to isomorphism keeps the first table of each class in lexicographic order and
+skips the rest of its orbit.
 """
 
 from __future__ import annotations
@@ -431,101 +434,153 @@ def check_implication(mt: MulTable, premises, conclusions) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# table search: one propagation engine for enumeration and embedding
 
 
-def _canonical_form(T: np.ndarray, perms: list[np.ndarray]) -> bytes:
-    best = None
-    for p in perms:
-        inv = np.argsort(p)
-        relabeled = p[T[inv][:, inv]]
-        b = relabeled.tobytes()
-        if best is None or b < best:
-            best = b
-    return best
+class _TableSearch:
+    """Backtracking completion of a partial n x n table under associativity.
 
+    The table is a flat list of n*n ints, cell i*n + j holding the product of
+    i and j, -1 where undefined.  ``assign`` records each cell on a trail and
+    a worklist; ``propagate`` re-checks only the triples (p, q, r) that read a
+    cell on the worklist -- as pq, as qr, as (pq)r or as p(qr) -- and forces
+    the missing product of any triple whose other three are defined.  Forcing
+    is monotone, so a conflict-free fixpoint is unique whatever the order of
+    the worklist.  Backtracking undoes the trail to a mark.  With ``latin``
+    set, a value may not repeat in a row or a column (group tables).
+    """
 
-def _enumerate_labeled(n: int):
-    """All associative n x n tables via cell-by-cell fill with incremental
-    associativity checks against the defined part."""
-    T = np.full((n, n), -1, dtype=np.int64)
+    def __init__(self, n: int, latin: bool = False):
+        self.n = n
+        self.latin = latin
+        self.T = [-1] * (n * n)
+        self.pairs = [divmod(c, n) for c in range(n * n)]
+        self.trail: list[int] = []
+        self.work: list[int] = []
+        self.decisions = 0
 
-    def ok(i: int, j: int) -> bool:
-        v = T[i, j]
-        for r in range(n):        # triples (i, j, r)
-            jr = T[j, r]
-            if jr >= 0 and T[i, jr] >= 0 and T[v, r] >= 0 and T[i, jr] != T[v, r]:
+    def assign(self, cell: int, v: int) -> bool:
+        T = self.T
+        if self.latin:
+            n = self.n
+            row = cell - cell % n
+            if v in T[row:row + n] or v in T[cell % n::n]:
                 return False
-        for p in range(n):        # triples (p, i, j)
-            pi = T[p, i]
-            if pi >= 0 and T[pi, j] >= 0 and T[p, v] >= 0 and T[pi, j] != T[p, v]:
-                return False
-        for q in range(n):
-            for r in range(n):
-                if T[q, r] == j:  # (i, q, r): reads (i, T[q,r]) = (i, j)
-                    iq = T[i, q]
-                    if iq >= 0 and T[iq, r] >= 0 and T[iq, r] != v:
+        T[cell] = v
+        self.trail.append(cell)
+        self.work.append(cell)
+        return True
+
+    def propagate(self) -> bool:
+        """Check every triple (p, q, r) that reads a cell on the worklist, as
+        pq, qr, (pq)r or p(qr), forcing the product that the other three
+        determine; False on a conflict, leaving the worklist to ``undo``."""
+        T, n, work, assign, pairs = self.T, self.n, self.work, self.assign, self.pairs
+        while work:
+            c = work.pop()
+            a, b = pairs[c]
+            v = T[c]
+            an, bn, vn = a * n, b * n, v * n
+            for r in range(n):                  # pq = c: (ab)r against a(br)
+                qr = T[bn + r]
+                if qr >= 0:
+                    left, right = T[vn + r], T[an + qr]
+                    if left >= 0:
+                        if not (assign(an + qr, left) if right < 0 else left == right):
+                            return False
+                    elif right >= 0 and not assign(vn + r, right):
                         return False
-                if T[q, r] == i and T[r, j] >= 0:  # (q, r, j): reads (T[q,r], j)
-                    qrj = T[q, T[r, j]]
-                    if qrj >= 0 and qrj != v:
+            for p in range(n):                  # qr = c: (pa)b against p(ab)
+                pq = T[p * n + a]
+                if pq >= 0:
+                    left, right = T[pq * n + b], T[p * n + v]
+                    if left >= 0:
+                        if not (assign(p * n + v, left) if right < 0 else left == right):
+                            return False
+                    elif right >= 0 and not assign(pq * n + b, right):
+                        return False
+            for p, q in itertools.compress(pairs, map(a.__eq__, T)):   # (pq)r = c
+                qr = T[q * n + b]
+                if qr >= 0:
+                    right = T[p * n + qr]
+                    if not (assign(p * n + qr, v) if right < 0 else right == v):
+                        return False
+            for q, r in itertools.compress(pairs, map(b.__eq__, T)):   # p(qr) = c
+                pq = T[an + q]
+                if pq >= 0:
+                    left = T[pq * n + r]
+                    if not (assign(pq * n + r, v) if left < 0 else left == v):
                         return False
         return True
 
-    cells = [(i, j) for i in range(n) for j in range(n)]
+    def undo(self, mark: int) -> None:
+        """Clear the cells assigned since the mark, and the worklist."""
+        T, trail = self.T, self.trail
+        for c in trail[mark:]:
+            T[c] = -1
+        del trail[mark:]
+        self.work.clear()
 
-    def fill(k: int):
-        if k == len(cells):
-            yield T.copy()
+    def completions(self):
+        """Yield the live table at each completion: the first undefined cell
+        in row-major order takes each value in ascending order, so the
+        completions come in lexicographic order of the flat table."""
+        T, n, trail = self.T, self.n, self.trail
+        if -1 not in T:
+            yield T
             return
-        i, j = cells[k]
-        for v in range(n):
-            T[i, j] = v
-            if ok(i, j):
-                yield from fill(k + 1)
-        T[i, j] = -1
-
-    yield from fill(0)
-
-
-def _enumerate_group_tables(n: int):
-    """Group tables with identity 0: Latin squares filtered on associativity."""
-    T = np.full((n, n), -1, dtype=np.int64)
-    T[0] = np.arange(n)
-    T[:, 0] = np.arange(n)
-    free = [(i, j) for i in range(1, n) for j in range(1, n)]
-
-    def fill(k: int):
-        if k == len(free):
-            mt = MulTable(T.copy())
-            if mt.is_associative():
-                yield mt.table
-            return
-        i, j = free[k]
-        used = set(T[i][T[i] >= 0]) | set(T[:, j][T[:, j] >= 0])
-        for v in range(n):
-            if v in used:
+        stack = [(T.index(-1), len(trail), 0)]   # (cell, trail mark, next value)
+        while stack:
+            c, mark, v = stack.pop()
+            self.undo(mark)
+            if v == n:
                 continue
-            T[i, j] = v
-            yield from fill(k + 1)
-        T[i, j] = -1
+            stack.append((c, mark, v + 1))
+            self.decisions += 1
+            if self.assign(c, v) and self.propagate():
+                try:
+                    stack.append((T.index(-1, c + 1), len(trail), 0))
+                except ValueError:
+                    yield T
 
-    yield from fill(0)
+
+def _classes(search: _TableSearch):
+    """The first completion of each isomorphism class, with the keys
+    (``bytes`` of the flat table) of its relabellings by every permutation p
+    in itertools order, p relabelling T as p T(p^-1, p^-1).  The n!
+    relabellings are computed once per class, not per labeled table."""
+    n = search.n
+    perms = np.array(list(itertools.permutations(range(n))))
+    inv = np.argsort(perms, axis=1)
+    seen: set[bytes] = set()
+    for flat in search.completions():
+        if bytes(flat) not in seen:
+            T = np.array(flat).reshape(n, n)
+            cells = T[inv[:, :, None], inv[:, None, :]].reshape(len(perms), n * n)
+            orbit = dict.fromkeys(map(bytes, np.take_along_axis(perms, cells, 1)
+                                      .astype(np.uint8)))
+            seen.update(orbit)
+            yield flat, orbit
+
+
+def _as_table(flat, n: int) -> MulTable:
+    return MulTable(np.array(flat, dtype=np.int64).reshape(n, n))
 
 
 MAX_ENUM_ORDER = 4          # exhaustive table enumeration without a filter
-MAX_ENUM_ORDER_FILTERED = 5  # a class filter trims the canonicalisation load
+MAX_ENUM_ORDER_FILTERED = 5  # 1,915 classes, every one offered to the filter
 MAX_GROUP_ORDER = 6
 
 
 def enumerate_semigroups(order: int, filter=None, up_to_iso: bool = True) -> list[MulTable]:
     """One representative per isomorphism class (or every labeled table with
-    up_to_iso=False), in deterministic search order.
+    up_to_iso=False), in deterministic search order: the first labeled table
+    of each class in lexicographic order of its rows.
 
     The optional filter is a predicate MulTable -> bool; it must be invariant
-    under isomorphism for "one per class" to make sense.  Bounded to order 4
-    plain and order 5 with a filter; beyond that the search space is out of
-    reach for a table-level backtracker.
+    under isomorphism for "one per class" to make sense, and up to
+    isomorphism it runs once per class.  Bounded to order 4 plain and order 5
+    with a filter, where the search visits all 183,732 labeled tables.
     """
     if order < 1:
         raise ValueError("order must be positive")
@@ -534,40 +589,31 @@ def enumerate_semigroups(order: int, filter=None, up_to_iso: bool = True) -> lis
         raise ValueError(
             f"enumeration is bounded at order {bound}"
             f"{' with a filter' if filter is not None else ''}; got {order}")
-    perms = [np.array(p) for p in itertools.permutations(range(order))]
+    search = _TableSearch(order)
+    found = (flat for flat, _ in _classes(search)) if up_to_iso else search.completions()
     out = []
-    seen_keys = set()
-    for T in _enumerate_labeled(order):
-        mt = MulTable(T)
-        if filter is not None and not filter(mt):
-            continue
-        if up_to_iso:
-            key = _canonical_form(T, perms)
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-        out.append(mt)
+    for flat in found:
+        mt = _as_table(flat, order)
+        if filter is None or filter(mt):
+            out.append(mt)
     return out
 
 
 def enumerate_groups(order: int, up_to_iso: bool = True) -> list[MulTable]:
-    """Group tables of the given order (identity fixed at 0 in the labeled
-    case, which already covers every group on {0..n-1} up to isomorphism)."""
+    """Group tables of the given order.  The search fixes the identity at 0,
+    which covers every group up to isomorphism; up_to_iso=False relabels each
+    class in every way to list all labeled group tables."""
     if order < 1:
         raise ValueError("order must be positive")
     if order > MAX_GROUP_ORDER:
         raise ValueError(f"group enumeration is bounded at order {MAX_GROUP_ORDER}; got {order}")
-    perms = [np.array(p) for p in itertools.permutations(range(order))]
-    raw = list(_enumerate_group_tables(order))
+    search = _TableSearch(order, latin=True)
+    for i in range(order):              # the identity 0: its row, then its column
+        search.assign(i, i)
+        if i:
+            search.assign(i * order, i)
+    search.propagate()
     if up_to_iso:
-        seen = {}
-        for T in raw:
-            seen.setdefault(_canonical_form(T, perms), T)
-        return [MulTable(T) for T in seen.values()]
-    seen_b = {}
-    for T in raw:   # relabel in every way to get all labeled group tables
-        for p in perms:
-            inv = np.argsort(p)
-            R = p[T[inv][:, inv]]
-            seen_b.setdefault(R.tobytes(), R)
-    return [MulTable(T) for T in seen_b.values()]
+        return [_as_table(flat, order) for flat, _ in _classes(search)]
+    return [_as_table(list(key), order)
+            for _, orbit in _classes(search) for key in orbit]

@@ -659,7 +659,7 @@ def critical_pairs(system: RewriteSystem, exponent_bound: int) -> list[CriticalP
                     continue
                 if id1 == id2 and asg1 == asg2 and shift == 0:
                     continue
-                if any(l1[k] != l2[k - shift] for k in range(lo, hi)):
+                if l1[lo:hi] != l2[lo - shift:hi - shift]:
                     continue
                 start = min(0, shift)
                 joint = (l2[:-shift] if shift < 0 else "") + l1 + \

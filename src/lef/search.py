@@ -2,10 +2,14 @@
 finite semigroup of bounded order (optionally restricted to a class), and
 stream relation-satisfying assignments inside a given table.
 
-The embedding search fixes the injection onto the first indices, backtracks
-over undefined cells in row-major order trying values ascending, and closes
-each decision under associativity before descending, so exhaustion at the
-bound is a complete-search certificate.
+The embedding search runs the table engine of ``fsg`` (also behind
+enumeration).  It fixes the injection onto the first indices of a flat
+table, backtracks over undefined cells in row-major order trying values
+ascending, and closes each decision under associativity before descending:
+every assigned cell goes on a worklist, and only the triples that read a
+cell from it are re-checked.  Backtracking undoes a trail of assigned cells
+instead of copying the table.  Forced products are forced in every
+completion, so exhaustion at the bound is a complete-search certificate.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fsg import (MulTable, PartialTable, is_clifford, is_completely_simple,
-                  is_group, is_j_trivial, is_l_trivial, is_r_trivial,
-                  relation_grid, relation_variables, word_value_grid)
+from .fsg import (MulTable, PartialTable, _TableSearch, is_clifford,
+                  is_completely_simple, is_group, is_j_trivial, is_l_trivial,
+                  is_r_trivial, relation_grid, relation_variables,
+                  word_value_grid)
 
 __all__ = ["SearchResult", "embed_partial_table", "check_partial_associativity",
            "malcev_witness_table", "find_relational_assignments",
@@ -141,60 +146,15 @@ def _filler_labels(base: tuple[str, ...], n: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _set_cell(T: list[list[int]], i: int, j: int, v: int, n: int,
-              latin: bool) -> bool:
-    cur = T[i][j]
-    if cur == v:
-        return True
-    if cur != -1:
-        return False
-    if latin:
-        # group tables are Latin squares; repeats in a row or column can
-        # never extend to a cancellative table
-        row = T[i]
-        if v in row:
-            return False
-        for p in range(n):
-            if T[p][j] == v:
-                return False
-    T[i][j] = v
-    return True
-
-
-def _close(T: list[list[int]], n: int, latin: bool) -> bool:
-    """Associativity closure: force the missing half of any triple whose
-    other half is defined; False on conflict."""
-    changed = True
-    while changed:
-        changed = False
-        for p in range(n):
-            rowp = T[p]
-            for q in range(n):
-                pq = rowp[q]
-                rowq = T[q]
-                for r in range(n):
-                    qr = rowq[r]
-                    left = T[pq][r] if pq >= 0 else -1
-                    right = rowp[qr] if qr >= 0 else -1
-                    if left >= 0:
-                        if right >= 0:
-                            if left != right:
-                                return False
-                        elif qr >= 0:
-                            if not _set_cell(T, p, qr, left, n, latin):
-                                return False
-                            changed = True
-                    elif right >= 0 and pq >= 0:
-                        if not _set_cell(T, pq, r, right, n, latin):
-                            return False
-                        changed = True
-    return True
-
-
 def embed_partial_table(pt: PartialTable, max_order: int,
                         class_filter: str = "any") -> SearchResult:
     """Complete search for a semigroup of order |elements|..max_order hosting
     the partial table, elements pinned to the first indices.
+
+    Each decision assigns one cell; propagation then re-checks only the
+    triples that read a newly assigned cell (as pq, qr, (pq)r or p(qr)) and
+    forces the product their other three determine, and backtracking undoes
+    the trail of assigned cells.  ``explored`` counts the values tried.
 
     Class filters are tested on finished tables only; the group filter
     additionally prunes row or column repeats eagerly.  R-, L- and J-related
@@ -210,42 +170,22 @@ def embed_partial_table(pt: PartialTable, max_order: int,
                          f"{sorted(CLASS_FILTERS)}")
     check_partial_associativity(pt)
     passes = CLASS_FILTERS[class_filter]
-    latin = class_filter == "group"
     k = len(pt.elements)
     at = {label: i for i, label in enumerate(pt.elements)}
     explored = 0
-
-    def extend(T: list[list[int]], n: int, labels: tuple[str, ...]):
-        nonlocal explored
-        cell = next(((i, j) for i in range(n) for j in range(n)
-                     if T[i][j] == -1), None)
-        if cell is None:
-            mt = MulTable(np.array(T, dtype=np.int64), labels=labels)
-            if not mt.is_associative():
-                raise AssertionError("closure let an inassociative table through")
-            return mt if passes(mt) else None
-        i, j = cell
-        for v in range(n):
-            explored += 1
-            T2 = [row[:] for row in T]
-            if _set_cell(T2, i, j, v, n, latin) and _close(T2, n, latin):
-                found = extend(T2, n, labels)
-                if found is not None:
-                    return found
-        return None
-
     for n in range(k, max_order + 1):
-        T = [[-1] * n for _ in range(n)]
-        ok = True
-        for (x, y), z in pt.products.items():
-            if not _set_cell(T, at[x], at[y], at[z], n, latin):
-                ok = False
-                break
-        if not ok or not _close(T, n, latin):
-            continue
-        witness = extend(T, n, _filler_labels(pt.elements, n))
-        if witness is not None:
-            return SearchResult(status="embeddable", witness=(witness, dict(at)),
-                                explored=explored, bound=max_order)
+        search = _TableSearch(n, latin=class_filter == "group")
+        if all(search.assign(at[x] * n + at[y], at[z])
+               for (x, y), z in pt.products.items()) and search.propagate():
+            labels = _filler_labels(pt.elements, n)
+            for flat in search.completions():
+                mt = MulTable(np.array(flat).reshape(n, n), labels=labels)
+                if not mt.is_associative():
+                    raise AssertionError("propagation let an inassociative table through")
+                if passes(mt):
+                    return SearchResult(status="embeddable", witness=(mt, dict(at)),
+                                        explored=explored + search.decisions,
+                                        bound=max_order)
+        explored += search.decisions
     return SearchResult(status="not_embeddable_up_to_bound", witness=None,
                         explored=explored, bound=max_order)

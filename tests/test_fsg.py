@@ -306,3 +306,32 @@ def test_filtered_enumeration_matches_predicate():
     assert all(is_j_trivial(mt) for mt in j_trivial)
     everything = enumerate_semigroups(3)
     assert sum(1 for mt in everything if is_j_trivial(mt)) == 9
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_labeled_enumeration_matches_brute_force(order):
+    # every associative table among all order^(order^2), in row-major lex order
+    brute = []
+    for cells in itertools.product(range(order), repeat=order * order):
+        T = np.array(cells).reshape(order, order)
+        if MulTable(T).is_associative():
+            brute.append(T.tolist())
+    labeled = enumerate_semigroups(order, up_to_iso=False)
+    assert [mt.table.tolist() for mt in labeled] == brute
+
+
+def test_labeled_group_counts():
+    counts = [len(enumerate_groups(k, up_to_iso=False)) for k in range(1, 6)]
+    assert counts == [1, 2, 3, 16, 30]
+    labeled = enumerate_groups(4, up_to_iso=False)
+    assert all(is_group(mt) for mt in labeled)
+    assert len({mt.table.tobytes() for mt in labeled}) == len(labeled)
+
+
+def test_order_5_filtered_enumeration():
+    # OEIS A027851: 1,915 semigroups of order 5 up to isomorphism
+    everything = enumerate_semigroups(5, filter=lambda mt: True)
+    assert len(everything) == 1915
+    expected = [mt.table.tolist() for mt in everything if is_j_trivial(mt)]
+    j_trivial = enumerate_semigroups(5, filter=is_j_trivial)
+    assert [mt.table.tolist() for mt in j_trivial] == expected

@@ -93,6 +93,38 @@ def test_group_filter_skips_small_orders():
     assert result.explored == 0
 
 
+PQ = PartialTable(elements=("p", "q"), products={("p", "q"): "q", ("q", "p"): "p"})
+
+
+@pytest.mark.parametrize("class_filter", ["clifford", "j_trivial", "r_trivial"])
+def test_pq_decision_count_is_pinned(class_filter):
+    # pq = q, qp = p: an exhausted search explores the same decisions under
+    # every filter that runs on finished tables only
+    result = embed_partial_table(PQ, 4, class_filter=class_filter)
+    assert result.status == "not_embeddable_up_to_bound"
+    assert result.explored == 1569
+
+
+def test_pq_group_search_fails_before_any_decision():
+    # closing pq = q, qp = p forces pp = (pq)p = p(qp), so p repeats in
+    # column p and the Latin search stops before trying any value
+    result = embed_partial_table(PQ, 4, class_filter="group")
+    assert result.status == "not_embeddable_up_to_bound"
+    assert result.explored == 0
+
+
+def test_malcev_table_embeds_at_order_13():
+    result = embed_partial_table(malcev_witness_table(), 13)
+    assert result.status == "embeddable"
+    assert result.explored == 74
+    mt, injection = result.witness
+    assert mt.order == 13
+    assert mt.is_associative()
+    pt = malcev_witness_table()
+    for (u, v), w in pt.products.items():
+        assert mt.mul(injection[u], injection[v]) == injection[w]
+
+
 def test_unknown_class_filter():
     with pytest.raises((KeyError, ValueError)):
         embed_partial_table(bicyclic4_table(), 3, class_filter="solvable")
