@@ -22,6 +22,7 @@ word tuples are deduplicated before checking.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -58,14 +59,18 @@ class JointRow:
     def label(self) -> str:
         return f"{self.table}{self.index}"
 
+    @functools.cached_property
+    def parsed(self) -> tuple[tuple, tuple]:
+        """The patterns t, t1, t2, t0 and the conditions, parsed on first use."""
+        return (tuple(parse_pattern(p) for p in (self.t, self.t1, self.t2, self.t0)),
+                tuple(parse_condition(c) for c in self.conditions))
+
     @property
     def variables(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for pattern in (self.t, self.t1, self.t2, self.t0):
-            for _, expr in parse_pattern(pattern):
-                names.extend(expr.variables)
-        for cond in self.conditions:
-            names.extend(parse_condition(cond).variables)
+        patterns, conditions = self.parsed
+        names = [name for atoms in patterns for _, expr in atoms
+                 for name in expr.variables]
+        names += [name for cond in conditions for name in cond.variables]
         return tuple(dict.fromkeys(names))
 
 
@@ -716,8 +721,9 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5) -> RowRep
     """Check one row over all exponent assignments in 0..bound."""
     n = system.parameter_n
     report = RowReport(row=row)
-    checks = compile_conditions(tuple(parse_condition(c) for c in row.conditions), n)
-    patterns = [compile_atoms(parse_pattern(p), n) for p in (row.t, row.t1, row.t2, row.t0)]
+    parsed_patterns, conditions = row.parsed
+    checks = compile_conditions(conditions, n)
+    patterns = [compile_atoms(p, n) for p in parsed_patterns]
     variables = row.variables
     seen: set[tuple[str, str, str, str]] = set()
 

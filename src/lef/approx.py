@@ -65,9 +65,21 @@ class ApproxPair:
                 "map": {_handle_key(k): int(v) for k, v in self.f.items()}}
 
     @classmethod
-    def from_json(cls, data: dict) -> "ApproxPair":
-        return cls(F=MulTable.from_json(data["table"]),
-                   f={k: int(v) for k, v in data["map"].items()})
+    def from_json(cls, data) -> "ApproxPair":
+        """Validate {"table", "map"}; errors are ValueErrors with JSON-pointer
+        paths."""
+        if not isinstance(data, dict) or "table" not in data or "map" not in data:
+            raise ValueError("/: expected an object with 'table' and 'map'")
+        table = MulTable.from_json(data["table"], "/table")
+        mapping = data["map"]
+        if not isinstance(mapping, dict):
+            raise ValueError("/map: expected an object of element-word -> index")
+        for key, val in mapping.items():
+            if not isinstance(val, int) or isinstance(val, bool) \
+                    or not 0 <= val < table.order:
+                raise ValueError(f"/map/{key}: index {val!r} outside "
+                                 f"0..{table.order - 1}")
+        return cls(F=table, f=dict(mapping))
 
 
 @dataclass(frozen=True)
@@ -85,8 +97,20 @@ class WrapMap:
                 "d_words": [_handle_key(h) for h in self.d]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "WrapMap":
-        return cls(D=MulTable.from_json(data["table"]), d=tuple(data["d_words"]))
+    def from_json(cls, data) -> "WrapMap":
+        """Validate {"table", "d_words"}; errors are ValueErrors with
+        JSON-pointer paths."""
+        if not isinstance(data, dict) or "table" not in data \
+                or "d_words" not in data:
+            raise ValueError("/: expected an object with 'table' and 'd_words'")
+        table = MulTable.from_json(data["table"], "/table")
+        d_words = data["d_words"]
+        if not isinstance(d_words, list) or len(d_words) != table.order:
+            raise ValueError(f"/d_words: expected {table.order} entries")
+        for i, w in enumerate(d_words):
+            if not isinstance(w, str):
+                raise ValueError(f"/d_words/{i}: expected a string")
+        return cls(D=table, d=tuple(d_words))
 
 
 @dataclass(frozen=True)
@@ -132,9 +156,7 @@ def host_equal(host, x, y) -> bool:
         pid = host.lower()
         if pid.startswith("free:"):
             return x == y
-        if pid == "q" or pid.startswith("fn:"):
-            return oracle.word_equal_nf(pid, x, y).status == "equal"
-        verdict = oracle.word_equal_bfs(pid, x, y)
+        verdict = oracle.word_equal(pid, x, y)
         if verdict.status == "unknown":
             raise RuntimeError(
                 f"oracle cannot settle {x!r} = {y!r} in {pid}: {verdict.evidence}")

@@ -2,8 +2,9 @@
 
 Exit codes: 0 for a verified or positive outcome, 3 for a clean negative
 (not embeddable up to the bound, unresolved critical pairs, distinct words,
-a failed check), 1 for usage or data errors.  Artifact files are JSON;
-malformed input is reported with a JSON-pointer path to the offending cell.
+a failed check), 1 for usage or data errors.  Artifact files are JSON, parsed
+by their classes' from_json; malformed input is reported with the file name
+and a JSON-pointer path to the offending cell.
 The environment variable LEF_STEP_LIMIT overrides the rewriting step limit.
 """
 
@@ -13,8 +14,6 @@ import argparse
 import itertools
 import json
 import sys
-
-import numpy as np
 
 from . import appendix
 from .approx import (ApproxPair, FiniteSubset, WrapMap, approx_integers,
@@ -47,10 +46,12 @@ class CliError(Exception):
 # JSON artifact loading with pointer paths
 
 
-def _load_json_file(path: str):
+def _load_artifact(path: str, parse):
+    """Read a JSON artifact file and build it with `parse`.  Every data error
+    names the file, e.g. `table.json: /table/1/2: entry 9 outside 0..3`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"{path}: no such file") from None
     except IsADirectoryError:
@@ -58,6 +59,10 @@ def _load_json_file(path: str):
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON at line {exc.lineno}, "
                        f"column {exc.colno}") from None
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _write_json_file(path: str, payload: dict) -> None:
@@ -66,111 +71,8 @@ def _write_json_file(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _table_from_json(data, where: str = "") -> MulTable:
-    """Validate Table JSON {"order", "labels", "table"} and build the table.
-
-    Errors carry JSON-pointer paths relative to the loaded document, e.g.
-    `/table/2/1: entry 7 outside 0..3`.
-    """
-    if not isinstance(data, dict):
-        raise CliError(f"{where or '/'}: expected an object with "
-                       f"'order' and 'table'")
-    for key in ("order", "table"):
-        if key not in data:
-            raise CliError(f"{where}/{key}: missing")
-    order = data["order"]
-    if not isinstance(order, int) or order < 0:
-        raise CliError(f"{where}/order: expected a nonnegative integer, "
-                       f"got {order!r}")
-    rows = data["table"]
-    if not isinstance(rows, list) or len(rows) != order:
-        raise CliError(f"{where}/table: expected {order} rows")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != order:
-            raise CliError(f"{where}/table/{i}: expected {order} entries")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) \
-                    or not 0 <= v < order:
-                raise CliError(f"{where}/table/{i}/{j}: entry {v!r} outside "
-                               f"0..{order - 1}")
-    labels = data.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or len(labels) != order:
-            raise CliError(f"{where}/labels: expected {order} labels")
-        for i, lab in enumerate(labels):
-            if not isinstance(lab, str):
-                raise CliError(f"{where}/labels/{i}: expected a string")
-        if len(set(labels)) != order:
-            raise CliError(f"{where}/labels: labels must be distinct")
-    table = np.array(rows, dtype=np.int64) if order else \
-        np.zeros((0, 0), dtype=np.int64)
-    return MulTable(table=table, labels=tuple(labels) if labels else None)
-
-
-def _partial_from_json(data, where: str = "") -> PartialTable:
-    if not isinstance(data, dict):
-        raise CliError(f"{where or '/'}: expected an object with "
-                       f"'elements' and 'products'")
-    for key in ("elements", "products"):
-        if key not in data:
-            raise CliError(f"{where}/{key}: missing")
-    elements = data["elements"]
-    if not isinstance(elements, list) or \
-            any(not isinstance(e, str) for e in elements):
-        raise CliError(f"{where}/elements: expected a list of strings")
-    if len(set(elements)) != len(elements):
-        raise CliError(f"{where}/elements: element names must be distinct")
-    known = set(elements)
-    products = data["products"]
-    if not isinstance(products, dict):
-        raise CliError(f"{where}/products: expected an object keyed 'u,v'")
-    parsed = {}
-    for key, val in products.items():
-        parts = [p.strip() for p in key.split(",")]
-        if len(parts) != 2:
-            raise CliError(f"{where}/products/{key}: key must be 'u,v'")
-        u, v = parts
-        for name in (u, v, val):
-            if name not in known:
-                raise CliError(f"{where}/products/{key}: "
-                               f"unknown element {name!r}")
-        parsed[(u, v)] = val
-    return PartialTable(elements=tuple(elements), products=parsed)
-
-
-def _pair_from_json(data) -> ApproxPair:
-    if not isinstance(data, dict) or "table" not in data or "map" not in data:
-        raise CliError("/: expected an object with 'table' and 'map'")
-    table = _table_from_json(data["table"], "/table")
-    mapping = data["map"]
-    if not isinstance(mapping, dict):
-        raise CliError("/map: expected an object of element-word -> index")
-    f = {}
-    for key, val in mapping.items():
-        if not isinstance(val, int) or isinstance(val, bool) \
-                or not 0 <= val < table.order:
-            raise CliError(f"/map/{key}: index {val!r} outside "
-                           f"0..{table.order - 1}")
-        f[key] = val
-    return ApproxPair(F=table, f=f)
-
-
-def _wrap_from_json(data) -> WrapMap:
-    if not isinstance(data, dict) or "table" not in data \
-            or "d_words" not in data:
-        raise CliError("/: expected an object with 'table' and 'd_words'")
-    table = _table_from_json(data["table"], "/table")
-    d_words = data["d_words"]
-    if not isinstance(d_words, list) or len(d_words) != table.order:
-        raise CliError(f"/d_words: expected {table.order} entries")
-    for i, w in enumerate(d_words):
-        if not isinstance(w, str):
-            raise CliError(f"/d_words/{i}: expected a string")
-    return WrapMap(D=table, d=tuple(d_words))
-
-
 def _load_table(path: str) -> MulTable:
-    return _table_from_json(_load_json_file(path))
+    return _load_artifact(path, MulTable.from_json)
 
 
 _NAMED_PARTIALS = {"bicyclic4": bicyclic4_table, "malcev": malcev_witness_table}
@@ -181,7 +83,7 @@ def _load_partial(source: str) -> tuple[str, PartialTable]:
     key = source.lower()
     if key in _NAMED_PARTIALS:
         return key, _NAMED_PARTIALS[key]()
-    return source, _partial_from_json(_load_json_file(source))
+    return source, _load_artifact(source, PartialTable.from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +489,11 @@ def _cmd_approx_check(args) -> int:
         raise CliError("give exactly one of --pair or --wrap")
     subset = _subset_from_args(args)
     if args.pair:
-        pair = _pair_from_json(_load_json_file(args.pair))
+        pair = _load_artifact(args.pair, ApproxPair.from_json)
         result = check_approximating_pair(subset, pair)
         kind = "approximating pair"
     else:
-        wrap = _wrap_from_json(_load_json_file(args.wrap))
+        wrap = _load_artifact(args.wrap, WrapMap.from_json)
         result = check_lwf_wrapping(subset, wrap)
         kind = "wrapping map"
     payload = {"kind": kind, "subset_size": len(subset.elements),
@@ -712,10 +614,10 @@ def _extract_path(data) -> list[str]:
                 "path" in data["evidence"]:
             data = data["evidence"]["path"]
         else:
-            raise CliError("/: no 'path' or 'evidence.path' in the file")
+            raise ValueError("/: no 'path' or 'evidence.path' in the file")
     if not isinstance(data, list) or \
             any(not isinstance(w, str) for w in data):
-        raise CliError("/path: expected a list of words")
+        raise ValueError("/path: expected a list of words")
     return data
 
 
@@ -723,7 +625,7 @@ def _cmd_replay(args) -> int:
     if bool(args.file) == bool(args.words):
         raise CliError("give exactly one of --file or --words")
     if args.file:
-        path = _extract_path(_load_json_file(args.file))
+        path = _load_artifact(args.file, _extract_path)
     else:
         path = _split_words(args.words, "--words")
     ok = replay_path(args.preset.lower(), path)

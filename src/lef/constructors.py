@@ -14,7 +14,7 @@ import numpy as np
 from .fsg import MulTable, is_completely_simple, is_group
 from .presets import build_fn_system, preset_presentation  # noqa: F401  (re-export)
 from .rewrite import RewriteSystem, normal_form
-from .words import block_count_s
+from .words import block_count_s, one_step_words
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +234,6 @@ def _length_ideal_classes(alphabet: str, max_len: int, relations: tuple):
     with index 0 reserved for the zero class."""
     rank = {ch: i for i, ch in enumerate(alphabet)}
 
-    def successors(w: str):
-        for u, v in relations:
-            for big, small in ((u, v), (v, u)):
-                start = 0
-                while True:
-                    pos = w.find(big, start)
-                    if pos < 0:
-                        break
-                    yield w[:pos] + small + w[pos + len(big):]
-                    start = pos + 1
-
     word_class: dict[str, int] = {}
     reps: list[str] = ["0"]
     words = [""]
@@ -258,7 +247,7 @@ def _length_ideal_classes(alphabet: str, max_len: int, relations: tuple):
             word_class[w] = index
             while stack:
                 cur = stack.pop()
-                for nxt in successors(cur):
+                for nxt in one_step_words(cur, relations):
                     if nxt not in word_class:
                         word_class[nxt] = index
                         stack.append(nxt)

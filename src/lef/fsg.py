@@ -1,5 +1,6 @@
 """Finite semigroups as multiplication tables: associativity, Green's
-relations, structural classification, enumeration, and relational assignments.
+relations, structural classification, enumeration, and word equations
+evaluated over a table.
 
 Tables are numpy int arrays with table[i, j] = index of the product of i and j
 (row = left factor).  Enumeration, and the embedding search in ``search``,
@@ -78,9 +79,44 @@ class MulTable:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "MulTable":
-        return cls(table=np.array(data["table"], dtype=np.int64),
-                   labels=tuple(data["labels"]) if data.get("labels") else None)
+    def from_json(cls, data, where: str = "") -> "MulTable":
+        """Validate Table JSON {"order", "labels", "table"} and build the table.
+
+        Errors are ValueErrors with JSON-pointer paths under the prefix
+        `where`, e.g. `/table/2/1: entry 7 outside 0..3`.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"{where or '/'}: expected an object with "
+                             f"'order' and 'table'")
+        for key in ("order", "table"):
+            if key not in data:
+                raise ValueError(f"{where}/{key}: missing")
+        order = data["order"]
+        if not isinstance(order, int) or order < 0:
+            raise ValueError(f"{where}/order: expected a nonnegative integer, "
+                             f"got {order!r}")
+        rows = data["table"]
+        if not isinstance(rows, list) or len(rows) != order:
+            raise ValueError(f"{where}/table: expected {order} rows")
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != order:
+                raise ValueError(f"{where}/table/{i}: expected {order} entries")
+            for j, v in enumerate(row):
+                if not isinstance(v, int) or isinstance(v, bool) \
+                        or not 0 <= v < order:
+                    raise ValueError(f"{where}/table/{i}/{j}: entry {v!r} "
+                                     f"outside 0..{order - 1}")
+        labels = data.get("labels")
+        if labels is not None:
+            if not isinstance(labels, list) or len(labels) != order:
+                raise ValueError(f"{where}/labels: expected {order} labels")
+            for i, lab in enumerate(labels):
+                if not isinstance(lab, str):
+                    raise ValueError(f"{where}/labels/{i}: expected a string")
+            if len(set(labels)) != order:
+                raise ValueError(f"{where}/labels: labels must be distinct")
+        return cls(table=np.array(rows, dtype=np.int64).reshape(order, order),
+                   labels=tuple(labels) if labels else None)
 
 
 @dataclass
@@ -107,12 +143,34 @@ class PartialTable:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "PartialTable":
-        products = {}
-        for key, w in data["products"].items():
-            u, v = key.split(",")
-            products[(u.strip(), v.strip())] = w
-        return cls(elements=tuple(data["elements"]), products=products)
+    def from_json(cls, data) -> "PartialTable":
+        """Validate {"elements", "products"} with products keyed "u,v"; errors
+        are ValueErrors with JSON-pointer paths."""
+        if not isinstance(data, dict):
+            raise ValueError("/: expected an object with 'elements' and "
+                             "'products'")
+        for key in ("elements", "products"):
+            if key not in data:
+                raise ValueError(f"/{key}: missing")
+        elements = data["elements"]
+        if not isinstance(elements, list) or \
+                any(not isinstance(e, str) for e in elements):
+            raise ValueError("/elements: expected a list of strings")
+        if len(set(elements)) != len(elements):
+            raise ValueError("/elements: element names must be distinct")
+        products = data["products"]
+        if not isinstance(products, dict):
+            raise ValueError("/products: expected an object keyed 'u,v'")
+        parsed = {}
+        for key, w in products.items():
+            parts = [p.strip() for p in key.split(",")]
+            if len(parts) != 2:
+                raise ValueError(f"/products/{key}: key must be 'u,v'")
+            for name in parts + [w]:
+                if not isinstance(name, str) or name not in elements:
+                    raise ValueError(f"/products/{key}: unknown element {name!r}")
+            parsed[tuple(parts)] = w
+        return cls(elements=tuple(elements), products=parsed)
 
 
 def associativity_failures(mt: MulTable, limit: int = 10) -> list[tuple[int, int, int]]:
@@ -120,10 +178,6 @@ def associativity_failures(mt: MulTable, limit: int = 10) -> list[tuple[int, int
     T = mt.table
     bad = np.argwhere(T[T] != T[:, T])
     return [tuple(map(int, t)) for t in bad[:limit]]
-
-
-def check_associative(mt: MulTable) -> bool:
-    return mt.is_associative()
 
 
 def zero_element(mt: MulTable) -> int | None:
@@ -212,7 +266,9 @@ def _classes_from_leq(leq: np.ndarray) -> list[tuple[int, ...]]:
 
 def green(mt: MulTable) -> GreenRelations:
     """R, L, H, J classes.  One-sided ideals need only single products since
-    x(st) = (xs)t keeps principal ideals closed."""
+    x(st) = (xs)t keeps principal ideals closed, and x lies J-below y iff
+    x <=_L u <=_R y for some u (x = s(yt) with u = yt), so the J order is the
+    boolean product of the L and R orders."""
     T = mt.table
     n = mt.order
     idx = np.arange(n)
@@ -220,10 +276,7 @@ def green(mt: MulTable) -> GreenRelations:
     leq_r[T, idx[:, None]] = True       # y*s lies R-below y
     leq_l = np.eye(n, dtype=bool)
     leq_l[T, idx[None, :]] = True       # s*y lies L-below y
-    leq_j = np.eye(n, dtype=bool)
-    for y in range(n):
-        down = set(T[y]) | set(T[:, y]) | set(T[T[:, y]].ravel())
-        leq_j[list(down), y] = True
+    leq_j = leq_l @ leq_r
     leq_h = leq_r & leq_l
     return GreenRelations(
         r_classes=_classes_from_leq(leq_r),
@@ -362,7 +415,7 @@ def classify(mt: MulTable) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# relational assignments: mapping word-equation variables into a table
+# word equations: their values over every assignment of variables into a table
 
 
 def evaluate_word(mt: MulTable, word: str, assignment: dict[str, int]) -> int:
@@ -399,21 +452,6 @@ def relation_grid(mt: MulTable, relation: tuple[str, str],
                   variables: tuple[str, ...]) -> np.ndarray:
     u, v = relation
     return word_value_grid(mt, u, variables) == word_value_grid(mt, v, variables)
-
-
-def find_relational_assignments(mt: MulTable, relations, distinct: bool = False):
-    """Yield (assignment, violated) for every mapping of the relations'
-    variables into the table, where violated lists the relations that fail.
-    Nothing is pruned; callers filter.  With distinct=True only injective
-    assignments are produced."""
-    variables = relation_variables(relations)
-    grids = [relation_grid(mt, rel, variables) for rel in relations]
-    n = mt.order
-    for combo in itertools.product(range(n), repeat=len(variables)):
-        if distinct and len(set(combo)) != len(combo):
-            continue
-        violated = [relations[i] for i, g in enumerate(grids) if not g[combo]]
-        yield dict(zip(variables, combo)), violated
 
 
 def check_implication(mt: MulTable, premises, conclusions) -> dict | None:

@@ -20,8 +20,7 @@ import numpy as np
 from .approx import FiniteSubset, WrapMap
 from .constructors import quotient_by_length_ideal
 from .fsg import MulTable
-from .oracle import invariant_separates, sm_canonical, word_equal_bfs, \
-    word_equal_nf
+from .oracle import invariant_separates, sm_canonical, word_equal
 from .words import ALPHABETS, e_reduced_length
 
 _WORD_HOSTS = ("q", "s", "t", "c")
@@ -32,18 +31,6 @@ def _alphabet(preset: str) -> str:
     if key not in ALPHABETS:
         raise ValueError(f"no word alphabet for preset {preset!r}")
     return ALPHABETS[key]
-
-
-def _equal(preset: str, u: str, v: str) -> bool | None:
-    """Three-valued word equality: None when the oracle cannot decide."""
-    if u == v:
-        return True
-    if preset == "q" or preset.startswith("fn:"):
-        return word_equal_nf(preset, u, v).status == "equal"
-    verdict = word_equal_bfs(preset, u, v)
-    if verdict.status == "unknown":
-        return None
-    return verdict.status == "equal"
 
 
 @dataclass(frozen=True)
@@ -117,12 +104,12 @@ def enumerate_preaccurate(preset: str, n: int,
     for w in base_words:
         hit = False
         for r in reps:
-            eq = _equal(pid, w, r)
-            if eq is None:
+            status = word_equal(pid, w, r).status
+            if status == "unknown":
                 raise RuntimeError(
                     f"cannot partition the defining words: {w!r} vs {r!r} "
                     f"is undecided")
-            if eq:
+            if status == "equal":
                 hit = True
                 break
         if not hit:
@@ -131,10 +118,10 @@ def enumerate_preaccurate(preset: str, n: int,
     def in_subset(w: str) -> bool | None:
         undecided = False
         for r in reps:
-            eq = _equal(pid, w, r)
-            if eq:
+            status = word_equal(pid, w, r).status
+            if status == "equal":
                 return True
-            if eq is None:
+            if status == "unknown":
                 undecided = True
         return None if undecided else False
 
@@ -317,7 +304,7 @@ def _wrap_s(n: int) -> WrapMap:
         ws.sort(key=lambda w: (len(w), w))
         head = ws[0]
         for other in ws[1:]:
-            if _equal("s", head, other) is not True:
+            if word_equal("s", head, other).status != "equal":
                 raise RuntimeError(f"{head!r} and {other!r} share the folded "
                                    f"form {c!r} but are not provably equal")
         rep[c] = head

@@ -14,7 +14,7 @@ from itertools import groupby
 from .constructors import build_fn
 from .presets import Q_SYSTEM, preset_presentation
 from .rewrite import check_local_confluence, normal_form
-from .words import ALPHABETS, separating_quantity
+from .words import ALPHABETS, one_step_words, separating_quantity
 
 
 @dataclass(frozen=True)
@@ -93,26 +93,6 @@ def sm_canonical(word: str, m: int) -> str:
 
 # ---------------------------------------------------------------------------
 # the relation graph
-
-
-def one_step_words(w: str, relations) -> list[str]:
-    """Every word reachable from w by one application of a relation, in either
-    direction, at any position."""
-    out = []
-    seen = {w}
-    for l, r in relations:
-        for big, small in ((l, r), (r, l)):
-            start = 0
-            while True:
-                pos = w.find(big, start)
-                if pos < 0:
-                    break
-                w2 = w[:pos] + small + w[pos + len(big):]
-                if w2 not in seen:
-                    seen.add(w2)
-                    out.append(w2)
-                start = pos + 1
-    return out
 
 
 def bounded_closure(relations, seeds, length_bound: int,
@@ -263,6 +243,15 @@ def word_equal_bfs(preset: str, u: str, v: str, length_bound: int | None = None,
                             "node_bound": node_bound, "explored": nodes})
     _verdict_memo[key] = verdict
     return verdict if (a, b) == (u, v) else _flip_path(verdict)
+
+
+def word_equal(preset: str, u: str, v: str) -> EqualityVerdict:
+    """Equality in any word preset: normal forms for q and fn:<n>, the
+    bounded oracle (canonical forms for sm:<m>) for the others."""
+    pid = preset.lower()
+    if pid == "q" or pid.startswith("fn:"):
+        return word_equal_nf(pid, u, v)
+    return word_equal_bfs(pid, u, v)
 
 
 def invariant_separates(preset: str, u: str, v: str) -> str | None:

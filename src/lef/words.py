@@ -1,5 +1,6 @@
-"""Words over small fixed alphabets, plus the counting statistics that stay
-constant under each preset's defining relations (and therefore tell elements apart)."""
+"""Words over small fixed alphabets: single applications of defining
+relations, plus the counting statistics that stay constant under each
+preset's relations (and therefore tell elements apart)."""
 
 from __future__ import annotations
 
@@ -15,6 +16,26 @@ ALPHABETS = {
     "t": "abcdex",
     "c": "abcdxyuv",
 }
+
+
+def one_step_words(w: str, relations) -> list[str]:
+    """Every word reachable from w by one application of a relation, in either
+    direction, at any position."""
+    out = []
+    seen = {w}
+    for l, r in relations:
+        for big, small in ((l, r), (r, l)):
+            start = 0
+            while True:
+                pos = w.find(big, start)
+                if pos < 0:
+                    break
+                w2 = w[:pos] + small + w[pos + len(big):]
+                if w2 not in seen:
+                    seen.add(w2)
+                    out.append(w2)
+                start = pos + 1
+    return out
 
 
 def letter_counts(w: str, alphabet: str | None = None) -> dict[str, int]:

@@ -71,6 +71,12 @@ def test_host_mul_and_equal():
     assert g == 2 + spec.sandwich[0][0] + 1
 
 
+def test_host_equal_raises_when_the_oracle_cannot_decide():
+    # the bounded oracle gives up on this t pair after a few dozen nodes
+    with pytest.raises(RuntimeError, match="oracle cannot settle 'bxax' = 'xex' in t"):
+        host_equal("t", "bxax", "xex")
+
+
 # ---------------------------------------------------------------------------
 # checkers
 
@@ -146,6 +152,21 @@ def test_wrap_json_round_trip():
     assert clone.D.order == 3
     with pytest.raises(ValueError):
         WrapMap(D=z3, d=("a", "b"))  # wrong length
+
+
+@pytest.mark.parametrize("cls, data, pointer", [
+    (ApproxPair, {"table": {"order": 2, "table": [[0, 5], [0, 0]]}, "map": {}},
+     "/table/table/0/1: entry 5 outside 0..1"),
+    (ApproxPair, {"table": cyclic_table(2).to_json(), "map": {"x": True}},
+     "/map/x: index True outside 0..1"),
+    (WrapMap, {"table": cyclic_table(2).to_json(), "d_words": ["a"]},
+     "/d_words: expected 2 entries"),
+    (WrapMap, {"table": {"order": 1}, "d_words": ["a"]}, "/table/table: missing"),
+])
+def test_artifact_json_errors_carry_pointers(cls, data, pointer):
+    with pytest.raises(ValueError) as info:
+        cls.from_json(data)
+    assert str(info.value) == pointer
 
 
 # ---------------------------------------------------------------------------

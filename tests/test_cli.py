@@ -303,6 +303,26 @@ def test_invalid_json_pointer(capsys, tmp_path):
     assert "outside 0..1" in err
 
 
+def test_data_error_names_the_bad_file(capsys, tmp_path, z3_file):
+    pair = {"table": cyclic_table(3).to_json(), "map": {"0": 0, "1": 1}}
+    good_pair = tmp_path / "good_pair.json"
+    good_pair.write_text(json.dumps(pair))
+    pair["map"]["1"] = 7
+    bad_pair = tmp_path / "bad_pair.json"
+    bad_pair.write_text(json.dumps(pair))
+    bad_table = tmp_path / "bad_table.json"
+    bad_table.write_text(json.dumps({"order": 2, "table": [[0, 5], [0, 0]]}))
+
+    code, _, err = run(capsys, "approx", "check", "--pair", str(good_pair),
+                       "--host-table", str(bad_table), "--members", "s0,s1")
+    assert code == 1
+    assert err.strip() == f"error: {bad_table}: /table/0/1: entry 5 outside 0..1"
+    code, _, err = run(capsys, "approx", "check", "--pair", str(bad_pair),
+                       "--host-table", z3_file, "--members", "0,1")
+    assert code == 1
+    assert err.strip() == f"error: {bad_pair}: /map/1: index 7 outside 0..2"
+
+
 def test_malformed_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -23,6 +23,7 @@ from lef.fsg import (
     is_group,
     zero_element,
 )
+from lef.oracle import bounded_closure
 from lef.presets import build_fn_system
 from lef.rewrite import normal_form
 
@@ -148,6 +149,18 @@ def test_quotient_by_length_ideal_with_relations():
     word_map = quotient_word_map("ab", 2, relations=(("ab", "ba"),))
     assert mt.order == 6  # ab and ba merge
     assert word_map["ab"] == word_map["ba"]
+
+
+def test_quotient_word_map_classes_are_relation_closures():
+    relations = (("ab", "ba"), ("bc", "cb"), ("aa", "cc"))
+    word_map = quotient_word_map("abc", 4, relations)
+    classes: dict[int, set[str]] = {}
+    for w, k in word_map.items():
+        classes.setdefault(k, set()).add(w)
+    assert len(classes) < len(word_map)
+    for w, k in word_map.items():
+        closure, complete = bounded_closure(relations, [w], length_bound=4)
+        assert complete and closure == classes[k]
 
 
 def test_quotient_rejects_bad_input():

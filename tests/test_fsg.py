@@ -19,7 +19,6 @@ from lef.fsg import (
     enumerate_groups,
     enumerate_semigroups,
     evaluate_word,
-    find_relational_assignments,
     generate_subsemigroup,
     green,
     idempotent_power,
@@ -41,10 +40,10 @@ LEFT_ZERO_2 = MulTable(np.array([[0, 0], [1, 1]]), labels=("p", "q"))
 # naive oracles
 
 
-def _naive_green(mt: MulTable):
-    """Green's equivalences computed directly from principal ideals."""
-    n = mt.order
-    elems = range(n)
+def _principal_ideals(mt: MulTable):
+    """The principal right, left and two-sided ideals xS^1, S^1x and S^1xS^1,
+    straight from the definitions."""
+    elems = range(mt.order)
 
     def right_ideal(x):
         return frozenset([x] + [mt.mul(x, s) for s in elems])
@@ -58,6 +57,14 @@ def _naive_green(mt: MulTable):
         out.update(mt.mul(s, x) for s in elems)
         out.update(mt.mul(mt.mul(s, x), t) for s in elems for t in elems)
         return frozenset(out)
+
+    return right_ideal, left_ideal, two_sided_ideal
+
+
+def _naive_green(mt: MulTable):
+    """Green's equivalences computed directly from principal ideals."""
+    elems = range(mt.order)
+    right_ideal, left_ideal, two_sided_ideal = _principal_ideals(mt)
 
     def partition(key):
         groups = {}
@@ -89,6 +96,16 @@ def test_green_matches_naive_oracle(order):
         assert g.l_trivial == all(len(c) == 1 for c in l)
         assert g.h_trivial == all(len(c) == 1 for c in h)
         assert g.j_trivial == all(len(c) == 1 for c in j)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_green_orders_match_principal_ideals(order):
+    # x <= y in the R, L or J order iff x lies in the principal ideal of y
+    for mt in enumerate_semigroups(order, up_to_iso=False):
+        g = green(mt)
+        elems = range(mt.order)
+        for leq, ideal in zip((g.leq_r, g.leq_l, g.leq_j), _principal_ideals(mt)):
+            assert leq.tolist() == [[x in ideal(y) for y in elems] for x in elems]
 
 
 def test_green_on_a_group_is_a_single_class():
@@ -259,17 +276,6 @@ def test_check_implication_disjunction():
     z4 = cyclic_table(4)
     cx = check_implication(z4, [], [("xx", "x"), ("xx", "yy")])
     assert cx is not None
-
-
-def test_find_relational_assignments():
-    z3 = cyclic_table(3)
-    hits = list(find_relational_assignments(z3, [("xy", "yx")]))
-    assert len(hits) == 9 and all(violated == [] for _, violated in hits)
-    hits = list(find_relational_assignments(z3, [("xx", "x")]))
-    assert [a for a, violated in hits if not violated] == [{"x": 0}]
-    # distinct=True keeps only injective assignments
-    hits = list(find_relational_assignments(z3, [("xy", "yx")], distinct=True))
-    assert len(hits) == 6
 
 
 # ---------------------------------------------------------------------------

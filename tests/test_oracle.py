@@ -9,6 +9,7 @@ from lef.oracle import (
     one_step_words,
     replay_path,
     sm_canonical,
+    word_equal,
     word_equal_bfs,
     word_equal_nf,
 )
@@ -147,6 +148,33 @@ def test_bfs_identical_words():
 def test_bfs_rejects_unknown_preset():
     with pytest.raises((KeyError, ValueError)):
         word_equal_bfs("zzz", "a", "b")
+
+
+# ---------------------------------------------------------------------------
+# the one entry point: normal forms for q and fn:<n>, the bounded oracle else
+
+
+@pytest.mark.parametrize("preset, u, v, status", [
+    ("q", "xca", "xe", "equal"),
+    ("q", "a", "b", "distinct"),
+    ("fn:2", "aaaaa", "a", "equal"),
+    ("fn:2", "aaaa", "a", "distinct"),
+    ("s", "axb", "acx", "equal"),
+    ("s", "xb", "bx", "distinct"),
+    ("s", "axc", "acx", "unknown"),
+    ("t", "xcd", "xe", "equal"),
+    ("t", "a", "b", "distinct"),
+    ("t", "bxax", "xex", "unknown"),
+    ("c", "ax", "by", "equal"),
+    ("c", "ax", "cx", "distinct"),
+    ("sm:3", "eeeee", "e", "equal"),
+    ("sm:3", "ee", "e", "distinct"),
+])
+def test_word_equal_matches_the_oracle_it_dispatches_to(preset, u, v, status):
+    direct = word_equal_nf if preset in ("q", "fn:2") else word_equal_bfs
+    verdict = word_equal(preset, u, v)
+    assert verdict == direct(preset, u, v)
+    assert verdict.status == status
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,13 @@ def test_check_partial_associativity_ok():
     check_partial_associativity(malcev_witness_table())
 
 
+def test_partial_table_json():
+    pt = bicyclic4_table()
+    assert PartialTable.from_json(pt.to_json()) == pt
+    with pytest.raises(ValueError, match="^/products/p,z: unknown element 'z'$"):
+        PartialTable.from_json({"elements": ["p"], "products": {"p,z": "p"}})
+
+
 def test_check_partial_associativity_detects_violations():
     pt = PartialTable(
         elements=("p", "q", "r"),
@@ -136,6 +143,14 @@ def test_class_filter_inventory():
 
 # ---------------------------------------------------------------------------
 # relational assignments in a fixed table
+
+
+def test_find_relational_assignments_in_z3():
+    z3 = cyclic_table(3)
+    hits = list(find_relational_assignments(z3, [("xy", "yx")]))
+    assert len(hits) == 9 and all(collapsed == [] for _, collapsed in hits)
+    hits = list(find_relational_assignments(z3, [("xx", "x")]))
+    assert [a for a, _ in hits] == [{"x": 0}]
 
 
 def test_find_relational_assignments_with_distinctness():
