@@ -264,11 +264,10 @@ def _classes_from_leq(leq: np.ndarray) -> list[tuple[int, ...]]:
     return sorted((tuple(g) for g in groups.values()), key=lambda c: c[0])
 
 
-def green(mt: MulTable) -> GreenRelations:
-    """R, L, H, J classes.  One-sided ideals need only single products since
-    x(st) = (xs)t keeps principal ideals closed, and x lies J-below y iff
-    x <=_L u <=_R y for some u (x = s(yt) with u = yt), so the J order is the
-    boolean product of the L and R orders."""
+def _preorders(mt: MulTable) -> tuple[np.ndarray, np.ndarray]:
+    """The R and L orders, leq[x, y] iff x lies below y.  One-sided ideals
+    need only single products since x(st) = (xs)t keeps principal ideals
+    closed."""
     T = mt.table
     n = mt.order
     idx = np.arange(n)
@@ -276,6 +275,20 @@ def green(mt: MulTable) -> GreenRelations:
     leq_r[T, idx[:, None]] = True       # y*s lies R-below y
     leq_l = np.eye(n, dtype=bool)
     leq_l[T, idx[None, :]] = True       # s*y lies L-below y
+    return leq_r, leq_l
+
+
+def _antisymmetric(leq: np.ndarray) -> bool:
+    """No two distinct elements lie below each other, i.e. every class of
+    the (reflexive) preorder is a singleton."""
+    return int((leq & leq.T).sum()) == len(leq)
+
+
+def green(mt: MulTable) -> GreenRelations:
+    """R, L, H, J classes.  x lies J-below y iff x <=_L u <=_R y for some u
+    (x = s(yt) with u = yt), so the J order is the boolean product of the L
+    and R orders."""
+    leq_r, leq_l = _preorders(mt)
     leq_j = leq_l @ leq_r
     leq_h = leq_r & leq_l
     return GreenRelations(
@@ -304,7 +317,8 @@ def is_completely_simple(mt: MulTable) -> bool:
     """Single J-class (finiteness then gives an idempotent in it)."""
     if not mt.is_associative():
         return False
-    return len(green(mt).j_classes) == 1 and bool(mt.idempotents())
+    leq_r, leq_l = _preorders(mt)
+    return bool((leq_l @ leq_r).all()) and bool(mt.idempotents())
 
 
 def is_clifford(mt: MulTable) -> bool:
@@ -313,13 +327,11 @@ def is_clifford(mt: MulTable) -> bool:
     if not mt.is_associative():
         return False
     T = mt.table
-    n = mt.order
-    g = green(mt)
-    h_of = {}
-    for ci, cls in enumerate(g.h_classes):
-        for x in cls:
-            h_of[x] = ci
-    if any(h_of[x] != h_of[int(T[x, x])] for x in range(n)):
+    leq_r, leq_l = _preorders(mt)
+    idx = np.arange(mt.order)
+    square = T[idx, idx]
+    # x*x always lies H-below x, so x H x*x iff x lies H-below x*x
+    if not (leq_r[idx, square] & leq_l[idx, square]).all():
         return False
     for e in mt.idempotents():
         if not (T[e] == T[:, e]).all():
@@ -328,15 +340,16 @@ def is_clifford(mt: MulTable) -> bool:
 
 
 def is_j_trivial(mt: MulTable) -> bool:
-    return green(mt).j_trivial
+    leq_r, leq_l = _preorders(mt)
+    return _antisymmetric(leq_l @ leq_r)
 
 
 def is_l_trivial(mt: MulTable) -> bool:
-    return green(mt).l_trivial
+    return _antisymmetric(_preorders(mt)[1])
 
 
 def is_r_trivial(mt: MulTable) -> bool:
-    return green(mt).r_trivial
+    return _antisymmetric(_preorders(mt)[0])
 
 
 def generate_subsemigroup(mt: MulTable, seeds) -> tuple[int, ...]:

@@ -20,8 +20,8 @@ import numpy as np
 from .approx import FiniteSubset, WrapMap
 from .constructors import quotient_by_length_ideal
 from .fsg import MulTable
-from .oracle import invariant_separates, sm_canonical, word_equal
-from .words import ALPHABETS, e_reduced_length
+from .oracle import sm_canonical, word_equal
+from .words import ALPHABETS, e_reduced_length, separating_quantity
 
 _WORD_HOSTS = ("q", "s", "t", "c")
 
@@ -169,7 +169,7 @@ def fallback_element(preset: str, bound: int) -> str:
                for t in itertools.product(letters, repeat=ell)]
     for t in itertools.product(letters, repeat=bound + 1):
         w = "".join(t)
-        if all(invariant_separates(pid, w, u) is not None for u in shorter):
+        if all(separating_quantity(w, u, pid) is not None for u in shorter):
             return w
     raise RuntimeError(f"no invariant-separated word of length {bound + 1} "
                        f"over preset {pid}")

@@ -254,14 +254,6 @@ def word_equal(preset: str, u: str, v: str) -> EqualityVerdict:
     return word_equal_bfs(pid, u, v)
 
 
-def invariant_separates(preset: str, u: str, v: str) -> str | None:
-    """Name of the first conserved quantity distinguishing u from v, if any."""
-    pid = preset.lower()
-    if pid not in ("q", "s", "t", "c"):
-        raise ValueError(f"no conserved-quantity registry for preset {preset!r}")
-    return separating_quantity(u, v, pid)
-
-
 def replay_path(preset: str, path) -> bool:
     """Check that consecutive path entries differ by one relation application."""
     path = list(path)

@@ -1,10 +1,10 @@
 """Words over small fixed alphabets: single applications of defining
-relations, plus the counting statistics that stay constant under each
-preset's relations (and therefore tell elements apart)."""
+relations, the block count and e-reduced length that size the finite
+carriers, and the conserved quantities that no relation step of a preset
+changes (and that therefore tell elements apart), read from one table of
+letter groups per preset."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 # Alphabets of the built-in presentations.  Order matters for q/fn: it is the
 # termination order a < c < e < b < x used by the rewriting systems.
@@ -38,17 +38,6 @@ def one_step_words(w: str, relations) -> list[str]:
     return out
 
 
-def letter_counts(w: str, alphabet: str | None = None) -> dict[str, int]:
-    """Count letters of w.  With an alphabet, absent letters appear with count 0."""
-    counts: dict[str, int] = {}
-    if alphabet is not None:
-        for ch in alphabet:
-            counts[ch] = 0
-    for ch in w:
-        counts[ch] = counts.get(ch, 0) + 1
-    return counts
-
-
 def block_count_s(w: str) -> int:
     """Number of maximal subwords of the form x, b^q or xb^q.
 
@@ -78,99 +67,49 @@ def e_reduced_length(w: str) -> int:
     return len(w) - w.count("e")
 
 
-@dataclass(frozen=True)
-class InvariantVector:
-    letter_counts: dict[str, int]
-    block_count: int | None  # None when the word is not over {a,b,c,e,x}
-    e_reduced_length: int
-    derived_quantities: dict[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "letter_counts": dict(self.letter_counts),
-            "block_count": self.block_count,
-            "e_reduced_length": self.e_reduced_length,
-            "derived_quantities": dict(self.derived_quantities),
-        }
-
-
-def _prefix_count(w: str, letters: str) -> int | None:
-    """Count of `letters` before the first x; None if w has no x."""
-    i = w.find("x")
-    if i < 0:
-        return None
-    return sum(w[:i].count(ch) for ch in letters)
-
-
-def _suffix_count(w: str, letters: str) -> int | None:
-    """Count of `letters` after the last x; None if w has no x."""
-    i = w.rfind("x")
-    if i < 0:
-        return None
-    return sum(w[i + 1:].count(ch) for ch in letters)
-
-
-def _quantities_qs(w: str) -> dict[str, int]:
-    c = letter_counts(w)
-    out = {
-        "x_count": c.get("x", 0),
-        "diff_a_minus_bc": c.get("a", 0) - c.get("b", 0) - c.get("c", 0),
-    }
-    # Statistics of the region before the first / after the last x; these are
-    # also preserved by every q/s relation but only defined when x occurs.
-    p = _prefix_count(w, "a")
-    if p is not None:
-        out["prefix_a_count"] = p
-    s = _suffix_count(w, "ae")
-    if s is not None:
-        out["suffix_ae_count"] = s
-    return out
-
-
-def _quantities_t(w: str) -> dict[str, int]:
-    c = letter_counts(w)
-    out = {
-        "x_count": c.get("x", 0),
-        "diff_ad_minus_bc": c.get("a", 0) + c.get("d", 0) - c.get("b", 0) - c.get("c", 0),
-    }
-    p = _prefix_count(w, "ad")
-    if p is not None:
-        out["prefix_ad_count"] = p
-    s = _suffix_count(w, "ade")
-    if s is not None:
-        out["suffix_ade_count"] = s
-    return out
-
-
-_QUANTITIES = {
-    "q": _quantities_qs,
-    "s": _quantities_qs,
-    "t": _quantities_t,
-    "c": lambda w: {"length": len(w)},
+# Per preset, besides x_count: the balance #plus - #minus, the letters
+# counted before the first x and those counted after the last x, each under
+# its quantity name.  The c relations preserve only length.
+_QS_GROUPS = (("diff_a_minus_bc", "a", "bc"), ("prefix_a_count", "a"),
+              ("suffix_ae_count", "ae"))
+_LETTER_GROUPS = {
+    "q": _QS_GROUPS,
+    "s": _QS_GROUPS,
+    "t": (("diff_ad_minus_bc", "ad", "bc"), ("prefix_ad_count", "ad"),
+          ("suffix_ade_count", "ade")),
+    "c": None,
 }
 
 
-def conserved_vector(w: str, preset: str) -> InvariantVector:
-    """All statistics of w that single applications of the preset's relations preserve.
+def conserved_vector(w: str, preset: str) -> dict[str, int]:
+    """The quantities of w that single applications of the preset's relations
+    preserve, by name, in a fixed order.
 
-    Presets: q, s (x-count and #a-(#b+#c), plus prefix/suffix counts around the
-    x's); t (x-count and (#a+#d)-(#b+#c), plus the analogous prefix/suffix
-    counts); c (word length).
+    q, s, t: x_count, the balance of two letter groups (e.g.
+    diff_a_minus_bc), then the counts before the first x and after the last x
+    (e.g. prefix_a_count, suffix_ae_count), present only when x occurs.
+    c: length.
     """
     key = preset.lower()
-    if key not in _QUANTITIES:
+    if key not in _LETTER_GROUPS:
         raise ValueError(f"no conserved-quantity registry for preset {preset!r}")
     alphabet = ALPHABETS[key]
-    bad = set(w) - set(alphabet)
-    if bad:
+    if not set(w).issubset(alphabet):
         raise ValueError(f"word {w!r} not over the {preset} alphabet {alphabet!r}")
-    block = block_count_s(w) if set(w) <= set("abcex") else None
-    return InvariantVector(
-        letter_counts=letter_counts(w, alphabet),
-        block_count=block,
-        e_reduced_length=e_reduced_length(w),
-        derived_quantities=_QUANTITIES[key](w),
-    )
+    groups = _LETTER_GROUPS[key]
+    if groups is None:
+        return {"length": len(w)}
+    (balance, plus, minus), (prefix, before), (suffix, after) = groups
+    out = {
+        "x_count": w.count("x"),
+        balance: sum(map(w.count, plus)) - sum(map(w.count, minus)),
+    }
+    first = w.find("x")
+    if first >= 0:
+        head, tail = w[:first], w[w.rfind("x") + 1:]
+        out[prefix] = sum(map(head.count, before))
+        out[suffix] = sum(map(tail.count, after))
+    return out
 
 
 def separating_quantity(u: str, v: str, preset: str) -> str | None:
@@ -179,15 +118,9 @@ def separating_quantity(u: str, v: str, preset: str) -> str | None:
     Quantities defined for only one of the two words (prefix/suffix statistics
     on an x-free word) never separate.
     """
-    qu = conserved_vector(u, preset).derived_quantities
-    qv = conserved_vector(v, preset).derived_quantities
+    qu = conserved_vector(u, preset)
+    qv = conserved_vector(v, preset)
     for name, val in qu.items():
         if name in qv and qv[name] != val:
             return name
     return None
-
-
-def shortlex_key(w: str, order: str) -> tuple:
-    """Sort key for the shortlex order induced by the letter order string."""
-    rank = {ch: i for i, ch in enumerate(order)}
-    return (len(w), tuple(rank[ch] for ch in w))

@@ -106,6 +106,16 @@ def test_green_orders_match_principal_ideals(order):
         elems = range(mt.order)
         for leq, ideal in zip((g.leq_r, g.leq_l, g.leq_j), _principal_ideals(mt)):
             assert leq.tolist() == [[x in ideal(y) for y in elems] for x in elems]
+        # the predicates read the orders; pin them to the class lists
+        r, l, h, j = _naive_green(mt)
+        assert is_r_trivial(mt) == all(len(c) == 1 for c in r)
+        assert is_l_trivial(mt) == all(len(c) == 1 for c in l)
+        assert is_j_trivial(mt) == all(len(c) == 1 for c in j)
+        assert is_completely_simple(mt) == (len(j) == 1 and bool(mt.idempotents()))
+        h_of = {x: c for c in h for x in c}
+        assert is_clifford(mt) == (
+            all(mt.mul(x, x) in h_of[x] for x in elems)
+            and all(mt.mul(e, s) == mt.mul(s, e) for e in mt.idempotents() for s in elems))
 
 
 def test_green_on_a_group_is_a_single_class():

@@ -5,7 +5,6 @@ import pytest
 
 from lef.oracle import (
     bounded_closure,
-    invariant_separates,
     one_step_words,
     replay_path,
     sm_canonical,
@@ -14,6 +13,7 @@ from lef.oracle import (
     word_equal_nf,
 )
 from lef.presets import PRESENTATIONS
+from lef.words import separating_quantity
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +182,10 @@ def test_word_equal_matches_the_oracle_it_dispatches_to(preset, u, v, status):
 
 
 def test_invariant_separates():
-    assert invariant_separates("q", "a", "b") == "diff_a_minus_bc"
-    assert invariant_separates("q", "xca", "xe") is None
+    # the oracle separates words by the first conserved quantity that differs
+    assert separating_quantity("a", "b", "q") == "diff_a_minus_bc"
+    assert separating_quantity("xca", "xe", "q") is None
+    assert word_equal_bfs("q", "xca", "xe").evidence["kind"] != "invariant"
 
 
 def test_replay_path_rejects_bad_paths():

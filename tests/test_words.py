@@ -1,22 +1,17 @@
-"""Letter statistics, block counts, conserved quantities, and shortlex order."""
+"""Block counts, e-reduced length and conserved quantities."""
 
 import pytest
+from conftest import all_words
 
+from lef.presets import PRESENTATIONS
 from lef.words import (
     ALPHABETS,
     block_count_s,
     conserved_vector,
     e_reduced_length,
-    letter_counts,
+    one_step_words,
     separating_quantity,
-    shortlex_key,
 )
-
-
-def test_letter_counts():
-    assert letter_counts("") == {}
-    counts = letter_counts("abacab")
-    assert counts == {"a": 3, "b": 2, "c": 1}
 
 
 def test_block_count_s():
@@ -49,12 +44,43 @@ def test_alphabets():
 
 
 def test_conserved_vector_q():
-    vec = conserved_vector("xca", "q").as_dict()
-    derived = vec["derived_quantities"]
-    assert derived["x_count"] == 1
-    assert derived["diff_a_minus_bc"] == 0  # one a, one c
-    assert derived["prefix_a_count"] == 0
-    assert derived["suffix_ae_count"] == 1
+    # names in this order: separating_quantity reports the first that differs
+    assert list(conserved_vector("xca", "q").items()) == [
+        ("x_count", 1), ("diff_a_minus_bc", 0),  # one a, one c
+        ("prefix_a_count", 0), ("suffix_ae_count", 1)]
+
+
+@pytest.mark.parametrize("preset, word, quantities", [
+    ("s", "aexbxae", [("x_count", 2), ("diff_a_minus_bc", 1),
+                      ("prefix_a_count", 1), ("suffix_ae_count", 2)]),
+    ("s", "abc", [("x_count", 0), ("diff_a_minus_bc", -1)]),
+    ("t", "daxbxed", [("x_count", 2), ("diff_ad_minus_bc", 2),
+                      ("prefix_ad_count", 2), ("suffix_ade_count", 2)]),
+    ("c", "axyu", [("length", 4)]),
+])
+def test_conserved_vector_s_t_c(preset, word, quantities):
+    assert list(conserved_vector(word, preset).items()) == quantities
+
+
+def test_conserved_vector_rejects_foreign_letters_and_presets():
+    with pytest.raises(ValueError, match="not over the t alphabet"):
+        conserved_vector("ay", "t")
+    with pytest.raises(ValueError, match="no conserved-quantity registry"):
+        conserved_vector("a", "fn:2")
+
+
+@pytest.mark.parametrize("preset, max_len, edges", [
+    ("q", 5, 6032), ("s", 5, 3882), ("t", 4, 780), ("c", 4, 1254),
+])
+def test_relation_steps_conserve_every_quantity(preset, max_len, edges):
+    relations = PRESENTATIONS[preset].relations
+    seen = 0
+    for w in all_words(ALPHABETS[preset], max_len):
+        quantities = conserved_vector(w, preset)
+        for v in one_step_words(w, relations):
+            seen += 1
+            assert conserved_vector(v, preset) == quantities, (w, v)
+    assert seen == edges
 
 
 def test_separating_quantity_respects_q_equalities():
@@ -73,19 +99,3 @@ def test_separating_quantity_t():
 def test_separating_quantity_c_is_length_only():
     assert separating_quantity("ax", "by", "c") is None
     assert separating_quantity("ax", "x", "c") == "length"
-
-
-def test_shortlex_key_orders_by_length_first():
-    words = ["ca", "x", "aa", "b", "aaa"]
-    ordered = sorted(words, key=lambda w: shortlex_key(w, "acebx"))
-    assert ordered == ["b", "x", "aa", "ca", "aaa"]
-    # within one length, the order string decides: a < c < e < b < x
-    assert shortlex_key("ab", "acebx") < shortlex_key("ac", "acebx") or \
-        shortlex_key("ac", "acebx") < shortlex_key("ab", "acebx")
-    pair = sorted(["ab", "ac"], key=lambda w: shortlex_key(w, "acebx"))
-    assert pair == ["ac", "ab"]
-
-
-def test_shortlex_key_rejects_foreign_letters():
-    with pytest.raises(KeyError):
-        shortlex_key("az", "acebx")
