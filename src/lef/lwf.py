@@ -21,7 +21,7 @@ from .approx import FiniteSubset, WrapMap
 from .constructors import quotient_by_length_ideal
 from .fsg import MulTable
 from .oracle import sm_canonical, word_equal
-from .words import ALPHABETS, e_reduced_length, separating_quantity
+from .words import ALPHABETS, conserved_vector, e_reduced_length
 
 _WORD_HOSTS = ("q", "s", "t", "c")
 
@@ -31,6 +31,13 @@ def _alphabet(preset: str) -> str:
     if key not in ALPHABETS:
         raise ValueError(f"no word alphabet for preset {preset!r}")
     return ALPHABETS[key]
+
+
+def _quantity_key(w: str, preset: str) -> tuple:
+    """Hashable form of w's conserved quantities.  Two words share a key
+    exactly when no conserved quantity separates them, so words with
+    different keys are distinct in the host."""
+    return tuple(conserved_vector(w, preset).items())
 
 
 @dataclass(frozen=True)
@@ -84,8 +91,10 @@ def enumerate_preaccurate(preset: str, n: int,
     qualifies when it concatenates two pre-accurate words and equals some
     defining word in the host, so candidates at each length come from joining
     shorter pre-accurate words, and membership is settled by the word oracle
-    against the base representatives.  Raises when the base words themselves
-    cannot be partitioned.
+    against the base representatives.  A word is compared only with the
+    representatives that share its conserved quantities; every other
+    representative is distinct from it by invariant.  Raises when the base
+    words themselves cannot be partitioned.
     """
     pid = preset.lower()
     if pid not in _WORD_HOSTS:
@@ -101,9 +110,11 @@ def enumerate_preaccurate(preset: str, n: int,
                        for t in itertools.product(letters, repeat=ell))
 
     reps: list[str] = []
+    buckets: dict[tuple, list[str]] = {}
     for w in base_words:
+        bucket = buckets.setdefault(_quantity_key(w, pid), [])
         hit = False
-        for r in reps:
+        for r in bucket:
             status = word_equal(pid, w, r).status
             if status == "unknown":
                 raise RuntimeError(
@@ -114,10 +125,11 @@ def enumerate_preaccurate(preset: str, n: int,
                 break
         if not hit:
             reps.append(w)
+            bucket.append(w)
 
     def in_subset(w: str) -> bool | None:
         undecided = False
-        for r in reps:
+        for r in buckets.get(_quantity_key(w, pid), ()):
             status = word_equal(pid, w, r).status
             if status == "equal":
                 return True
@@ -165,11 +177,11 @@ def fallback_element(preset: str, bound: int) -> str:
     guaranteed to lie outside the length-bound subset."""
     pid = preset.lower()
     letters = sorted(_alphabet(pid))
-    shorter = ["".join(t) for ell in range(1, bound + 1)
-               for t in itertools.product(letters, repeat=ell)]
+    shorter = {_quantity_key("".join(t), pid) for ell in range(1, bound + 1)
+               for t in itertools.product(letters, repeat=ell)}
     for t in itertools.product(letters, repeat=bound + 1):
         w = "".join(t)
-        if all(separating_quantity(w, u, pid) is not None for u in shorter):
+        if _quantity_key(w, pid) not in shorter:
             return w
     raise RuntimeError(f"no invariant-separated word of length {bound + 1} "
                        f"over preset {pid}")
@@ -188,7 +200,7 @@ def sm_ideal_quotient(m: int, bound: int) -> tuple[MulTable, dict[str, int]]:
         raise ValueError("the e-reduced length bound must be nonnegative")
     skeleton = sorted(set(ALPHABETS["s"]) - {"e"})
     words = ["0"]
-    by_level: list[list[int]] = []
+    by_level: list[range] = []
     for k in range(bound + 1):
         level: list[str] = []
         if k == 0:
@@ -205,18 +217,26 @@ def sm_ideal_quotient(m: int, bound: int) -> tuple[MulTable, dict[str, int]]:
         level.sort(key=lambda w: (len(w), w))
         start = len(words)
         words.extend(level)
-        by_level.append(list(range(start, start + len(level))))
+        by_level.append(range(start, start + len(level)))
     index = {w: i for i, w in enumerate(words)}
     total = len(words)
     dtype = np.uint16 if total <= np.iinfo(np.uint16).max else np.uint32
     table = np.zeros((total, total), dtype=dtype)
+    # Both factors are canonical, so only the run of e's where they meet can
+    # reach m: a word splits into (head, trailing e count) as a left factor
+    # and (leading e count, tail) as a right factor, and the joined run of
+    # t + s <= 2m - 2 e's folds to junction[t + s].
+    junction = [sm_canonical("e" * k, m) for k in range(2 * m)]
+    lefts = [(w.rstrip("e"), len(w) - len(w.rstrip("e"))) for w in words]
+    rights = [(len(w) - len(w.lstrip("e")), w.lstrip("e")) for w in words]
     for ki, rows in enumerate(by_level):
         for kj in range(bound + 1 - ki):
             cols = by_level[kj]
+            block = [rights[j] for j in cols]
             for i in rows:
-                wi = words[i]
-                for j in cols:
-                    table[i, j] = index[sm_canonical(wi + words[j], m)]
+                head, t = lefts[i]
+                table[i, cols.start:cols.stop] = [
+                    index[head + junction[t + s] + tail] for s, tail in block]
     return MulTable(table, labels=tuple(words)), index
 
 

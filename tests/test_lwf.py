@@ -1,19 +1,23 @@
 """Pre-accurate word enumeration and the wrapping constructions for S and T."""
 
+import numpy as np
 import pytest
 
 from conftest import all_words
 
+import lef.lwf
 from lef.approx import check_lwf_wrapping, subset_from_words
 from lef.fsg import zero_element
 from lef.lwf import (
+    PreAccurateSet,
     apriori_length_bound,
     build_lwf_wrapping,
     enumerate_preaccurate,
     fallback_element,
     sm_ideal_quotient,
 )
-from lef.oracle import sm_canonical
+from lef.oracle import sm_canonical, word_equal
+from lef.words import ALPHABETS, e_reduced_length
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +46,70 @@ def test_preaccurate_s_is_truncated():
     pre = enumerate_preaccurate("s", 2, length_cap=10)
     assert len(pre.words) == 55
     assert pre.truncated  # L_2(S) is infinite; the cap cuts it off
+
+
+def _reference_preaccurate(preset: str, n: int, cap: int) -> PreAccurateSet:
+    """enumerate_preaccurate with every word compared against every base
+    representative through the oracle, no bucketing."""
+    base_words = tuple(all_words(ALPHABETS[preset], n))
+    reps: list[str] = []
+    for w in base_words:
+        statuses = [word_equal(preset, w, r).status for r in reps]
+        assert "unknown" not in statuses
+        if "equal" not in statuses:
+            reps.append(w)
+
+    def in_subset(w: str) -> bool | None:
+        statuses = [word_equal(preset, w, r).status for r in reps]
+        if "equal" in statuses:
+            return True
+        return None if "unknown" in statuses else False
+
+    by_length = {ell: all_words(ALPHABETS[preset], ell, ell)
+                 for ell in range(1, n + 1)}
+    indeterminate = []
+    for ell in range(n + 1, cap + 1):
+        candidates = sorted({u + v for j in range(1, ell)
+                             for u in by_length.get(j, ())
+                             for v in by_length.get(ell - j, ())})
+        verdicts = {w: in_subset(w) for w in candidates}
+        indeterminate += [w for w in candidates if verdicts[w] is None]
+        found = [w for w in candidates if verdicts[w]]
+        if found:
+            by_length[ell] = found
+    words = tuple(w for ell in sorted(by_length) for w in by_length[ell])
+    return PreAccurateSet(preset=preset, n=n, length_cap=cap,
+                          base_words=base_words, base_elements=tuple(reps),
+                          words=words, indeterminate=tuple(indeterminate))
+
+
+@pytest.mark.parametrize("preset, n, cap", [("t", 2, 8), ("s", 2, 10),
+                                            ("c", 1, 6)])
+def test_preaccurate_matches_the_unbucketed_reference(preset, n, cap):
+    assert (enumerate_preaccurate(preset, n, cap)
+            == _reference_preaccurate(preset, n, cap))
+
+
+def test_preaccurate_q_n2():
+    pre = enumerate_preaccurate("q", 2)
+    assert len(pre.words) == 49
+    assert len(pre.base_elements) == 26
+    assert not pre.indeterminate
+
+
+def test_preaccurate_t_n2_asks_few_oracle_calls(monkeypatch):
+    # comparing each candidate with every representative took about 73k
+    # oracle calls here; the conserved-quantity buckets leave a few thousand
+    calls = 0
+
+    def counting(preset, u, v):
+        nonlocal calls
+        calls += 1
+        return word_equal(preset, u, v)
+
+    monkeypatch.setattr(lef.lwf, "word_equal", counting)
+    enumerate_preaccurate("t", 2)
+    assert 0 < calls < 10_000
 
 
 def test_preaccurate_rejects_bad_arguments():
@@ -76,6 +144,7 @@ def test_fallback_element():
     w = fallback_element("t", 2)
     assert w == "aaa"
     assert len(w) == 3
+    assert fallback_element("s", 2) == "aaa"
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +164,23 @@ def test_sm_ideal_quotient():
     # words beyond the e-reduced length bound collapse to zero
     a = word_map["a"]
     assert mt.mul(a, a) == zero
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_sm_ideal_quotient_cells_are_canonical_products(m, bound):
+    mt, index = sm_ideal_quotient(m, bound)
+    by_reduced: dict[int, list[int]] = {}
+    for i in range(1, mt.order):
+        by_reduced.setdefault(e_reduced_length(mt.label(i)), []).append(i)
+    expected = np.zeros_like(mt.table)
+    for ki, rows in by_reduced.items():
+        for kj in range(bound + 1 - ki):
+            for i in rows:
+                for j in by_reduced.get(kj, ()):
+                    expected[i, j] = index[sm_canonical(
+                        mt.label(i) + mt.label(j), m)]
+    assert np.array_equal(mt.table, expected)
 
 
 def test_sm_ideal_quotient_rejects_bad_m():

@@ -1,5 +1,7 @@
 """Block counts, e-reduced length and conserved quantities."""
 
+import itertools
+
 import pytest
 from conftest import all_words
 
@@ -81,6 +83,18 @@ def test_relation_steps_conserve_every_quantity(preset, max_len, edges):
             seen += 1
             assert conserved_vector(v, preset) == quantities, (w, v)
     assert seen == edges
+
+
+@pytest.mark.parametrize("preset", ["q", "s", "t", "c"])
+def test_separating_quantity_is_none_exactly_on_equal_vectors(preset):
+    # lwf buckets words by their conserved vectors and compares a word only
+    # with its own bucket; that is sound because a separating quantity
+    # exists exactly when the vectors differ
+    words = all_words(ALPHABETS[preset], 3)
+    vectors = {w: conserved_vector(w, preset) for w in words}
+    for u, v in itertools.product(words, repeat=2):
+        assert ((separating_quantity(u, v, preset) is None)
+                == (vectors[u] == vectors[v])), (u, v)
 
 
 def test_separating_quantity_respects_q_equalities():
