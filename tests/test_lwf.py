@@ -45,6 +45,7 @@ def test_preaccurate_t_n2():
 def test_preaccurate_s_is_truncated():
     pre = enumerate_preaccurate("s", 2, length_cap=10)
     assert len(pre.words) == 55
+    assert not pre.indeterminate
     assert pre.truncated  # L_2(S) is infinite; the cap cuts it off
 
 
@@ -84,17 +85,10 @@ def _reference_preaccurate(preset: str, n: int, cap: int) -> PreAccurateSet:
 
 
 @pytest.mark.parametrize("preset, n, cap", [("t", 2, 8), ("s", 2, 10),
-                                            ("c", 1, 6)])
+                                            ("c", 1, 6), ("q", 2, 8)])
 def test_preaccurate_matches_the_unbucketed_reference(preset, n, cap):
     assert (enumerate_preaccurate(preset, n, cap)
             == _reference_preaccurate(preset, n, cap))
-
-
-def test_preaccurate_q_n2():
-    pre = enumerate_preaccurate("q", 2)
-    assert len(pre.words) == 49
-    assert len(pre.base_elements) == 26
-    assert not pre.indeterminate
 
 
 def test_preaccurate_t_n2_asks_few_oracle_calls(monkeypatch):
