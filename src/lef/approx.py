@@ -7,10 +7,14 @@ injection f of H into a finite semigroup F that respects every product that
 stays inside H.  A wrapping map (D, d) covers H by the image of a total map d
 from a finite semigroup D and respects products whenever both d-values lie in
 H, with no condition on where the product itself lands.
+
+The products of Rees and semilattice handles are ReesSpec.mul and
+SemilatticeSpec.mul in constructors, the same rules the table builders use.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -18,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constructors import ReesSpec, SemilatticeSpec, rees_matrix, \
+from .constructors import ReesSpec, SemilatticeSpec, mul_in, rees_matrix, \
     semilattice_semigroup
 from .fsg import MulTable, direct_product, generate_subsemigroup
 from . import oracle
@@ -168,57 +172,35 @@ def host_mul(host, x, y):
     """Product of two element handles in the host."""
     if isinstance(host, MulTable):
         return host.label(host.mul(host.index(x), host.index(y)))
-    if isinstance(host, ReesSpec):
-        i, g, lam = x
-        j, h, mu = y
-        p = host.sandwich[host.cols.index(lam)][host.rows.index(j)]
-        return (i, _group_mul(host.group, _group_mul(host.group, g, p), h), mu)
-    if isinstance(host, SemilatticeSpec):
-        e1, v1 = x
-        e2, v2 = y
-        names = tuple(host.meet.label(i) for i in range(host.meet.order))
-        m = names[host.meet.mul(names.index(e1), names.index(e2))]
-        w1 = _apply_hom(host, e1, m, v1)
-        w2 = _apply_hom(host, e2, m, v2)
-        comp = host.components[m]
-        prod = comp.mul(w1, w2) if isinstance(comp, MulTable) else comp.op(w1, w2)
-        return (m, prod)
+    if isinstance(host, (ReesSpec, SemilatticeSpec)):
+        return host.mul(x, y)
     if isinstance(host, str):
         return x + y
     raise TypeError(f"unsupported host {host!r}")
-
-
-def _group_mul(group, x, y):
-    return group.mul(x, y) if isinstance(group, MulTable) else group.op(x, y)
-
-
-def _apply_hom(spec: SemilatticeSpec, src: str, dst: str, value):
-    if src == dst:
-        return value
-    hom = spec.homs[(src, dst)]
-    return hom(value) if callable(hom) else hom[value]
 
 
 # ---------------------------------------------------------------------------
 # subset constructors
 
 
+def _with_products(host, elements) -> FiniteSubset:
+    """The subset with every product recorded that equals a member in the
+    host, as the triple (x, y, first such member)."""
+    products = []
+    for x, y in itertools.product(elements, repeat=2):
+        xy = host_mul(host, x, y)
+        z = next((w for w in elements if host_equal(host, xy, w)), None)
+        if z is not None:
+            products.append((x, y, z))
+    return FiniteSubset(host=host, elements=tuple(elements),
+                        defined_products=tuple(products))
+
+
 def subset_from_table(mt: MulTable, members) -> FiniteSubset:
     """Subset of a finite table given by labels or indices, with every
     internal product recorded."""
-    idxs = []
-    for m in members:
-        idxs.append(m if isinstance(m, int) else mt.index(m))
-    labels = [mt.label(i) for i in idxs]
-    inside = dict(zip(idxs, labels))
-    products = []
-    for i in idxs:
-        for j in idxs:
-            k = mt.mul(i, j)
-            if k in inside:
-                products.append((inside[i], inside[j], inside[k]))
-    return FiniteSubset(host=mt, elements=tuple(labels),
-                        defined_products=tuple(products))
+    return _with_products(mt, [mt.label(m) if isinstance(m, int)
+                               else mt.label(mt.index(m)) for m in members])
 
 
 def subset_from_words(host: str, words) -> FiniteSubset:
@@ -228,14 +210,7 @@ def subset_from_words(host: str, words) -> FiniteSubset:
     for a, b in itertools.combinations(words, 2):
         if host_equal(host, a, b):
             raise ValueError(f"{a!r} and {b!r} name the same element of {host}")
-    products = []
-    for u, v in itertools.product(words, repeat=2):
-        for w in words:
-            if host_equal(host, u + v, w):
-                products.append((u, v, w))
-                break
-    return FiniteSubset(host=host, elements=tuple(words),
-                        defined_products=tuple(products))
+    return _with_products(host, words)
 
 
 def rees_subset(spec: ReesSpec, triples) -> FiniteSubset:
@@ -244,12 +219,7 @@ def rees_subset(spec: ReesSpec, triples) -> FiniteSubset:
     for i, g, lam in triples:
         if i not in spec.rows or lam not in spec.cols:
             raise ValueError(f"triple ({i},{g},{lam}) uses unknown indices")
-    members = set(triples)
-    products = [(x, y, host_mul(spec, x, y))
-                for x, y in itertools.product(triples, repeat=2)
-                if host_mul(spec, x, y) in members]
-    return FiniteSubset(host=spec, elements=tuple(triples),
-                        defined_products=tuple(products))
+    return _with_products(spec, triples)
 
 
 def semilattice_subset(spec: SemilatticeSpec, pairs) -> FiniteSubset:
@@ -260,12 +230,7 @@ def semilattice_subset(spec: SemilatticeSpec, pairs) -> FiniteSubset:
     for e, _ in pairs:
         if e not in names:
             raise ValueError(f"unknown component {e!r}")
-    members = set(pairs)
-    products = [(x, y, host_mul(spec, x, y))
-                for x, y in itertools.product(pairs, repeat=2)
-                if host_mul(spec, x, y) in members]
-    return FiniteSubset(host=spec, elements=tuple(pairs),
-                        defined_products=tuple(products))
+    return _with_products(spec, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +302,16 @@ INT_GROUP = GroupHandle(description="additive integers", op=operator.add,
                         approximator=approx_integers)
 
 
+def _approximate(S, K) -> ApproxPair:
+    """Approximating pair for the finite set K inside a component S: a finite
+    table approximates itself, a group handle runs its approximator."""
+    if isinstance(S, MulTable):
+        return ApproxPair(F=S, f={v: int(v) for v in K})
+    if not K:
+        return ApproxPair(F=cyclic_table(1), f={})
+    return S.approximator(K)
+
+
 # ---------------------------------------------------------------------------
 # Rees matrix semigroups over an approximable group
 
@@ -361,14 +336,10 @@ def approx_rees(spec: ReesSpec, Hp: FiniteSubset) -> ApproxPair:
     base = X | Y
     K = set(base)
     for g, h in itertools.product(base, repeat=2):
-        K.add(_group_mul(spec.group, g, h))
+        K.add(mul_in(spec.group, g, h))
     for g, h, k in itertools.product(base, repeat=3):
-        K.add(_group_mul(spec.group, _group_mul(spec.group, g, h), k))
-
-    if isinstance(spec.group, MulTable):
-        gp = ApproxPair(F=spec.group, f={g: int(g) for g in K})
-    else:
-        gp = spec.group.approximator(K)
+        K.add(mul_in(spec.group, mul_in(spec.group, g, h), k))
+    gp = _approximate(spec.group, K)
 
     P_image = tuple(tuple(gp.f[spec.sandwich[col_at[lam]][row_at[i]]] for i in J)
                     for lam in Sigma)
@@ -416,49 +387,28 @@ def approx_semilattice(spec: SemilatticeSpec, H: FiniteSubset) -> ApproxPair:
     for e1, v in pairs:
         for e2 in eprime:
             if below(e2, e1):
-                K[e2].add(_apply_hom(spec, e1, e2, v))
+                K[e2].add(spec.down(e1, e2, v))
+    comp_pair = {e: _approximate(spec.components[e], K[e]) for e in eprime}
 
-    comp_pair: dict[str, ApproxPair] = {}
-    for e in eprime:
-        comp = spec.components[e]
-        if isinstance(comp, MulTable):
-            comp_pair[e] = ApproxPair(F=comp, f={v: int(v) for v in K[e]})
-        elif K[e]:
-            comp_pair[e] = comp.approximator(K[e])
-        else:
-            comp_pair[e] = ApproxPair(F=cyclic_table(1), f={})
-
+    # the component over e is the direct product of the approximations at or
+    # below e, flattened row-major in factors_of[e] order as direct_product
+    # lays out its pairs
     factors_of = {e: tuple(e2 for e2 in eprime if below(e2, e)) for e in eprime}
-
-    def flatten(e: str, coords: dict[str, int]) -> int:
-        idx = 0
-        for e2 in factors_of[e]:
-            idx = idx * comp_pair[e2].F.order + coords[e2]
-        return idx
-
-    components: dict[str, MulTable] = {}
-    for e in eprime:
-        tables = [comp_pair[e2].F for e2 in factors_of[e]]
-        prod = tables[0]
-        for t in tables[1:]:
-            prod = direct_product(prod, t)
-        components[e] = prod
+    shape = {e: tuple(comp_pair[e2].F.order for e2 in factors_of[e])
+             for e in eprime}
+    components = {e: functools.reduce(direct_product,
+                                      [comp_pair[e2].F for e2 in factors_of[e]])
+                  for e in eprime}
 
     homs: dict[tuple[str, str], tuple[int, ...]] = {}
     for e1 in eprime:
-        for e2 in eprime:
-            if e1 == e2 or not below(e2, e1):
-                continue
-            sizes = [comp_pair[x].F.order for x in factors_of[e1]]
-            proj = []
-            for idx in range(components[e1].order):
-                coords = {}
-                rest = idx
-                for x, size in zip(reversed(factors_of[e1]), reversed(sizes)):
-                    coords[x] = rest % size
-                    rest //= size
-                proj.append(flatten(e2, coords))
-            homs[(e1, e2)] = tuple(proj)
+        coords = dict(zip(factors_of[e1],
+                          np.unravel_index(np.arange(components[e1].order),
+                                           shape[e1])))
+        for e2 in factors_of[e1]:
+            if e2 != e1:
+                homs[(e1, e2)] = tuple(np.ravel_multi_index(
+                    [coords[x] for x in factors_of[e2]], shape[e2]).tolist())
 
     meet_sub = MulTable(
         np.array([[eprime.index(names[E.mul(at[e1], at[e2])])
@@ -466,17 +416,12 @@ def approx_semilattice(spec: SemilatticeSpec, H: FiniteSubset) -> ApproxPair:
         labels=eprime)
     F = semilattice_semigroup(SemilatticeSpec(meet=meet_sub,
                                               components=components, homs=homs))
-    offsets = {}
-    total = 0
-    for e in eprime:
-        offsets[e] = total
-        total += components[e].order
-
-    f = {}
-    for e, v in pairs:
-        coords = {e2: comp_pair[e2].f[_apply_hom(spec, e, e2, v)]
-                  for e2 in factors_of[e]}
-        f[(e, v)] = offsets[e] + flatten(e, coords)
+    offsets = dict(zip(eprime, itertools.accumulate(
+        (components[e].order for e in eprime), initial=0)))
+    f = {(e, v): offsets[e] + int(np.ravel_multi_index(
+            [comp_pair[x].f[spec.down(e, x, v)] for x in factors_of[e]],
+            shape[e]))
+         for e, v in pairs}
     return ApproxPair(F=F, f=f)
 
 

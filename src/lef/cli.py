@@ -29,7 +29,7 @@ from .rewrite import (check_local_confluence, check_termination_order,
                       normal_form, reduce_once, reduction_trace)
 from .search import (CLASS_FILTERS, embed_partial_table,
                      find_relational_assignments, malcev_witness_table)
-from .words import ALPHABETS
+from .words import ALPHABETS, check_letters
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -124,6 +124,15 @@ def _parse_distinct(text: str) -> tuple[str, str]:
     return parts[0].strip(), parts[1].strip()
 
 
+def _system_word(system, word: str) -> str:
+    """The word, if it is a nonempty word over the system's alphabet; the
+    rewriting engine itself does not check its input."""
+    if not word:
+        raise CliError("--word: the empty word names no element")
+    check_letters(word, system.alphabet, system.name)
+    return word
+
+
 def _normalize_class(name: str) -> str:
     key = name.strip().lower().replace("-", "_")
     if key not in CLASS_FILTERS:
@@ -170,11 +179,12 @@ def _eggbox_lines(mt: MulTable, g) -> list[str]:
 
 def _cmd_rewrite(args) -> int:
     system = preset_system(args.system)
+    word = _system_word(system, args.word)
     if args.max_steps is None:
-        final, trace = reduction_trace(system, args.word,
+        final, trace = reduction_trace(system, word,
                                        step_limit=args.step_limit)
     else:
-        word, trace = args.word, []
+        trace = []
         for _ in range(args.max_steps):
             red = reduce_once(system, word)
             if red is None:
@@ -206,7 +216,8 @@ def _cmd_rewrite(args) -> int:
 
 def _cmd_nf(args) -> int:
     system = preset_system(args.system)
-    result = normal_form(system, args.word, step_limit=args.step_limit,
+    result = normal_form(system, _system_word(system, args.word),
+                         step_limit=args.step_limit,
                          strategy=args.strategy,
                          rng=__import__("random").Random(args.seed))
     payload = {"system": system.name, "word": args.word,

@@ -2,6 +2,10 @@
 Rees matrix semigroups over a group, strong semilattices of semigroups,
 quotients of free semigroups by a length ideal, and the finite shadow
 semigroups F_n of the infinite presentation Q.
+
+ReesSpec.mul and SemilatticeSpec.mul are the one place each product rule is
+written: the table builders here fill every cell from them, and the
+approximation checkers multiply handles with the same methods.
 """
 
 from __future__ import annotations
@@ -15,6 +19,20 @@ from .fsg import MulTable, is_completely_simple, is_group
 from .presets import build_fn_system, preset_presentation  # noqa: F401  (re-export)
 from .rewrite import RewriteSystem, normal_form
 from .words import block_count_s, one_step_words
+
+
+def mul_in(S, x, y):
+    """Product of x and y in S: a MulTable multiplies element indices, any
+    other semigroup (a group handle) applies its op to values."""
+    return S.mul(x, y) if isinstance(S, MulTable) else S.op(x, y)
+
+
+def _from_products(mul, handles, labels) -> MulTable:
+    """The table whose cell (a, b) is the index of mul(handles[a], handles[b])."""
+    at = {h: k for k, h in enumerate(handles)}
+    return MulTable(np.array([[at[mul(x, y)] for y in handles] for x in handles],
+                             dtype=np.int64).reshape(len(handles), len(handles)),
+                    labels)
 
 
 # ---------------------------------------------------------------------------
@@ -47,39 +65,30 @@ class ReesSpec:
                 any(len(r) != len(self.rows) for r in self.sandwich):
             raise ValueError("sandwich matrix must be cols x rows")
 
+    def mul(self, x, y):
+        """(i, g, l)(j, h, m) = (i, g P[l][j] h, m) on (row, g, col) handles."""
+        i, g, lam = x
+        j, h, mu = y
+        p = self.sandwich[self.cols.index(lam)][self.rows.index(j)]
+        return (i, mul_in(self.group, mul_in(self.group, g, p), h), mu)
+
 
 def rees_matrix(spec: ReesSpec) -> MulTable:
-    """The Rees matrix semigroup as a table: elements are triples
-    (row, g, col) and (i,g,l)(j,h,m) = (i, g*P[l][j]*h, m)."""
+    """The Rees matrix semigroup as a table over the handles (row, g, col),
+    rows slowest and columns fastest, with g a group element index."""
     G = spec.group
     if not isinstance(G, MulTable):
         raise TypeError("rees_matrix needs a finite group as a MulTable; "
                         "group handles belong to the approximation path")
     if not is_group(G):
         raise ValueError("the underlying table is not a group")
-    ni, ng, nl = len(spec.rows), G.order, len(spec.cols)
     P = np.array(spec.sandwich, dtype=np.int64)
-    if P.min() < 0 or P.max() >= ng:
+    if P.min() < 0 or P.max() >= G.order:
         raise ValueError("sandwich entries must be group element indices")
-
-    def idx(i: int, g: int, lam: int) -> int:
-        return (i * ng + g) * nl + lam
-
-    n = ni * ng * nl
-    T = np.empty((n, n), dtype=np.int64)
-    for i in range(ni):
-        for g in range(ng):
-            for lam in range(nl):
-                a = idx(i, g, lam)
-                for j in range(ni):
-                    left = G.mul(g, int(P[lam, j]))
-                    for h in range(ng):
-                        prod = G.mul(left, h)
-                        for mu in range(nl):
-                            T[a, idx(j, h, mu)] = idx(i, prod, mu)
-    labels = tuple(f"({spec.rows[i]},{G.label(g)},{spec.cols[lam]})"
-                   for i in range(ni) for g in range(ng) for lam in range(nl))
-    out = MulTable(T, labels)
+    handles = [(r, g, c) for r in spec.rows for g in range(G.order)
+               for c in spec.cols]
+    out = _from_products(spec.mul, handles,
+                         [f"({r},{G.label(g)},{c})" for r, g, c in handles])
     if not is_completely_simple(out):
         raise RuntimeError("constructed Rees table is not completely simple; "
                            "the input data is inconsistent")
@@ -96,27 +105,41 @@ class SemilatticeSpec:
     element of E, and connecting homomorphisms downward.
 
     homs[(e1, e2)] for e1 >= e2 maps component e1 into component e2 as a tuple
-    of element indices.  The identity homs (e, e) may be omitted.
+    of element indices (or, for handle components, a callable).  The identity
+    homs (e, e) may be omitted.
     """
 
     meet: MulTable
     components: dict[str, MulTable]
     homs: dict[tuple[str, str], tuple[int, ...]]
 
+    def down(self, src: str, dst: str, value):
+        """Image of a value of component src under the hom into dst."""
+        if src == dst:
+            return value
+        hom = self.homs[(src, dst)]
+        return hom(value) if callable(hom) else hom[value]
 
-def _meet_labels(meet: MulTable) -> tuple[str, ...]:
-    return tuple(meet.label(i) for i in range(meet.order))
+    def mul(self, x, y):
+        """x in S_e1 times y in S_e2 lands in S_m for m = e1^e2, as
+        (x phi_{e1,m})(y phi_{e2,m}), on (meet label, value) handles."""
+        e1, v1 = x
+        e2, v2 = y
+        E = self.meet
+        m = E.label(E.mul(E.index(e1), E.index(e2)))
+        return (m, mul_in(self.components[m], self.down(e1, m, v1),
+                          self.down(e2, m, v2)))
 
 
 def semilattice_semigroup(spec: SemilatticeSpec) -> MulTable:
-    """The strong semilattice of semigroups: x in S_e1 times y in S_e2 lands
-    in S_m for m = e1^e2, as (x phi_{e1,m})(y phi_{e2,m})."""
+    """The strong semilattice of semigroups as a table over the handles
+    (meet label, x), components in meet order and x an element index."""
     E = spec.meet
     if not E.is_associative() or not E.is_commutative():
         raise ValueError("meet table must be associative and commutative")
     if any(E.mul(i, i) != i for i in range(E.order)):
         raise ValueError("meet table must be idempotent")
-    names = _meet_labels(E)
+    names = tuple(E.label(i) for i in range(E.order))
     for name in names:
         if name not in spec.components:
             raise ValueError(f"no component semigroup for meet element {name!r}")
@@ -174,29 +197,9 @@ def semilattice_semigroup(spec: SemilatticeSpec) -> MulTable:
                             f"homs fail to compose on ({ei},{ej},{ek}) at "
                             f"{comp[ei].label(x)}")
 
-    offsets = {}
-    total = 0
-    for name in names:
-        offsets[name] = total
-        total += comp[name].order
-
-    def global_index(name: str, x: int) -> int:
-        return offsets[name] + x
-
-    T = np.empty((total, total), dtype=np.int64)
-    for i, e1 in enumerate(names):
-        for j, e2 in enumerate(names):
-            m = names[E.mul(i, j)]
-            phi1 = homs[(e1, m)]
-            phi2 = homs[(e2, m)]
-            tm = comp[m]
-            for x in range(comp[e1].order):
-                for y in range(comp[e2].order):
-                    T[global_index(e1, x), global_index(e2, y)] = \
-                        global_index(m, tm.mul(phi1[x], phi2[y]))
-    labels = tuple(f"{name}:{comp[name].label(x)}"
-                   for name in names for x in range(comp[name].order))
-    out = MulTable(T, labels)
+    handles = [(name, x) for name in names for x in range(comp[name].order)]
+    out = _from_products(spec.mul, handles,
+                         [f"{name}:{comp[name].label(x)}" for name, x in handles])
     if not out.is_associative():
         raise RuntimeError("strong semilattice product came out non-associative; "
                            "the input data is inconsistent")

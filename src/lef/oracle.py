@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .constructors import build_fn
-from .presets import Q_SYSTEM, preset_presentation
+from .presets import Q_SYSTEM, Presentation, preset_presentation
 from .rewrite import check_local_confluence, normal_form
-from .words import ALPHABETS, one_step_words, separating_quantity
+from .words import ALPHABETS, check_letters, one_step_words, separating_quantity
 
 
 @dataclass(frozen=True)
@@ -24,13 +24,6 @@ class EqualityVerdict:
 
     def as_json(self) -> dict:
         return {"status": self.status, "evidence": dict(self.evidence)}
-
-
-def _validate_letters(word: str, alphabet: str, preset: str) -> None:
-    bad = set(word) - set(alphabet)
-    if bad:
-        raise ValueError(f"word {word!r} uses letters {sorted(bad)} outside "
-                         f"the {preset} alphabet {alphabet!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -59,14 +52,14 @@ def word_equal_nf(preset: str, u: str, v: str) -> EqualityVerdict:
     """Equality by normal form; presets q and fn:<n> only, never unknown."""
     pid = preset.lower()
     if pid == "q":
-        _validate_letters(u, ALPHABETS["q"], pid)
-        _validate_letters(v, ALPHABETS["q"], pid)
+        check_letters(u, ALPHABETS["q"], pid)
+        check_letters(v, ALPHABETS["q"], pid)
         _ensure_locally_confluent(Q_SYSTEM)
         nu, nv = normal_form(Q_SYSTEM, u), normal_form(Q_SYSTEM, v)
     elif pid.startswith("fn:"):
         handle = build_fn(int(pid.split(":", 1)[1]))
-        _validate_letters(u, ALPHABETS["fn"], pid)
-        _validate_letters(v, ALPHABETS["fn"], pid)
+        check_letters(u, ALPHABETS["fn"], pid)
+        check_letters(v, ALPHABETS["fn"], pid)
         _ensure_locally_confluent(handle.system)
         nu, nv = handle.element(u), handle.element(v)
     else:
@@ -81,7 +74,7 @@ def sm_canonical(word: str, m: int) -> str:
     its residue ((k-1) mod (m-1)) + 1, other letters untouched."""
     if m < 2:
         raise ValueError("sm needs m >= 2")
-    _validate_letters(word, ALPHABETS["sm"], f"sm:{m}")
+    check_letters(word, ALPHABETS["sm"], f"sm:{m}")
     out = []
     for ch, run in groupby(word):
         k = sum(1 for _ in run)
@@ -214,8 +207,8 @@ def word_equal_bfs(preset: str, u: str, v: str, length_bound: int | None = None,
     if pid not in ("q", "s", "t", "c"):
         raise ValueError(f"word_equal_bfs does not know preset {preset!r}")
     alphabet = ALPHABETS[pid]
-    _validate_letters(u, alphabet, pid)
-    _validate_letters(v, alphabet, pid)
+    check_letters(u, alphabet, pid)
+    check_letters(v, alphabet, pid)
     if length_bound is None:
         length_bound = len(u) + len(v) + 4
 
@@ -256,10 +249,13 @@ def word_equal(preset: str, u: str, v: str) -> EqualityVerdict:
 
 def replay_path(preset: str, path) -> bool:
     """Check that consecutive path entries differ by one relation application."""
+    pres = preset_presentation(preset.lower())
+    if not isinstance(pres, Presentation):
+        raise ValueError(f"preset {preset!r} has no defining relations")
     path = list(path)
     if not path:
         return False
-    relations = preset_presentation(preset.lower()).relations
+    relations = pres.relations
     for cur, nxt in zip(path, path[1:]):
         if nxt not in one_step_words(cur, relations):
             return False

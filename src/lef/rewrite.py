@@ -400,15 +400,6 @@ class RewriteSystem:
         self._rank = {ch: i for i, ch in enumerate(self.order)}
         self._max_atoms = max((len(s.lhs) for s in self.schemas), default=1)
 
-    def candidates(self, letter: str) -> list[RuleSchema]:
-        return [m.schema for m in self._table.get(letter, self._loose)]
-
-    def schema(self, rule_id: str) -> RuleSchema:
-        for s in self.schemas:
-            if s.id == rule_id:
-                return s
-        raise KeyError(rule_id)
-
 
 def instantiate(schema: RuleSchema, assignment: dict[str, int], n: int | None = None) -> tuple[str, str]:
     """Concrete (lhs, rhs) words for an assignment; raises on a violated condition."""

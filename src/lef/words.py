@@ -18,6 +18,14 @@ ALPHABETS = {
 }
 
 
+def check_letters(word: str, alphabet: str, preset: str) -> None:
+    """Raise ValueError when the word uses letters outside the alphabet."""
+    bad = set(word) - set(alphabet)
+    if bad:
+        raise ValueError(f"word {word!r} uses letters {sorted(bad)} outside "
+                         f"the {preset} alphabet {alphabet!r}")
+
+
 def one_step_words(w: str, relations) -> list[str]:
     """Every word reachable from w by one application of a relation, in either
     direction, at any position."""

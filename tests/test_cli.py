@@ -70,6 +70,21 @@ def test_rewrite_json(capsys):
         assert set(step) >= {"rule", "position", "matched", "replacement", "word"}
 
 
+def test_nf_rejects_words_outside_the_system(capsys):
+    for word in ("xyz", ""):
+        code, out, err = run(capsys, "nf", "--system", "q", "--word", word)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_rewrite_rejects_letters_outside_the_system(capsys):
+    code, out, err = run(capsys, "rewrite", "--system", "q", "--word", "abz")
+    assert code == 1
+    assert out == ""
+    assert "['z']" in err and "Traceback" not in err
+
+
 def test_nf_random_strategy_seeded(capsys):
     code, out, _ = run(capsys, "nf", "--system", "q", "--word", "xcab",
                        "--strategy", "random", "--seed", "5")
@@ -258,6 +273,13 @@ def test_eq_bfs_then_replay(capsys, tmp_path):
 def test_replay_rejects_broken_path(capsys):
     code, _, _ = run(capsys, "replay", "--preset", "q", "--words", "xca,bogus")
     assert code == 3
+
+
+def test_replay_on_a_preset_without_relations_is_a_data_error(capsys):
+    code, _, err = run(capsys, "replay", "--preset", "bicyclic4", "--words", "a,b")
+    assert code == 1
+    assert "'bicyclic4' has no defining relations" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ the finite shadow semigroups F_n."""
 import numpy as np
 import pytest
 
-from lef.approx import cyclic_table
+from lef.approx import cyclic_table, host_mul
 from lef.constructors import (
     FnHandle,
     ReesSpec,
@@ -28,8 +28,26 @@ from lef.presets import build_fn_system
 from lef.rewrite import normal_form
 
 
+def _assert_cells_follow_the_rule(mt, spec, handles, label):
+    """Every cell of the built table is the product rule on the handles."""
+    assert mt.labels == tuple(label(h) for h in handles)
+    for a, x in enumerate(handles):
+        for b, y in enumerate(handles):
+            assert mt.label(mt.mul(a, b)) == label(host_mul(spec, x, y))
+
+
 # ---------------------------------------------------------------------------
 # Rees matrix semigroups
+
+
+def _rees_cells_follow_the_rule(spec):
+    G = spec.group
+    handles = [(r, g, c) for r in spec.rows for g in range(G.order)
+               for c in spec.cols]
+    mt = rees_matrix(spec)
+    _assert_cells_follow_the_rule(
+        mt, spec, handles, lambda h: f"({h[0]},{G.label(h[1])},{h[2]})")
+    return mt
 
 
 def test_rees_matrix_basic():
@@ -39,7 +57,7 @@ def test_rees_matrix_basic():
         cols=("l1", "l2"),
         sandwich=((0, 0), (0, 1)),
     )
-    mt = rees_matrix(spec)
+    mt = _rees_cells_follow_the_rule(spec)
     assert mt.order == 8
     assert is_completely_simple(mt)
     assert not is_group(mt)
@@ -53,6 +71,9 @@ def test_rees_matrix_basic():
     b = mt.index("(i2,1,l1)")
     prod = mt.label(mt.mul(a, b))
     assert prod == "(i1,1,l1)"  # 1 + P[l2][i2] + 1 = 1 + 1 + 1 = 1 mod 2
+    z3 = ReesSpec(group=cyclic_table(3), rows=("i1", "i2"), cols=("l1", "l2"),
+                  sandwich=((0, 1), (2, 1)))
+    assert is_completely_simple(_rees_cells_follow_the_rule(z3))
 
 
 def test_rees_matrix_rejects_bad_input():
@@ -82,8 +103,18 @@ def _chain2_spec(hom=(0, 1)):
     )
 
 
+def _semilattice_cells_follow_the_rule(spec):
+    handles = [(e, x) for e in ("bot", "top")
+               for x in range(spec.components[e].order)]
+    mt = semilattice_semigroup(spec)
+    _assert_cells_follow_the_rule(
+        mt, spec, handles,
+        lambda h: f"{h[0]}:{spec.components[h[0]].label(h[1])}")
+    return mt
+
+
 def test_semilattice_semigroup_clifford():
-    mt = semilattice_semigroup(_chain2_spec())
+    mt = _semilattice_cells_follow_the_rule(_chain2_spec())
     assert mt.order == 4
     assert is_clifford(mt)
     assert not is_group(mt)
@@ -94,7 +125,7 @@ def test_semilattice_semigroup_clifford():
 
 
 def test_semilattice_collapsing_hom():
-    mt = semilattice_semigroup(_chain2_spec(hom=(0, 0)))
+    mt = _semilattice_cells_follow_the_rule(_chain2_spec(hom=(0, 0)))
     assert mt.order == 4
     top1 = mt.index("top:1")
     bot1 = mt.index("bot:1")

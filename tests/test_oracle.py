@@ -194,3 +194,5 @@ def test_replay_path_rejects_bad_paths():
     assert not replay_path("q", ["xca", "bogus"])
     assert replay_path("q", ["xca", "xe"])
     assert replay_path("q", ["xca", "xac", "xca"])  # revisiting is allowed
+    with pytest.raises(ValueError, match="has no defining relations"):
+        replay_path("bicyclic4", ["a", "b"])  # a partial table, not a presentation
