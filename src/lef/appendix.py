@@ -717,8 +717,21 @@ class AppendixReport:
         }
 
 
-def check_row(system, row: JointRow, bound: int, failure_cap: int = 5) -> RowReport:
-    """Check one row over all exponent assignments in 0..bound."""
+def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
+              nf_memo: dict[str, str] | None = None) -> RowReport:
+    """Check one row over all exponent assignments in 0..bound.
+
+    ``nf_memo`` maps words to their normal forms under ``system``; rows that
+    share one (as ``verify_appendix``'s rows do) reduce each word once.
+    """
+    if nf_memo is None:
+        nf_memo = {}
+
+    def nf(w: str) -> str:
+        if w not in nf_memo:
+            nf_memo[w] = normal_form(system, w)
+        return nf_memo[w]
+
     n = system.parameter_n
     report = RowReport(row=row)
     parsed_patterns, conditions = row.parsed
@@ -756,9 +769,7 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5) -> RowRep
         if t2 not in {r.word for r in redexes if r.rule_id == row.second_rule}:
             problems.append(f"t2 {t2!r} is not a one-step {row.second_rule} result of t")
         if not problems:
-            nf1 = normal_form(system, t1)
-            nf2 = normal_form(system, t2)
-            nf0 = normal_form(system, t0)
+            nf1, nf2, nf0 = nf(t1), nf(t2), nf(t0)
             if not (nf1 == nf2 == nf0):
                 problems.append(
                     f"normal forms differ: t1->{nf1!r}, t2->{nf2!r}, t0->{nf0!r}"
@@ -788,7 +799,8 @@ def verify_appendix(which: str, n: int | None = None, max_exp: int = 4,
     else:
         raise ValueError(f"unknown table {which!r}; expected 'A' or 'B'")
     start = time.perf_counter()
-    reports = [check_row(system, row, bound, failure_cap) for row in rows]
+    nf_memo: dict[str, str] = {}
+    reports = [check_row(system, row, bound, failure_cap, nf_memo) for row in rows]
     return AppendixReport(
         table=table, n=n, max_exp=max_exp, bound=bound, rows=reports,
         elapsed=time.perf_counter() - start,

@@ -48,8 +48,14 @@ def _ensure_locally_confluent(system) -> None:
     _confluence_checked.add(system.name)
 
 
+def _check_nonempty(u: str, v: str) -> None:
+    if not u or not v:
+        raise ValueError("the empty word names no element")
+
+
 def word_equal_nf(preset: str, u: str, v: str) -> EqualityVerdict:
     """Equality by normal form; presets q and fn:<n> only, never unknown."""
+    _check_nonempty(u, v)
     pid = preset.lower()
     if pid == "q":
         check_letters(u, ALPHABETS["q"], pid)
@@ -198,6 +204,7 @@ def word_equal_bfs(preset: str, u: str, v: str, length_bound: int | None = None,
     path; a side whose entire congruence class fit under the bounds settles
     distinctness by exhaustion.  Anything else is unknown.
     """
+    _check_nonempty(u, v)
     pid = preset.lower()
     if pid.startswith("sm:"):
         m = int(pid.split(":", 1)[1])

@@ -9,17 +9,33 @@ in the last position where shorter matches are also tried.  That is exactly the
 shape of all built-in rule schemas.
 
 Each ``RewriteSystem`` compiles its schemas once, with its parameter n fixed,
-and keeps the result on itself: a table from letters to the schemas that can
-start there, already in schema order; per schema a matcher whose lhs atoms are
-``(letter, constant k or variable name)``, whose side conditions are integer
-checks ``c + sum(k_i * var_i) >= 0`` (or ``== 0``) and whose rhs is a
-precomputed atom renderer; and the rank table of its letter order.
+and keeps the result on itself:
+
+* per schema a matcher whose lhs atoms are ``(letter, variable or None, lo,
+  hi)``.  A side condition on one variable (``0<alpha``, ``gamma<=2n``) is
+  folded into that atom's range, so a run of the wrong length ends the attempt
+  as soon as it is read.  The other conditions stay integer checks
+  ``c + sum(k_i * var_i) >= 0`` (or ``== 0``), and the rhs is a precomputed
+  atom renderer;
+* a table from the window ``w[pos:pos + 2]`` (one letter at the end of the
+  word) to the matchers that can match at pos, in schema order.  It is derived
+  from the atoms' ranges and the fact that an atom other than the last
+  consumes its whole run, so the letter after it is not its own: q4,
+  ``a^alpha c^beta e^gamma x`` with ``0<alpha``, is filed only under windows
+  that start with ``a``.  A letter outside the alphabet ends every run, like
+  the end of the word, so a window whose second letter is foreign falls back
+  to its first letter alone, and a foreign first letter to the matchers whose
+  lhs can match the empty word;
+* the rank table of its letter order.
 
 Leftmost reduction resumes near the last edit instead of at position 0.  A
 match attempt reads at most ``max_lhs_atoms`` runs of the word plus one
 look-ahead letter, so after a step at ``pos`` (no earlier position matched)
 every attempt starting ``max_lhs_atoms`` or more runs before the run holding
-``pos - 1`` reads only unchanged letters and still fails.
+``pos - 1`` reads only unchanged letters and still fails.  The window table
+only leaves out matchers that cannot match at a position, so every position
+has the same matches as when every schema is tried there, and the argument
+holds unchanged.
 """
 
 from __future__ import annotations
@@ -28,9 +44,11 @@ import itertools
 import os
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 
 DEFAULT_STEP_LIMIT = 100_000
+_UNBOUNDED = sys.maxsize  # upper end of a variable's range when no condition caps it
 
 
 class StepLimitError(RuntimeError):
@@ -319,22 +337,48 @@ def conditions_hold(checks: tuple[Check, ...], assignment: dict[str, int]) -> bo
 class _Matcher:
     """One schema compiled against a fixed n.
 
-    ``head`` holds every lhs atom but the last as (letter, k or variable);
-    ``last`` is the final atom, whose variable may match a prefix of its run.
-    Checks not mentioning that variable are in ``fixed`` and run once per
-    attempt; the rest, in ``flex``, run once per candidate value.
+    Every lhs atom is ``(letter, variable or None, lo, hi)``: a constant
+    exponent k has lo = hi = k, and a variable's range is the one its
+    one-variable side conditions allow (``0<alpha`` gives lo = 1, ``gamma<=2n``
+    gives hi = 2n), so a run outside it is rejected while the head is scanned.
+    ``head`` holds every atom but the last, each consuming its whole run;
+    ``last`` may match a prefix of its run.  Only the checks with more than
+    one variable are left: those not mentioning the last variable are in
+    ``fixed`` and run once per attempt, the rest, in ``flex``, once per
+    candidate value of the last variable.
     """
 
     __slots__ = ("schema", "head", "last", "fixed", "flex", "lhs", "rhs")
 
     def __init__(self, schema: RuleSchema, n: int | None):
         self.schema = schema
-        atoms = tuple((letter, expr.var_coeffs[0][0] if expr.is_bare_var() else _fold(expr, n)[0])
-                      for letter, expr in schema.lhs)
-        self.head, self.last = atoms[:-1], atoms[-1]
+        names = [expr.var_coeffs[0][0] for _, expr in schema.lhs if expr.is_bare_var()]
+        lo, hi = dict.fromkeys(names, 0), dict.fromkeys(names, _UNBOUNDED)
+        checks = []
+        for check in compile_conditions(schema.conditions, n):
+            const, var_coeffs, kind = check
+            if kind == _GE and len(var_coeffs) == 1 and var_coeffs[0][0] in lo:
+                (name, coeff), = var_coeffs
+                if coeff > 0:   # name >= ceil(-const / coeff)
+                    lo[name] = max(lo[name], -(const // coeff))
+                else:           # name <= floor(const / -coeff)
+                    hi[name] = min(hi[name], const // -coeff)
+            else:
+                checks.append(check)
+        atoms = []
+        for letter, expr in schema.lhs:
+            if expr.is_bare_var():
+                name = expr.var_coeffs[0][0]
+                atoms.append((letter, name, lo[name], hi[name]))
+            else:
+                k = _fold(expr, n)[0]
+                if k < 0:
+                    raise ValueError(f"{schema.id}: lhs exponent {expr} = {k} < 0")
+                atoms.append((letter, None, k, k))
+        self.head, self.last = tuple(atoms[:-1]), atoms[-1]
         flex_var = self.last[1]
         fixed, flex = [], []
-        for check in compile_conditions(schema.conditions, n):
+        for check in checks:
             mentions = any(name == flex_var for name, _ in check[1])
             (flex if mentions else fixed).append(check)
         self.fixed, self.flex = tuple(fixed), tuple(flex)
@@ -355,6 +399,43 @@ class _Matcher:
             raise ConditionError(f"{self.schema.id}: empty lhs under {assignment}")
         return lhs, rhs
 
+    def window_keys(self, alphabet: str) -> set[str]:
+        """A superset of the windows w[pos:pos + 2] at which the lhs can match
+        at pos; "" is in it when the lhs can match the empty word.
+
+        A walk over the atoms keeps the letters read so far and the letters
+        the next one cannot be: an atom other than the last consumes its whole
+        run, so the letter after it is not its own, and neither is the letter
+        where it matched a run of length 0.
+        """
+        atoms = self.head + (self.last,)
+        keys: set[str] = set()
+
+        def walk(i: int, read: str, banned: frozenset) -> None:
+            if len(read) == 2:
+                keys.add(read)
+                return
+            if i == len(atoms):
+                # the word ends here, or goes on with a letter no run claims
+                free = [c for c in alphabet if c not in banned]
+                keys.add(read)
+                keys.update(read + c for c in free)
+                if not read:
+                    keys.update(c + d for c in free for d in alphabet)
+                return
+            letter, _, lo, hi = atoms[i]
+            after = frozenset(letter) if i < len(atoms) - 1 else frozenset()
+            if lo <= 0 <= hi:
+                walk(i + 1, read, banned | after)
+            if letter not in banned:
+                if lo <= 1 <= hi:
+                    walk(i + 1, read + letter, after)
+                if hi >= max(lo, 2):
+                    keys.add((read + letter * 2)[:2])
+
+        walk(0, "", frozenset())
+        return keys
+
 
 @dataclass
 class RewriteSystem:
@@ -367,7 +448,6 @@ class RewriteSystem:
     # compiled in __post_init__; see the module docstring
     _matchers: tuple = field(init=False, repr=False, compare=False)
     _table: dict = field(init=False, repr=False, compare=False)
-    _loose: tuple = field(init=False, repr=False, compare=False)
     _rank: dict = field(init=False, repr=False, compare=False)
     _max_atoms: int = field(init=False, repr=False, compare=False)
 
@@ -376,6 +456,9 @@ class RewriteSystem:
             raise ValueError("alphabet letters must be distinct")
         if set(self.order) != set(self.alphabet):
             raise ValueError("order must list exactly the alphabet letters")
+        for s in self.schemas:
+            if not {letter for letter, _ in s.lhs} <= set(self.alphabet):
+                raise ValueError(f"schema {s.id}: lhs letters outside the alphabet")
         if self.parameter_n is None:
             for s in self.schemas:
                 atoms = list(s.lhs) + list(s.rhs)
@@ -384,19 +467,10 @@ class RewriteSystem:
                 ):
                     raise ValueError(f"schema {s.id} mentions n but parameter_n is absent")
         self._matchers = tuple(_Matcher(s, self.parameter_n) for s in self.schemas)
-        table: dict[str, list[_Matcher]] = {ch: [] for ch in self.alphabet}
-        loose: list[_Matcher] = []
-        for m in self._matchers:
-            letter, expr = m.schema.lhs[0]
-            if expr.is_bare_var():
-                # a schema whose first atom is a variable can start at any letter
-                loose.append(m)
-                for ms in table.values():
-                    ms.append(m)
-            else:
-                table[letter].append(m)
-        self._table = {ch: tuple(ms) for ch, ms in table.items()}
-        self._loose = tuple(loose)
+        found = [m.window_keys(self.alphabet) for m in self._matchers]
+        windows = [""] + [c + d for c in self.alphabet for d in ("", *self.alphabet)]
+        self._table = {key: tuple(m for m, keys in zip(self._matchers, found) if key in keys)
+                       for key in windows}
         self._rank = {ch: i for i, ch in enumerate(self.order)}
         self._max_atoms = max((len(s.lhs) for s in self.schemas), default=1)
 
@@ -418,30 +492,30 @@ def _match_at(m: _Matcher, w: str, pos: int, all_assignments: bool = False):
     size = len(w)
     assignment: dict[str, int] = {}
     cur = pos
-    for letter, exp in m.head:
+    for letter, name, lo, hi in m.head:
         end = cur
         while end < size and w[end] == letter:
             end += 1
-        if exp.__class__ is str:
-            assignment[exp] = end - cur
-        elif end - cur != exp:
+        if not lo <= end - cur <= hi:
             return [] if all_assignments else None
+        if name is not None:
+            assignment[name] = end - cur
         cur = end
-    letter, exp = m.last
+    letter, name, lo, hi = m.last
     end = cur
     while end < size and w[end] == letter:
         end += 1
-    if not conditions_hold(m.fixed, assignment):
+    top = end - cur
+    if top > hi:
+        top = hi
+    if top < lo or (m.fixed and not conditions_hold(m.fixed, assignment)):
         return [] if all_assignments else None
-    if exp.__class__ is int:
-        if exp > end - cur:
-            return [] if all_assignments else None
-        hit = (assignment, cur + exp - pos)
-        return [hit] if all_assignments else hit
+    flex = m.flex
     results = []
-    for val in range(end - cur + 1):
-        assignment[exp] = val
-        if conditions_hold(m.flex, assignment):
+    for val in range(lo, top + 1):
+        if name is not None:
+            assignment[name] = val
+        if not flex or conditions_hold(flex, assignment):
             if not all_assignments:
                 return assignment, cur + val - pos
             results.append((dict(assignment), cur + val - pos))
@@ -481,9 +555,12 @@ def reduce_once(system: RewriteSystem, w: str, *, _start: int = 0) -> Reduction 
 
     ``_start`` skips positions known not to match; only ``normal_form`` sets it.
     """
-    table, loose = system._table, system._loose
+    table = system._table
     for pos in range(_start, len(w)):
-        for m in table.get(w[pos], loose):
+        ms = table.get(w[pos:pos + 2])
+        if ms is None:  # a letter outside the alphabet, which ends every run
+            ms = table.get(w[pos], table[""])
+        for m in ms:
             hit = _match_at(m, w, pos)
             if hit is not None:
                 red = _apply(m, w, pos, *hit)
@@ -498,10 +575,13 @@ def reduce_once(system: RewriteSystem, w: str, *, _start: int = 0) -> Reduction 
 
 def enumerate_redexes(system: RewriteSystem, w: str) -> list[Reduction]:
     """Every applicable (position, rule, assignment) reduction of w."""
-    table, loose = system._table, system._loose
+    table = system._table
     out = []
     for pos in range(len(w)):
-        for m in table.get(w[pos], loose):
+        ms = table.get(w[pos:pos + 2])
+        if ms is None:
+            ms = table.get(w[pos], table[""])
+        for m in ms:
             for assignment, consumed in _match_at(m, w, pos, all_assignments=True):
                 out.append(_apply(m, w, pos, assignment, consumed))
     return out
@@ -579,7 +659,7 @@ def instantiate_all(system: RewriteSystem, exponent_bound: int):
     """Yield (schema, assignment, lhs, rhs) for every assignment with all
     variables in [0, exponent_bound] satisfying the side conditions."""
     for m in system._matchers:
-        checks = m.fixed + m.flex
+        checks = compile_conditions(m.schema.conditions, system.parameter_n)
         variables = m.schema.variables
         for values in itertools.product(range(exponent_bound + 1), repeat=len(variables)):
             assignment = dict(zip(variables, values))

@@ -3,12 +3,15 @@ pattern rendering, the row checker, and full-table verification (smoke bounds
 here; the acceptance tests run the full bounds)."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
+import lef.appendix
 from lef.appendix import (
     A_ROWS,
     B_ROWS,
+    AppendixReport,
     check_row,
     get_row,
     render_pattern,
@@ -84,6 +87,26 @@ def test_verify_appendix_b_n1():
     data = report.as_json()
     assert data["rows_total"] == 125
     assert data["all_joined"] is True
+
+
+def test_verify_appendix_reduces_each_word_once(monkeypatch):
+    """The rows of one call share normal forms, and the report is the one
+    the rows give when each is checked on its own."""
+    asked = Counter()
+    original = lef.appendix.normal_form
+
+    def counting(system, word, *args, **kwargs):
+        asked[word] += 1
+        return original(system, word, *args, **kwargs)
+
+    monkeypatch.setattr(lef.appendix, "normal_form", counting)
+    shared = verify_appendix("A").as_json()
+    assert asked and max(asked.values()) == 1
+    monkeypatch.undo()
+    one_by_one = AppendixReport(table="A", n=None, max_exp=4, bound=4,
+                                rows=[check_row(Q_SYSTEM, row, 4) for row in A_ROWS]).as_json()
+    del shared["elapsed_seconds"], one_by_one["elapsed_seconds"]
+    assert shared == one_by_one
 
 
 def test_verify_appendix_argument_validation():

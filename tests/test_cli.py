@@ -78,6 +78,14 @@ def test_nf_rejects_words_outside_the_system(capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_eq_rejects_the_empty_word(capsys):
+    for preset, u, v in (("t", "", ""), ("sm:3", "", "e"), ("q", "a", "")):
+        code, out, err = run(capsys, "eq", "--preset", preset, "--u", u, "--v", v)
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "error: the empty word names no element"
+
+
 def test_rewrite_rejects_letters_outside_the_system(capsys):
     code, out, err = run(capsys, "rewrite", "--system", "q", "--word", "abz")
     assert code == 1

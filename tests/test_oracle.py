@@ -40,6 +40,14 @@ def test_word_equal_nf_rejects_non_confluent_presets():
         word_equal_nf("nope", "a", "a")
 
 
+@pytest.mark.parametrize("preset", ["q", "fn:1", "t", "s", "c", "sm:3"])
+def test_the_empty_word_is_no_element(preset):
+    check = word_equal_nf if preset in ("q", "fn:1") else word_equal_bfs
+    for u, v in (("", ""), ("", "e"), ("a", "")):
+        with pytest.raises(ValueError, match="the empty word names no element"):
+            check(preset, u, v)
+
+
 # ---------------------------------------------------------------------------
 # S_m canonical forms
 

@@ -1,6 +1,7 @@
 """Parametric rewriting: pattern parsing, reduction, termination, confluence."""
 
 import gc
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,8 @@ from lef.rewrite import (
     StepLimitError,
     check_local_confluence,
     check_termination_order,
+    compile_conditions,
+    conditions_hold,
     critical_pairs,
     enumerate_redexes,
     instantiate,
@@ -24,6 +27,7 @@ from lef.rewrite import (
     parse_condition,
     parse_linexpr,
     parse_pattern,
+    reduce_once,
     reduction_trace,
     system_from_json,
     system_to_json,
@@ -88,6 +92,14 @@ def test_schema_validation():
     with pytest.raises(ValueError):
         # lhs exponents must be bare variables or constants
         make_schema("bad", "a^alpha+1", "a")
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        # the window table is built over the alphabet
+        RewriteSystem(name="bad", alphabet="ab", order="ab",
+                      schemas=(make_schema("bad", "a z", "a"),))
+    with pytest.raises(ValueError, match="< 0"):
+        # a constant lhs exponent must not be negative once n is fixed
+        RewriteSystem(name="bad", alphabet="a", order="a", parameter_n=1,
+                      schemas=(make_schema("bad", "a^n-3", "a"),))
 
 
 def test_instantiate_respects_conditions():
@@ -229,6 +241,136 @@ def test_compiled_state_belongs_to_its_system():
     assert normal_form(build_fn_system(2), "aaaaa") == "a"
     assert normal_form(build_fn_system(1), "xaaac") == "xe"
     assert normal_form(build_fn_system(2), "xaaac") == "xaae"
+
+
+# ---------------------------------------------------------------------------
+# dispatch: only the schemas that can match at a position are tried
+
+# the first lhs atom is a variable that may be 0, so z1 can start at any letter
+ZERO_START = RewriteSystem(name="zero-start", alphabet="abc", order="abc", schemas=(
+    make_schema("z1", "a^alpha b^beta c^gamma", "b", ["1<alpha+beta+gamma"]),))
+# the first lhs atom is a variable that is at least 1, so p1 starts at an a
+ONE_START = RewriteSystem(name="one-start", alphabet="abc", order="abc", schemas=(
+    make_schema("p1", "a^alpha b^beta c", "c", ["0<alpha", "beta<=alpha"]),
+    make_schema("p2", "c b^beta", "c", ["0<beta<=2"])))
+# constant atoms of exponent 3 and more, like f2a's a^5 in fn:2
+CONSTANT = RewriteSystem(name="constant", alphabet="abc", order="abc", schemas=(
+    make_schema("k1", "a^3", "a"), make_schema("k2", "b c^4", "c"),
+    make_schema("k3", "c^beta a^4", "b", ["beta<3"])))
+DISPATCH = {**SYSTEMS, "edge": EDGE, "zero-start": ZERO_START,
+            "one-start": ONE_START, "constant": CONSTANT}
+
+
+def _dispatch_words(name):
+    system = DISPATCH[name]
+    return all_words(system.alphabet, 5) + [w for key, w in _long_words() if key == name]
+
+
+def _reference_matches(system, w):
+    """Every (position, rule id, assignment, consumed) by trying every schema
+    at every position, each atom but the last taking its whole run, against
+    all the schema's compiled conditions."""
+    n = system.parameter_n
+    schemas = [(s, compile_conditions(s.conditions, n)) for s in system.schemas]
+    out = []
+    for pos in range(len(w)):
+        for schema, checks in schemas:
+            assignment, cur, options = {}, pos, []
+            for i, (letter, expr) in enumerate(schema.lhs):
+                run = len(w) - cur - len(w[cur:].lstrip(letter))
+                k = None if expr.is_bare_var() else expr.evaluate({}, n)
+                if i < len(schema.lhs) - 1:
+                    if k is not None and run != k:
+                        break
+                    if k is None:
+                        assignment[expr.var_coeffs[0][0]] = run
+                    cur += run
+                elif k is not None:
+                    options = [(assignment, cur + k - pos)] if k <= run else []
+                else:
+                    name = expr.var_coeffs[0][0]
+                    options = [({**assignment, name: val}, cur + val - pos)
+                               for val in range(run + 1)]
+            out += [(pos, schema.id, asg, consumed) for asg, consumed in options
+                    if conditions_hold(checks, asg)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCH))
+def test_dispatch_matches_the_unfiltered_reference(name):
+    system = DISPATCH[name]
+    # a letter outside the alphabet ends every run, like the end of the word
+    # (a system that checks each step's decrease rejects such words)
+    foreign = [] if system.assert_decrease else ["az", "ez", "zez", "xazccc", "bzzb", "aazcccc"]
+    for w in _dispatch_words(name) + foreign:
+        expected = _reference_matches(system, w)
+        got = [(r.position, r.rule_id, r.assignment, len(r.matched))
+               for r in enumerate_redexes(system, w)]
+        assert got == expected, w
+        red = reduce_once(system, w)
+        first = None if red is None else (red.position, red.rule_id, red.assignment,
+                                          len(red.matched))
+        assert first == (expected[0] if expected else None), w
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCH))
+def test_every_match_is_filed_under_its_window(name):
+    system = DISPATCH[name]
+    for w in _dispatch_words(name):
+        for pos in range(len(w)):
+            listed = system._table[w[pos:pos + 2]]
+            for m in system._matchers:
+                if lef.rewrite._match_at(m, w, pos) is not None:
+                    assert m in listed, (w, pos, m.schema.id)
+
+
+def test_window_table_skips_schemas_that_cannot_start_there():
+    q, fn2 = SYSTEMS["q"], SYSTEMS["fn:2"]
+    assert {key[0] for key, ms in q._table.items()
+            if any(m.schema.id == "q4" for m in ms)} == {"a"}
+    assert {key[0] for key, ms in fn2._table.items()
+            if any(m.schema.id == "f10" for m in ms)} == {"a"}
+    assert max(len(ms) for key, ms in fn2._table.items() if key.startswith("x")) == 12
+    assert all(ZERO_START._table[key] for key in ZERO_START._table if key)
+    assert not ONE_START._table["ba"] and not ONE_START._table[""]
+    assert [m.schema.id for m in CONSTANT._table["aa"]] == ["k1", "k3"]
+    assert not CONSTANT._table["ab"] and not CONSTANT._table["a"]
+
+
+def test_q_matching_tries_few_schemas(monkeypatch):
+    """Normal forms and traces of all q words of length <= 5.  Trying every
+    schema whose lhs starts with the letter at a position, or with a
+    variable, takes 162,672 match attempts here; the window table must at
+    least halve that."""
+    calls = 0
+    original = lef.rewrite._match_at
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lef.rewrite, "_match_at", counting)
+    for word in all_words(Q_SYSTEM.alphabet, 5):
+        normal_form(Q_SYSTEM, word)
+        reduction_trace(Q_SYSTEM, word)
+    assert calls < 162_672 // 2
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_instantiate_all_enforces_every_condition(name):
+    system, bound = SYSTEMS[name], 4
+    n = system.parameter_n
+    instances = list(instantiate_all(system, bound))
+    for schema, assignment, _, _ in instances:
+        assert all(cond.holds(assignment, n) for cond in schema.conditions), \
+            (schema.id, assignment)
+    brute = sum(1 for schema in system.schemas
+                for values in itertools.product(range(bound + 1),
+                                                repeat=len(schema.variables))
+                if all(cond.holds(dict(zip(schema.variables, values)), n)
+                       for cond in schema.conditions))
+    assert len(instances) == brute
 
 
 # ---------------------------------------------------------------------------
