@@ -3,9 +3,13 @@ relations, structural classification, enumeration, and word equations
 evaluated over a table.
 
 Tables are numpy int arrays with table[i, j] = index of the product of i and j
-(row = left factor).  Enumeration, and the embedding search in ``search``,
-run one propagation engine on flat tables (``_TableSearch``); enumeration up
-to isomorphism keeps the first table of each class in lexicographic order and
+(row = left factor).  The class predicates (associative, group, J-, L- and
+R-trivial, completely simple, Clifford) are masks over a stack of tables of
+one order, so a caller with many tables checks them in one numpy pass; the
+one-table predicates are the stack of one.  Enumeration, and the embedding
+search in ``search``, run one propagation engine on flat tables
+(``_TableSearch``), which indexes its cells by value; enumeration up to
+isomorphism keeps the first table of each class in lexicographic order and
 skips the rest of its orbit.
 """
 
@@ -54,9 +58,7 @@ class MulTable:
         return int(self.table[i, j])
 
     def is_associative(self) -> bool:
-        T = self.table
-        # T[T][p,q,r] = (pq)r and T[:, T][p,q,r] = p(qr)
-        return bool((T[T] == T[:, T]).all()) if self.order else True
+        return _holds(associative_mask, self)
 
     def idempotents(self) -> list[int]:
         return [i for i in range(self.order) if self.table[i, i] == i]
@@ -264,31 +266,31 @@ def _classes_from_leq(leq: np.ndarray) -> list[tuple[int, ...]]:
     return sorted((tuple(g) for g in groups.values()), key=lambda c: c[0])
 
 
-def _preorders(mt: MulTable) -> tuple[np.ndarray, np.ndarray]:
-    """The R and L orders, leq[x, y] iff x lies below y.  One-sided ideals
-    need only single products since x(st) = (xs)t keeps principal ideals
-    closed."""
-    T = mt.table
-    n = mt.order
+def _preorders(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The R and L orders of each table in a stack, leq[t, x, y] iff x lies
+    below y in table t.  One-sided ideals need only single products since
+    x(st) = (xs)t keeps principal ideals closed."""
+    k, n = S.shape[:2]
+    t = np.arange(k)[:, None, None]
     idx = np.arange(n)
-    leq_r = np.eye(n, dtype=bool)
-    leq_r[T, idx[:, None]] = True       # y*s lies R-below y
-    leq_l = np.eye(n, dtype=bool)
-    leq_l[T, idx[None, :]] = True       # s*y lies L-below y
+    leq_r = np.broadcast_to(np.eye(n, dtype=bool), (k, n, n)).copy()
+    leq_l = leq_r.copy()
+    leq_r[t, S, idx[:, None]] = True    # y*s lies R-below y
+    leq_l[t, S, idx] = True             # s*y lies L-below y
     return leq_r, leq_l
 
 
-def _antisymmetric(leq: np.ndarray) -> bool:
-    """No two distinct elements lie below each other, i.e. every class of
-    the (reflexive) preorder is a singleton."""
-    return int((leq & leq.T).sum()) == len(leq)
+def _antisymmetric(leq: np.ndarray) -> np.ndarray:
+    """Per table, no two distinct elements lie below each other, i.e. every
+    class of the (reflexive) preorder is a singleton."""
+    return (leq & leq.swapaxes(1, 2)).sum(axis=(1, 2)) == leq.shape[1]
 
 
 def green(mt: MulTable) -> GreenRelations:
     """R, L, H, J classes.  x lies J-below y iff x <=_L u <=_R y for some u
     (x = s(yt) with u = yt), so the J order is the boolean product of the L
     and R orders."""
-    leq_r, leq_l = _preorders(mt)
+    leq_r, leq_l = (leq[0] for leq in _preorders(mt.table[None]))
     leq_j = leq_l @ leq_r
     leq_h = leq_r & leq_l
     return GreenRelations(
@@ -302,54 +304,96 @@ def green(mt: MulTable) -> GreenRelations:
     )
 
 
-def is_group(mt: MulTable) -> bool:
-    """Associative Latin square is a group."""
-    if not mt.is_associative():
-        return False
-    T = mt.table
-    n = mt.order
-    want = np.arange(n)
-    return all((np.sort(T[i]) == want).all() and (np.sort(T[:, i]) == want).all()
-               for i in range(n))
+# ---------------------------------------------------------------------------
+# class predicates, each a mask over a stack S of k tables of order n, shape
+# (k, n, n), marking the tables in the class; the one-table predicates are
+# the case k = 1
 
 
-def is_completely_simple(mt: MulTable) -> bool:
-    """Single J-class (finiteness then gives an idempotent in it)."""
-    if not mt.is_associative():
-        return False
-    leq_r, leq_l = _preorders(mt)
-    return bool((leq_l @ leq_r).all()) and bool(mt.idempotents())
+def associative_mask(S: np.ndarray) -> np.ndarray:
+    k, n = S.shape[:2]
+    left = S[np.arange(k)[:, None, None], S]                        # [t, p, q, r] = (pq)r
+    right = np.take_along_axis(S, S.reshape(k, 1, n * n), axis=2)  # [t, p, qn + r] = p(qr)
+    return (left == right.reshape(k, n, n, n)).all(axis=(1, 2, 3))
 
 
-def is_clifford(mt: MulTable) -> bool:
-    """Every element in a subgroup (x H-related to its square) and all
-    idempotents central."""
-    if not mt.is_associative():
-        return False
-    T = mt.table
-    leq_r, leq_l = _preorders(mt)
-    idx = np.arange(mt.order)
-    square = T[idx, idx]
+def _idempotent(S: np.ndarray) -> np.ndarray:
+    """[t, x] iff x*x = x in table t."""
+    idx = np.arange(S.shape[1])
+    return S[:, idx, idx] == idx
+
+
+def group_mask(S: np.ndarray) -> np.ndarray:
+    """Associative Latin squares are the groups."""
+    want = np.arange(S.shape[1])
+    return (associative_mask(S)
+            & (np.sort(S, axis=2) == want).all(axis=(1, 2))
+            & (np.sort(S, axis=1) == want[:, None]).all(axis=(1, 2)))
+
+
+def completely_simple_mask(S: np.ndarray) -> np.ndarray:
+    """Associative with a single J-class (finiteness then gives an
+    idempotent in it)."""
+    leq_r, leq_l = _preorders(S)
+    return (associative_mask(S) & (leq_l @ leq_r).all(axis=(1, 2))
+            & _idempotent(S).any(axis=1))
+
+
+def clifford_mask(S: np.ndarray) -> np.ndarray:
+    """Associative, every element in a subgroup (x H-related to its square)
+    and all idempotents central."""
+    k, n = S.shape[:2]
+    leq_r, leq_l = _preorders(S)
+    t = np.arange(k)[:, None]
+    idx = np.arange(n)
+    square = S[:, idx, idx]
     # x*x always lies H-below x, so x H x*x iff x lies H-below x*x
-    if not (leq_r[idx, square] & leq_l[idx, square]).all():
-        return False
-    for e in mt.idempotents():
-        if not (T[e] == T[:, e]).all():
-            return False
-    return True
+    in_subgroup = (leq_r[t, idx, square] & leq_l[t, idx, square]).all(axis=1)
+    central = (S == S.swapaxes(1, 2)).all(axis=2)   # [t, e]: row e = column e
+    return (associative_mask(S) & in_subgroup
+            & (central | ~_idempotent(S)).all(axis=1))
 
 
-def is_j_trivial(mt: MulTable) -> bool:
-    leq_r, leq_l = _preorders(mt)
+def j_trivial_mask(S: np.ndarray) -> np.ndarray:
+    """Like the L- and R-trivial masks, this does not check associativity."""
+    leq_r, leq_l = _preorders(S)
     return _antisymmetric(leq_l @ leq_r)
 
 
+def l_trivial_mask(S: np.ndarray) -> np.ndarray:
+    return _antisymmetric(_preorders(S)[1])
+
+
+def r_trivial_mask(S: np.ndarray) -> np.ndarray:
+    return _antisymmetric(_preorders(S)[0])
+
+
+def _holds(mask, mt: MulTable) -> bool:
+    return bool(mask(mt.table[None])[0])
+
+
+def is_group(mt: MulTable) -> bool:
+    return _holds(group_mask, mt)
+
+
+def is_completely_simple(mt: MulTable) -> bool:
+    return _holds(completely_simple_mask, mt)
+
+
+def is_clifford(mt: MulTable) -> bool:
+    return _holds(clifford_mask, mt)
+
+
+def is_j_trivial(mt: MulTable) -> bool:
+    return _holds(j_trivial_mask, mt)
+
+
 def is_l_trivial(mt: MulTable) -> bool:
-    return _antisymmetric(_preorders(mt)[1])
+    return _holds(l_trivial_mask, mt)
 
 
 def is_r_trivial(mt: MulTable) -> bool:
-    return _antisymmetric(_preorders(mt)[0])
+    return _holds(r_trivial_mask, mt)
 
 
 def generate_subsemigroup(mt: MulTable, seeds) -> tuple[int, ...]:
@@ -469,19 +513,33 @@ def relation_grid(mt: MulTable, relation: tuple[str, str],
 
 def check_implication(mt: MulTable, premises, conclusions) -> dict | None:
     """None when every assignment satisfying all premises satisfies at least
-    one conclusion; otherwise a counterexample assignment."""
+    one conclusion; otherwise a counterexample assignment, the first in C
+    order of the grid of assignments.
+
+    Assignments are kept as one column of values per variable, in that
+    order; each premise keeps only the assignments that satisfy it, and each
+    conclusion drops those that satisfy it, so later relations are evaluated
+    on fewer assignments.  Values are stored in the smallest unsigned type
+    that holds them, as the grid has order ** variables rows."""
     variables = relation_variables(list(premises) + list(conclusions))
-    sat = np.ones((mt.order,) * len(variables), dtype=bool)
-    for rel in premises:
-        sat &= relation_grid(mt, rel, variables)
-    concl = np.zeros_like(sat)
-    for rel in conclusions:
-        concl |= relation_grid(mt, rel, variables)
-    bad = sat & ~concl
-    if not bad.any():
+    n, k = mt.order, len(variables)
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    T = mt.table.astype(dtype)
+    cols = dict(zip(variables, np.indices((n,) * k, dtype=dtype).reshape(k, n ** k)))
+
+    def value(word: str) -> np.ndarray:
+        val = cols[word[0]]
+        for ch in word[1:]:
+            val = T[val, cols[ch]]
+        return val
+
+    for keep_equal, relations in ((True, premises), (False, conclusions)):
+        for u, v in relations:
+            keep = (value(u) == value(v)) == keep_equal
+            cols = {x: col[keep] for x, col in cols.items()}
+    if variables and not cols[variables[0]].size:
         return None
-    combo = np.unravel_index(int(bad.argmax()), bad.shape)
-    return dict(zip(variables, map(int, combo)))
+    return {x: int(col[0]) for x, col in cols.items()}   # {} is the one empty assignment
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +557,12 @@ class _TableSearch:
     is monotone, so a conflict-free fixpoint is unique whatever the order of
     the worklist.  Backtracking undoes the trail to a mark.  With ``latin``
     set, a value may not repeat in a row or a column (group tables).
+
+    ``occ[v]`` lists the cells that hold v, in trail order: ``assign``
+    appends to it and ``undo`` pops in reverse trail order.  The triples
+    that read a cell (a, b) as (pq)r or p(qr) are those with pq = a or
+    qr = b, so ``propagate`` walks ``occ[a]`` and ``occ[b]`` instead of
+    scanning all n*n cells for them.
     """
 
     def __init__(self, n: int, latin: bool = False):
@@ -506,6 +570,7 @@ class _TableSearch:
         self.latin = latin
         self.T = [-1] * (n * n)
         self.pairs = [divmod(c, n) for c in range(n * n)]
+        self.occ: list[list[int]] = [[] for _ in range(n)]
         self.trail: list[int] = []
         self.work: list[int] = []
         self.decisions = 0
@@ -518,6 +583,7 @@ class _TableSearch:
             if v in T[row:row + n] or v in T[cell % n::n]:
                 return False
         T[cell] = v
+        self.occ[v].append(cell)
         self.trail.append(cell)
         self.work.append(cell)
         return True
@@ -526,7 +592,8 @@ class _TableSearch:
         """Check every triple (p, q, r) that reads a cell on the worklist, as
         pq, qr, (pq)r or p(qr), forcing the product that the other three
         determine; False on a conflict, leaving the worklist to ``undo``."""
-        T, n, work, assign, pairs = self.T, self.n, self.work, self.assign, self.pairs
+        T, n, work, assign, pairs, occ = (self.T, self.n, self.work, self.assign,
+                                          self.pairs, self.occ)
         while work:
             c = work.pop()
             a, b = pairs[c]
@@ -550,13 +617,15 @@ class _TableSearch:
                             return False
                     elif right >= 0 and not assign(pq * n + b, right):
                         return False
-            for p, q in itertools.compress(pairs, map(a.__eq__, T)):   # (pq)r = c
+            for x in occ[a]:                    # (pq)r = c, x the cell pq
+                p, q = pairs[x]
                 qr = T[q * n + b]
                 if qr >= 0:
                     right = T[p * n + qr]
                     if not (assign(p * n + qr, v) if right < 0 else right == v):
                         return False
-            for q, r in itertools.compress(pairs, map(b.__eq__, T)):   # p(qr) = c
+            for x in occ[b]:                    # p(qr) = c, x the cell qr
+                q, r = pairs[x]
                 pq = T[an + q]
                 if pq >= 0:
                     left = T[pq * n + r]
@@ -566,8 +635,9 @@ class _TableSearch:
 
     def undo(self, mark: int) -> None:
         """Clear the cells assigned since the mark, and the worklist."""
-        T, trail = self.T, self.trail
-        for c in trail[mark:]:
+        T, trail, occ = self.T, self.trail, self.occ
+        for c in reversed(trail[mark:]):
+            occ[T[c]].pop()
             T[c] = -1
         del trail[mark:]
         self.work.clear()

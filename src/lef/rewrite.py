@@ -546,7 +546,11 @@ def _apply(m: _Matcher, w: str, pos: int, assignment: dict[str, int],
 
 
 def _lex_key(w: str, rank: dict[str, int]) -> tuple:
-    return tuple(map(rank.__getitem__, w))
+    try:
+        return tuple(map(rank.__getitem__, w))
+    except KeyError as e:
+        raise ValueError(f"letter {e.args[0]!r} is outside the alphabet "
+                         f"{''.join(rank)!r}") from None
 
 
 def reduce_once(system: RewriteSystem, w: str, *, _start: int = 0) -> Reduction | None:

@@ -10,34 +10,42 @@ every assigned cell goes on a worklist, and only the triples that read a
 cell from it are re-checked.  Backtracking undoes a trail of assigned cells
 instead of copying the table.  Forced products are forced in every
 completion, so exhaustion at the bound is a complete-search certificate.
+Finished tables are checked in stacks, with the class masks of ``fsg``; the
+witness and the decision count reported are those of the first completion
+that passes, as if each table were checked when found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .fsg import (MulTable, PartialTable, _TableSearch, is_clifford,
-                  is_completely_simple, is_group, is_j_trivial, is_l_trivial,
-                  is_r_trivial, relation_grid, relation_variables,
-                  word_value_grid)
+from .fsg import (MulTable, PartialTable, _holds, _TableSearch, associative_mask,
+                  clifford_mask, completely_simple_mask, group_mask,
+                  j_trivial_mask, l_trivial_mask, r_trivial_mask, relation_grid,
+                  relation_variables, word_value_grid)
 
 __all__ = ["SearchResult", "embed_partial_table", "check_partial_associativity",
            "malcev_witness_table", "find_relational_assignments",
-           "CLASS_FILTERS", "MAX_ASSIGN_ORDER"]
+           "CLASS_FILTERS", "CLASS_MASKS", "MAX_ASSIGN_ORDER"]
 
 MAX_ASSIGN_ORDER = 8
+MAX_BATCH = 1024    # finished tables checked together by embed_partial_table
 
-CLASS_FILTERS = {
-    "any": lambda mt: True,
-    "group": is_group,
-    "j_trivial": is_j_trivial,
-    "l_trivial": is_l_trivial,
-    "r_trivial": is_r_trivial,
-    "completely_simple": is_completely_simple,
-    "clifford": is_clifford,
+# class name -> mask over a stack of tables (see fsg)
+CLASS_MASKS = {
+    "any": lambda S: np.ones(len(S), dtype=bool),
+    "group": group_mask,
+    "j_trivial": j_trivial_mask,
+    "l_trivial": l_trivial_mask,
+    "r_trivial": r_trivial_mask,
+    "completely_simple": completely_simple_mask,
+    "clifford": clifford_mask,
 }
+# the same classes as predicates on one MulTable
+CLASS_FILTERS = {name: partial(_holds, mask) for name, mask in CLASS_MASKS.items()}
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,22 @@ def _filler_labels(base: tuple[str, ...], n: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def _batches(search: _TableSearch):
+    """The search's completions as stacks of shape (k, n, n), each with the
+    decision count at which each of its tables was found.  k doubles from 1
+    up to MAX_BATCH; the last stack holds whatever is left."""
+    n = search.n
+    size, cells, found_at = 1, [], []
+    for flat in search.completions():
+        cells += flat
+        found_at.append(search.decisions)
+        if len(found_at) == size:
+            yield np.array(cells).reshape(-1, n, n), found_at
+            size, cells, found_at = min(2 * size, MAX_BATCH), [], []
+    if found_at:
+        yield np.array(cells).reshape(-1, n, n), found_at
+
+
 def embed_partial_table(pt: PartialTable, max_order: int,
                         class_filter: str = "any") -> SearchResult:
     """Complete search for a semigroup of order |elements|..max_order hosting
@@ -157,19 +181,25 @@ def embed_partial_table(pt: PartialTable, max_order: int,
     the trail of assigned cells.  ``explored`` counts the values tried.
 
     Class filters are tested on finished tables only; the group filter
-    additionally prunes row or column repeats eagerly.  R-, L- and J-related
-    pairs witnessed by products already defined (s = tu and t = sv for R,
-    and the like) stay related in every completion, so R/L/J-triviality
-    could prune partial tables too; it does not, so an exhausted search
-    explores the same decisions under every filter but ``group``.  When
-    max_order is below the element count the order range is empty and the
-    negative certificate is vacuous.
+    additionally prunes row or column repeats eagerly.  Finished tables are
+    buffered and checked in stacks of 1, 2, 4, ... up to 1,024 tables, plus
+    what is left at the end of each order: the associativity guard and the
+    class mask each run once per stack.  The witness is the first completion
+    in search order that passes, and ``explored`` is the decision count at
+    which it was found, both as with checking each table when it is found;
+    a positive search finds at most about twice as many completions before
+    it stops.  R-, L- and J-related pairs witnessed by products already
+    defined (s = tu and t = sv for R, and the like) stay related in every
+    completion, so R/L/J-triviality could prune partial tables too; it does
+    not, so an exhausted search explores the same decisions under every
+    filter but ``group``.  When max_order is below the element count the
+    order range is empty and the negative certificate is vacuous.
     """
-    if class_filter not in CLASS_FILTERS:
+    if class_filter not in CLASS_MASKS:
         raise ValueError(f"unknown class filter {class_filter!r}; choose from "
-                         f"{sorted(CLASS_FILTERS)}")
+                         f"{sorted(CLASS_MASKS)}")
     check_partial_associativity(pt)
-    passes = CLASS_FILTERS[class_filter]
+    in_class = CLASS_MASKS[class_filter]
     k = len(pt.elements)
     at = {label: i for i, label in enumerate(pt.elements)}
     explored = 0
@@ -177,14 +207,15 @@ def embed_partial_table(pt: PartialTable, max_order: int,
         search = _TableSearch(n, latin=class_filter == "group")
         if all(search.assign(at[x] * n + at[y], at[z])
                for (x, y), z in pt.products.items()) and search.propagate():
-            labels = _filler_labels(pt.elements, n)
-            for flat in search.completions():
-                mt = MulTable(np.array(flat).reshape(n, n), labels=labels)
-                if not mt.is_associative():
+            for stack, found_at in _batches(search):
+                if not associative_mask(stack).all():
                     raise AssertionError("propagation let an inassociative table through")
-                if passes(mt):
+                hits = np.flatnonzero(in_class(stack))
+                if hits.size:
+                    i = hits[0]
+                    mt = MulTable(stack[i].copy(), labels=_filler_labels(pt.elements, n))
                     return SearchResult(status="embeddable", witness=(mt, dict(at)),
-                                        explored=explored + search.decisions,
+                                        explored=explored + found_at[i],
                                         bound=max_order)
         explored += search.decisions
     return SearchResult(status="not_embeddable_up_to_bound", witness=None,

@@ -3,6 +3,7 @@ implication checking, and bounded enumeration -- cross-checked against naive
 brute-force oracles and published isomorphism-class counts."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from lef.fsg import (
     MulTable,
     adjoin_identity,
     adjoin_zero,
+    associative_mask,
     associativity_failures,
     check_implication,
+    clifford_mask,
     classify,
     direct_product,
     enumerate_groups,
@@ -28,10 +31,16 @@ from lef.fsg import (
     is_j_trivial,
     is_l_trivial,
     is_r_trivial,
+    j_trivial_mask,
+    l_trivial_mask,
+    r_trivial_mask,
     relation_grid,
+    relation_variables,
     word_value_grid,
     zero_element,
 )
+from lef.presets import PRESENTATIONS
+from lef.search import CLASS_FILTERS, CLASS_MASKS
 
 LEFT_ZERO_2 = MulTable(np.array([[0, 0], [1, 1]]), labels=("p", "q"))
 
@@ -116,6 +125,115 @@ def test_green_orders_match_principal_ideals(order):
         assert is_clifford(mt) == (
             all(mt.mul(x, x) in h_of[x] for x in elems)
             and all(mt.mul(e, s) == mt.mul(s, e) for e in mt.idempotents() for s in elems))
+
+
+# ---------------------------------------------------------------------------
+# class masks over stacks of tables, against the one-table predicates they
+# replaced, kept here as the reference
+
+
+def _ref_associative(T):
+    return bool((T[T] == T[:, T]).all()) if len(T) else True
+
+
+def _ref_preorders(T):
+    n = len(T)
+    idx = np.arange(n)
+    leq_r = np.eye(n, dtype=bool)
+    leq_r[T, idx[:, None]] = True
+    leq_l = np.eye(n, dtype=bool)
+    leq_l[T, idx[None, :]] = True
+    return leq_r, leq_l
+
+
+def _ref_antisymmetric(leq):
+    return int((leq & leq.T).sum()) == len(leq)
+
+
+def _ref_group(T):
+    n = len(T)
+    want = np.arange(n)
+    return _ref_associative(T) and all(
+        (np.sort(T[i]) == want).all() and (np.sort(T[:, i]) == want).all()
+        for i in range(n))
+
+
+def _ref_completely_simple(T):
+    if not _ref_associative(T):
+        return False
+    leq_r, leq_l = _ref_preorders(T)
+    return bool((leq_l @ leq_r).all()) and any(T[i, i] == i for i in range(len(T)))
+
+
+def _ref_clifford(T):
+    if not _ref_associative(T):
+        return False
+    leq_r, leq_l = _ref_preorders(T)
+    idx = np.arange(len(T))
+    square = T[idx, idx]
+    if not (leq_r[idx, square] & leq_l[idx, square]).all():
+        return False
+    return all((T[e] == T[:, e]).all() for e in idx if T[e, e] == e)
+
+
+def _ref_j_trivial(T):
+    leq_r, leq_l = _ref_preorders(T)
+    return _ref_antisymmetric(leq_l @ leq_r)
+
+
+REFERENCE = {
+    "associative": (_ref_associative, associative_mask),
+    "group": (_ref_group, CLASS_MASKS["group"]),
+    "completely_simple": (_ref_completely_simple, CLASS_MASKS["completely_simple"]),
+    "clifford": (_ref_clifford, CLASS_MASKS["clifford"]),
+    "j_trivial": (_ref_j_trivial, j_trivial_mask),
+    "l_trivial": (lambda T: _ref_antisymmetric(_ref_preorders(T)[1]), l_trivial_mask),
+    "r_trivial": (lambda T: _ref_antisymmetric(_ref_preorders(T)[0]), r_trivial_mask),
+}
+
+
+def test_masks_match_the_reference_on_every_order_3_magma():
+    # 19,683 tables, 113 of them associative
+    magmas = np.array(list(itertools.product(range(3), repeat=9))).reshape(-1, 3, 3)
+    for name, (reference, mask) in REFERENCE.items():
+        got = mask(magmas)
+        assert got.dtype == bool and got.shape == (len(magmas),)
+        assert got.tolist() == [reference(T) for T in magmas], name
+    assert associative_mask(magmas).sum() == 113
+    # the triviality masks do not check associativity, as the predicates
+    # they replaced did not
+    for mask in (j_trivial_mask, l_trivial_mask, r_trivial_mask):
+        assert (mask(magmas) & ~associative_mask(magmas)).any()
+
+
+def test_masks_match_the_reference_on_labeled_order_4_semigroups():
+    tables = enumerate_semigroups(4, up_to_iso=False)
+    assert len(tables) == 3492
+    stack = np.array([mt.table for mt in tables])
+    one_table = {"associative": MulTable.is_associative, "group": is_group,
+                 "completely_simple": is_completely_simple, "clifford": is_clifford,
+                 "j_trivial": is_j_trivial, "l_trivial": is_l_trivial,
+                 "r_trivial": is_r_trivial}
+    for name, (reference, mask) in REFERENCE.items():
+        want = [reference(mt.table) for mt in tables]
+        assert any(want), name
+        assert mask(stack).tolist() == want, name
+        assert [one_table[name](mt) for mt in tables] == want, name
+        if name in CLASS_FILTERS:
+            assert [CLASS_FILTERS[name](mt) for mt in tables[::37]] == want[::37], name
+
+
+def test_masks_on_empty_stacks_and_nonabelian_groups():
+    # below order 6 every group is abelian, so only these tables tell "all
+    # idempotents central" from "all elements central"
+    s3 = [g for g in enumerate_groups(6) if not g.is_commutative()][0]
+    s3_0 = adjoin_zero(s3).table
+    stacks = [np.zeros((0, 3, 3), dtype=np.int64), np.zeros((1, 0, 0), dtype=np.int64),
+              s3.table[None], np.array([s3_0, s3_0.T])]
+    for name, (reference, mask) in REFERENCE.items():
+        for stack in stacks:
+            assert mask(stack).tolist() == [reference(T) for T in stack], name
+    assert clifford_mask(stacks[3]).tolist() == [True, True]
 
 
 def test_green_on_a_group_is_a_single_class():
@@ -286,6 +404,56 @@ def test_check_implication_disjunction():
     z4 = cyclic_table(4)
     cx = check_implication(z4, [], [("xx", "x"), ("xx", "yy")])
     assert cx is not None
+
+
+def _full_grid_implication(mt, premises, conclusions):
+    """check_implication over the whole grid of assignments: the reference."""
+    variables = relation_variables(list(premises) + list(conclusions))
+    sat = np.ones((mt.order,) * len(variables), dtype=bool)
+    for rel in premises:
+        sat &= relation_grid(mt, rel, variables)
+    concl = np.zeros_like(sat)
+    for rel in conclusions:
+        concl |= relation_grid(mt, rel, variables)
+    bad = sat & ~concl
+    if not bad.any():
+        return None
+    combo = np.unravel_index(int(bad.argmax()), bad.shape)
+    return dict(zip(variables, map(int, combo)))
+
+
+def test_check_implication_matches_the_full_grid():
+    # the sweeps' relations on every semigroup of order <= 3 and on groups,
+    # then seeded random magmas and relations; the counterexample is the
+    # first in the grid's C order in both
+    cases = []
+    for preset, conclusions in (("c", [("cu", "dv")]), ("q", [("xax", "xex")]),
+                                ("s", [("xaxb", "bxax"), ("xax", "xex")]),
+                                ("t", [("xaxb", "bxax"), ("xax", "xex")])):
+        premises = list(PRESENTATIONS[preset].relations)
+        tables = [mt for k in (1, 2, 3) for mt in enumerate_semigroups(k)]
+        if preset == "c":
+            tables = [mt for k in (1, 2, 3, 4) for mt in enumerate_groups(k)]
+        cases += [(mt, premises, conclusions) for mt in tables]
+    rng = random.Random(9)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        mt = MulTable(np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)]))
+        letters = "xyz"[:rng.randint(1, 3)]
+
+        def word():
+            return "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+        cases.append((mt, [(word(), word()) for _ in range(rng.randint(0, 3))],
+                      [(word(), word()) for _ in range(rng.randint(0, 2))]))
+    cases += [(cyclic_table(1), [], []),
+              (MulTable(np.zeros((0, 0), dtype=int)), [], [("x", "y")]),
+              (cyclic_table(300), [("xy", "yx")], [("xx", "x"), ("xy", "y")])]
+    counterexamples = 0
+    for mt, premises, conclusions in cases:
+        got = check_implication(mt, premises, conclusions)
+        assert got == _full_grid_implication(mt, premises, conclusions), (mt.table, premises)
+        counterexamples += got is not None
+    assert 100 < counterexamples < len(cases) - 100
 
 
 # ---------------------------------------------------------------------------

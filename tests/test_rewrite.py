@@ -313,6 +313,18 @@ def test_dispatch_matches_the_unfiltered_reference(name):
         assert first == (expected[0] if expected else None), w
 
 
+@pytest.mark.parametrize("system", [Q_SYSTEM, build_fn_system(2)], ids=["q", "fn:2"])
+def test_a_checked_step_names_a_foreign_letter(system):
+    # systems that check each step's decrease rank every letter of the
+    # result; a letter outside the alphabet is a ValueError naming it
+    assert system.assert_decrease
+    for w in ("xcaz", "zxca"):
+        with pytest.raises(ValueError, match="^letter 'z' is outside the alphabet 'acebx'$"):
+            reduce_once(system, w)
+        with pytest.raises(ValueError, match="^letter 'z' is outside the alphabet"):
+            normal_form(system, w)
+
+
 @pytest.mark.parametrize("name", sorted(DISPATCH))
 def test_every_match_is_filed_under_its_window(name):
     system = DISPATCH[name]

@@ -1,15 +1,19 @@
 """Bounded embeddability search for partial multiplication tables, the
 bicyclic fragment, and the Malcev-style witness."""
 
+import random
+
 import numpy as np
 import pytest
 
 from lef.approx import cyclic_table
-from lef.fsg import MulTable, PartialTable, relation_grid
+from lef.fsg import MulTable, PartialTable, _TableSearch, relation_grid
 from lef.presets import PRESENTATIONS, bicyclic4_table
 from lef.search import (
     CLASS_FILTERS,
     MAX_ASSIGN_ORDER,
+    SearchResult,
+    _filler_labels,
     check_partial_associativity,
     embed_partial_table,
     find_relational_assignments,
@@ -130,6 +134,106 @@ def test_malcev_table_embeds_at_order_13():
     pt = malcev_witness_table()
     for (u, v), w in pt.products.items():
         assert mt.mul(injection[u], injection[v]) == injection[w]
+
+
+# ---------------------------------------------------------------------------
+# the engine's value index, and stacked leaf checks against one-by-one checks
+
+
+class _CheckedSearch(_TableSearch):
+    """Checks that occ[v] holds exactly the cells of value v after each undo."""
+
+    def undo(self, mark):
+        super().undo(mark)
+        _assert_occ(self)
+
+
+def _assert_occ(search):
+    for v, cells in enumerate(search.occ):
+        assert sorted(cells) == [c for c, x in enumerate(search.T) if x == v]
+
+
+def _pinned(n, products, latin=False):
+    search = _CheckedSearch(n, latin=latin)
+    ok = all(search.assign(c, v) for c, v in products) and search.propagate()
+    return search if ok else None
+
+
+def test_value_index_matches_the_table():
+    searches = [_pinned(n, [(1, 1), (n, 0)]) for n in (2, 3, 4)]      # pq = q, qp = p
+    searches += [_pinned(n, []) for n in (1, 2, 3)]
+    searches.append(_pinned(4, [(i, i) for i in range(4)] + [(4 * i, i) for i in range(1, 4)],
+                            latin=True))
+    completions = 0
+    for search in searches:
+        for _ in search.completions():
+            _assert_occ(search)
+            completions += 1
+    assert completions > 100
+
+
+def _one_by_one(pt, max_order, class_filter="any"):
+    """embed_partial_table checking each completion as it is found: the
+    reference for the stacked checks."""
+    passes = CLASS_FILTERS[class_filter]
+    at = {label: i for i, label in enumerate(pt.elements)}
+    explored = 0
+    for n in range(len(pt.elements), max_order + 1):
+        search = _TableSearch(n, latin=class_filter == "group")
+        if all(search.assign(at[x] * n + at[y], at[z])
+               for (x, y), z in pt.products.items()) and search.propagate():
+            for flat in search.completions():
+                mt = MulTable(np.array(flat).reshape(n, n),
+                              labels=_filler_labels(pt.elements, n))
+                assert mt.is_associative()
+                if passes(mt):
+                    return SearchResult("embeddable", (mt, dict(at)),
+                                        explored + search.decisions, max_order)
+        explored += search.decisions
+    return SearchResult("not_embeddable_up_to_bound", None, explored, max_order)
+
+
+def _random_partial_tables(count, seed=5):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        elements = "pqrs"[:rng.randint(1, 4)]
+        cells = [(x, y) for x in elements for y in elements]
+        products = {cell: rng.choice(elements)
+                    for cell in rng.sample(cells, rng.randint(0, min(4, len(cells))))}
+        pt = PartialTable(elements=tuple(elements), products=products)
+        try:
+            check_partial_associativity(pt)
+        except ValueError:
+            continue
+        out.append(pt)
+    return out
+
+
+def _same_result(got, want):
+    assert (got.status, got.explored, got.bound) == (want.status, want.explored, want.bound)
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        (mt, injection), (ref, ref_injection) = got.witness, want.witness
+        assert mt.table.tolist() == ref.table.tolist()
+        assert mt.labels == ref.labels and injection == ref_injection
+
+
+@pytest.mark.parametrize("class_filter", sorted(CLASS_FILTERS))
+def test_stacked_checks_match_one_by_one_checks(class_filter):
+    statuses = set()
+    for pt in _random_partial_tables(12) + [PQ]:
+        want = _one_by_one(pt, 4, class_filter)
+        _same_result(embed_partial_table(pt, 4, class_filter), want)
+        statuses.add(want.status)
+    if class_filter != "group":
+        assert statuses == {"embeddable", "not_embeddable_up_to_bound"}
+    _same_result(embed_partial_table(bicyclic4_table(), 5, class_filter),
+                 _one_by_one(bicyclic4_table(), 5, class_filter))
+    if class_filter == "any":   # under a class filter the order-13 search is vast
+        _same_result(embed_partial_table(malcev_witness_table(), 13),
+                     _one_by_one(malcev_witness_table(), 13))
 
 
 def test_unknown_class_filter():
