@@ -28,8 +28,9 @@ import time
 from dataclasses import dataclass, field
 
 from .presets import Q_SYSTEM, build_fn_system
-from .rewrite import (compile_atoms, compile_conditions, conditions_hold, enumerate_redexes,
-                      normal_form, parse_condition, parse_pattern, render_atoms)
+from .rewrite import (_rule_results, compile_atoms, compile_conditions, conditions_hold,
+                      normal_form, parse_condition, parse_pattern, render_atoms,
+                      variable_ranges)
 
 __all__ = [
     "JointRow",
@@ -721,8 +722,15 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
               nf_memo: dict[str, str] | None = None) -> RowReport:
     """Check one row over all exponent assignments in 0..bound.
 
-    ``nf_memo`` maps words to their normal forms under ``system``; rows that
-    share one (as ``verify_appendix``'s rows do) reduce each word once.
+    The assignments come from ``rewrite.variable_ranges``: a variable's
+    one-variable conditions narrow its range up front, and every condition
+    is still checked on each assignment, so the admissible assignments and
+    their order are those of the full product.  A word t is checked against
+    the one-step results of ``row.first_rule`` and ``row.second_rule`` only,
+    found by running just those rules' matchers.  ``nf_memo`` maps words to
+    their normal forms under ``system``; rows that share one (as
+    ``verify_appendix``'s rows do) reduce each word once.  Raises ValueError
+    on a bound below 0.
     """
     if nf_memo is None:
         nf_memo = {}
@@ -736,8 +744,9 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
     report = RowReport(row=row)
     parsed_patterns, conditions = row.parsed
     checks = compile_conditions(conditions, n)
-    patterns = [compile_atoms(p, n) for p in parsed_patterns]
     variables = row.variables
+    ranges = variable_ranges(checks, variables, bound)
+    patterns = [compile_atoms(p, n) for p in parsed_patterns]
     seen: set[tuple[str, str, str, str]] = set()
 
     def record(assignment: dict[str, int], t: str, problems: list[str]) -> None:
@@ -747,7 +756,7 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
                 {"assignment": dict(assignment), "t": t, "problems": problems}
             )
 
-    for values in itertools.product(range(bound + 1), repeat=len(variables)):
+    for values in itertools.product(*ranges):
         assignment = dict(zip(variables, values))
         if not conditions_hold(checks, assignment):
             continue
@@ -762,11 +771,10 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
         seen.add(words)
         report.distinct += 1
         t, t1, t2, t0 = words
-        redexes = enumerate_redexes(system, t)
         problems = []
-        if t1 not in {r.word for r in redexes if r.rule_id == row.first_rule}:
+        if t1 not in _rule_results(system, t, row.first_rule):
             problems.append(f"t1 {t1!r} is not a one-step {row.first_rule} result of t")
-        if t2 not in {r.word for r in redexes if r.rule_id == row.second_rule}:
+        if t2 not in _rule_results(system, t, row.second_rule):
             problems.append(f"t2 {t2!r} is not a one-step {row.second_rule} result of t")
         if not problems:
             nf1, nf2, nf0 = nf(t1), nf(t2), nf(t0)
@@ -787,6 +795,8 @@ def verify_appendix(which: str, n: int | None = None, max_exp: int = 4,
     0..max(max_exp, 2n) for table B, which covers every boundary case since
     all table-B variables are capped at 2n by their side conditions.
     """
+    if max_exp < 0:
+        raise ValueError(f"exponent bound {max_exp} is below 0")
     table = which.upper()
     if table == "A":
         if n is not None:

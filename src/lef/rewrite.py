@@ -36,6 +36,23 @@ every attempt starting ``max_lhs_atoms`` or more runs before the run holding
 only leaves out matchers that cannot match at a position, so every position
 has the same matches as when every schema is tried there, and the argument
 holds unchanged.
+
+Bounded instantiation (``instantiate_all``, and ``appendix.check_row``)
+iterates the product of ``variable_ranges``: each variable's one-variable
+conditions narrow it as they narrow a matcher's atom, and every condition is
+still checked on each assignment, so the assignments and their order are
+those of the full 0..bound product.
+
+``critical_pairs`` finds overlaps through an index from every substring of
+every lhs instance to its (instance, start) entries.  Placing l2 at ``shift``
+letters right of l1's start, the overlaps with shift >= 0 are an l2 inside l1
+(l2's own entries in l1) or a prefix of l2 equal to a suffix of l1 (start-0
+entries under l1's suffixes); those with shift < 0 are an l2 containing l1
+(l1's entries at a start above 0) or a suffix of l2 equal to a prefix of l1.
+A pair and its mirror (l2, l1, -shift) share the joint word and the two
+placed instances, so only the first of them in the order of l1, l2, shift is
+kept; the pairs are read in that order without trying each shift of each
+ordered pair of instances.
 """
 
 from __future__ import annotations
@@ -334,6 +351,40 @@ def conditions_hold(checks: tuple[Check, ...], assignment: dict[str, int]) -> bo
     return True
 
 
+def _split_bounds(checks: tuple[Check, ...], variables) -> tuple[dict, dict, list]:
+    """(lo, hi, rest): the least and greatest value of each variable that the
+    one-variable ``>=`` checks allow (0 and ``_UNBOUNDED`` when none caps it),
+    and the checks that are not of that kind."""
+    lo, hi = dict.fromkeys(variables, 0), dict.fromkeys(variables, _UNBOUNDED)
+    rest = []
+    for check in checks:
+        const, var_coeffs, kind = check
+        if kind == _GE and len(var_coeffs) == 1 and var_coeffs[0][0] in lo:
+            (name, coeff), = var_coeffs
+            if coeff > 0:   # name >= ceil(-const / coeff)
+                lo[name] = max(lo[name], -(const // coeff))
+            else:           # name <= floor(const / -coeff)
+                hi[name] = min(hi[name], const // -coeff)
+        else:
+            rest.append(check)
+    return lo, hi, rest
+
+
+def _require_bound(bound: int) -> None:
+    if bound < 0:
+        raise ValueError(f"exponent bound {bound} is below 0")
+
+
+def variable_ranges(checks: tuple[Check, ...], variables, bound: int) -> list[range]:
+    """Per variable, the values in 0..bound that its one-variable ``>=``
+    checks allow.  The product of the ranges holds every assignment over
+    0..bound that passes ``checks``, in the order of the full product; the
+    checks with more variables still have to be run on it."""
+    _require_bound(bound)
+    lo, hi, _ = _split_bounds(checks, variables)
+    return [range(lo[v], min(hi[v], bound) + 1) for v in variables]
+
+
 class _Matcher:
     """One schema compiled against a fixed n.
 
@@ -353,18 +404,7 @@ class _Matcher:
     def __init__(self, schema: RuleSchema, n: int | None):
         self.schema = schema
         names = [expr.var_coeffs[0][0] for _, expr in schema.lhs if expr.is_bare_var()]
-        lo, hi = dict.fromkeys(names, 0), dict.fromkeys(names, _UNBOUNDED)
-        checks = []
-        for check in compile_conditions(schema.conditions, n):
-            const, var_coeffs, kind = check
-            if kind == _GE and len(var_coeffs) == 1 and var_coeffs[0][0] in lo:
-                (name, coeff), = var_coeffs
-                if coeff > 0:   # name >= ceil(-const / coeff)
-                    lo[name] = max(lo[name], -(const // coeff))
-                else:           # name <= floor(const / -coeff)
-                    hi[name] = min(hi[name], const // -coeff)
-            else:
-                checks.append(check)
+        lo, hi, checks = _split_bounds(compile_conditions(schema.conditions, n), names)
         atoms = []
         for letter, expr in schema.lhs:
             if expr.is_bare_var():
@@ -591,6 +631,19 @@ def enumerate_redexes(system: RewriteSystem, w: str) -> list[Reduction]:
     return out
 
 
+def _rule_results(system: RewriteSystem, w: str, rule_id: str) -> set[str]:
+    """The words one step of rule ``rule_id`` gives from w: the words of
+    ``enumerate_redexes`` with that rule id, from its matchers alone."""
+    out = set()
+    for m in system._matchers:
+        if m.schema.id != rule_id:
+            continue
+        for pos in range(len(w)):
+            for assignment, consumed in _match_at(m, w, pos, all_assignments=True):
+                out.add(w[:pos] + m.render(m.rhs, assignment) + w[pos + consumed:])
+    return out
+
+
 def _step_limit(step_limit: int | None) -> int:
     if step_limit is not None:
         return step_limit
@@ -661,11 +714,14 @@ def reduction_trace(system: RewriteSystem, w: str, step_limit: int | None = None
 
 def instantiate_all(system: RewriteSystem, exponent_bound: int):
     """Yield (schema, assignment, lhs, rhs) for every assignment with all
-    variables in [0, exponent_bound] satisfying the side conditions."""
+    variables in [0, exponent_bound] satisfying the side conditions.
+
+    Raises ValueError on a bound below 0."""
+    _require_bound(exponent_bound)
     for m in system._matchers:
         checks = compile_conditions(m.schema.conditions, system.parameter_n)
         variables = m.schema.variables
-        for values in itertools.product(range(exponent_bound + 1), repeat=len(variables)):
+        for values in itertools.product(*variable_ranges(checks, variables, exponent_bound)):
             assignment = dict(zip(variables, values))
             if not conditions_hold(checks, assignment):
                 continue
@@ -720,36 +776,54 @@ class CriticalPair:
 
 def critical_pairs(system: RewriteSystem, exponent_bound: int) -> list[CriticalPair]:
     """All overlaps (shared letters, including containment) between bounded
-    instances of the left-hand sides, each with its two one-step results."""
+    instances of the left-hand sides, each with its two one-step results.
+
+    Instances are numbered in ``instantiate_all`` order.  A pair is l1 (number
+    i) and l2 (number j) with l2 placed ``shift`` letters right of l1's start
+    (left of it when shift < 0), and the pairs come in the order of i, then j,
+    then shift.  The overlaps are read off an index from every substring of
+    every lhs to its (instance, start) entries (see the module docstring).
+    Of a pair and its mirror (j, i, -shift), which has the same joint word and
+    the same two placed instances, only the first in that order is kept: the
+    one with j > i, or with j == i and shift < 0.  The instance against itself
+    at shift 0 is no overlap.
+    """
     rules = [(schema.id, assignment, lhs, rhs)
              for schema, assignment, lhs, rhs in instantiate_all(system, exponent_bound)]
-    seen = set()
+    index: dict[str, list[tuple[int, int]]] = {}
+    for j, (_, _, lhs, _) in enumerate(rules):
+        for a in range(len(lhs)):
+            for b in range(a + 1, len(lhs) + 1):
+                index.setdefault(lhs[a:b], []).append((j, a))
+    # inside[i]: (j, shift) for every l2 = lhs of j that sits inside l1 at shift
+    inside: list[list[tuple[int, int]]] = [[] for _ in rules]
+    for j, (_, _, lhs, _) in enumerate(rules):
+        for i, start in index[lhs]:
+            inside[i].append((j, start))
     out: list[CriticalPair] = []
-    for id1, asg1, l1, r1 in rules:
-        for id2, asg2, l2, r2 in rules:
-            n1, n2 = len(l1), len(l2)
-            for shift in range(-(n2 - 1), n1):
-                lo, hi = max(0, shift), min(n1, shift + n2)
-                if hi <= lo:
-                    continue
-                if id1 == id2 and asg1 == asg2 and shift == 0:
-                    continue
-                if l1[lo:hi] != l2[lo - shift:hi - shift]:
-                    continue
-                start = min(0, shift)
-                joint = (l2[:-shift] if shift < 0 else "") + l1 + \
-                        (l2[n1 - shift:] if shift + n2 > n1 else "")
-                p1, p2 = -start, shift - start
-                key1 = (p1, id1, tuple(sorted(asg1.items())))
-                key2 = (p2, id2, tuple(sorted(asg2.items())))
-                dedup = (joint,) + tuple(sorted([key1, key2]))
-                if dedup in seen:
-                    continue
-                seen.add(dedup)
-                left = joint[:p1] + r1 + joint[p1 + n1:]
-                right = joint[:p2] + r2 + joint[p2 + n2:]
-                out.append(CriticalPair(joint, left, right,
-                                        (id1, dict(asg1), p1), (id2, dict(asg2), p2)))
+    for i, (id1, asg1, l1, r1) in enumerate(rules):
+        n1 = len(l1)
+        # shift >= 0: l2 inside l1, or a prefix of l2 equal to a suffix of l1
+        found = [(j, shift) for j, shift in inside[i] if j > i]
+        for shift in range(n1):
+            found += [(j, shift) for j, start in index[l1[shift:]]
+                      if j > i and start == 0 and len(rules[j][2]) > n1 - shift]
+        # shift < 0: l2 containing l1, or a suffix of l2 equal to a prefix of l1
+        found += [(j, -start) for j, start in index[l1] if j >= i and start > 0]
+        for k in range(1, n1):
+            found += [(j, -start) for j, start in index[l1[:k]]
+                      if j >= i and start > 0 and start + k == len(rules[j][2])]
+        found.sort()
+        for j, shift in found:
+            id2, asg2, l2, r2 = rules[j]
+            n2 = len(l2)
+            joint = (l2[:-shift] if shift < 0 else "") + l1 + \
+                    (l2[n1 - shift:] if shift + n2 > n1 else "")
+            p1, p2 = max(0, -shift), max(0, shift)
+            left = joint[:p1] + r1 + joint[p1 + n1:]
+            right = joint[:p2] + r2 + joint[p2 + n2:]
+            out.append(CriticalPair(joint, left, right,
+                                    (id1, dict(asg1), p1), (id2, dict(asg2), p2)))
     return out
 
 

@@ -3,6 +3,7 @@ pattern rendering, the row checker, and full-table verification (smoke bounds
 here; the acceptance tests run the full bounds)."""
 
 import dataclasses
+import itertools
 from collections import Counter
 
 import pytest
@@ -18,6 +19,8 @@ from lef.appendix import (
     verify_appendix,
 )
 from lef.presets import Q_SYSTEM, build_fn_system
+from lef.rewrite import (compile_conditions, conditions_hold, enumerate_redexes,
+                         parse_condition, variable_ranges)
 
 # rows that admit no assignment at n = 1: every row whose side conditions
 # demand an open window like n < alpha - beta < 2n collapses when n = 1
@@ -116,6 +119,70 @@ def test_verify_appendix_argument_validation():
         verify_appendix("A", n=1)  # has no parameter
     with pytest.raises(ValueError):
         verify_appendix("C")
+    for which, n in (("A", None), ("B", 1)):
+        with pytest.raises(ValueError, match="below 0"):
+            verify_appendix(which, n=n, max_exp=-1)
+    with pytest.raises(ValueError, match="below 0"):
+        check_row(Q_SYSTEM, get_row("A1"), bound=-1)
+
+
+# ---------------------------------------------------------------------------
+# the row checker against its reference: the full 0..bound product and every
+# rule's redexes
+
+
+def _full_ranges(checks, variables, bound):
+    return [range(bound + 1)] * len(variables)
+
+
+def _via_all_redexes(system, w, rule_id):
+    return {r.word for r in enumerate_redexes(system, w) if r.rule_id == rule_id}
+
+
+def _reference_check_row(monkeypatch, system, row, bound):
+    with monkeypatch.context() as m:
+        m.setattr(lef.appendix, "variable_ranges", _full_ranges)
+        m.setattr(lef.appendix, "_rule_results", _via_all_redexes)
+        return check_row(system, row, bound)
+
+
+def _reference_cases():
+    yield from ((Q_SYSTEM, row) for row in A_ROWS)
+    for n in (1, 2):
+        yield from ((build_fn_system(n), row) for row in B_ROWS)
+    yield Q_SYSTEM, dataclasses.replace(get_row("A3"), t1="x c^beta e^gamma x c x")
+    yield build_fn_system(2), dataclasses.replace(get_row("B79"), t0="x c^2n-alpha+beta x")
+    # t1 and t2 are one-step results of t, each under the other row's rule
+    a3 = get_row("A3")
+    yield Q_SYSTEM, dataclasses.replace(a3, first_rule=a3.second_rule, second_rule=a3.first_rule)
+
+
+def test_check_row_matches_the_full_product_reference(monkeypatch):
+    for system, row in _reference_cases():
+        expected = _reference_check_row(monkeypatch, system, row, 4).as_json()
+        assert check_row(system, row, 4).as_json() == expected, (row.label, system.name)
+
+
+def test_variable_ranges_keep_every_admissible_assignment():
+    """Every row's and every schema's conditions at n = 1, 2 over bounds
+    0..3: the ranges' product, filtered by the checks, is the filtered full
+    product, order included."""
+    alpha = compile_conditions((parse_condition("0<alpha<=2n"),), 1)
+    assert variable_ranges(alpha, ("alpha", "beta"), 4) == [range(1, 3), range(5)]
+    cases = [(row.parsed[1], row.variables, None) for row in A_ROWS]
+    cases += [(row.parsed[1], row.variables, n) for row in B_ROWS for n in (1, 2)]
+    cases += [(schema.conditions, schema.variables, system.parameter_n)
+              for system in (Q_SYSTEM, build_fn_system(1), build_fn_system(2))
+              for schema in system.schemas]
+    for conditions, variables, n in cases:
+        checks = compile_conditions(conditions, n)
+        for bound in range(4):
+            def admissible(values_list):
+                return [values for values in values_list
+                        if conditions_hold(checks, dict(zip(variables, values)))]
+            full = admissible(itertools.product(range(bound + 1), repeat=len(variables)))
+            narrowed = admissible(itertools.product(*variable_ranges(checks, variables, bound)))
+            assert narrowed == full, (conditions, n, bound)
 
 
 # ---------------------------------------------------------------------------

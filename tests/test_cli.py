@@ -93,6 +93,16 @@ def test_rewrite_rejects_letters_outside_the_system(capsys):
     assert "['z']" in err and "Traceback" not in err
 
 
+def test_negative_exponent_bounds_are_errors(capsys):
+    for argv in (("verify-appendix", "--which", "A", "--max-exp", "-1"),
+                 ("confluence", "--system", "q", "--bound", "-1"),
+                 ("termination", "--system", "fn:1", "--bound", "-2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: ") and "below 0" in err and "Traceback" not in err
+
+
 def test_nf_random_strategy_seeded(capsys):
     code, out, _ = run(capsys, "nf", "--system", "q", "--word", "xcab",
                        "--strategy", "random", "--seed", "5")

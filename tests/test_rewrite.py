@@ -12,6 +12,7 @@ import lef.rewrite
 from lef.presets import Q_SYSTEM, build_fn_system
 from lef.rewrite import (
     ConditionError,
+    CriticalPair,
     RewriteSystem,
     StepLimitError,
     check_local_confluence,
@@ -451,6 +452,61 @@ def test_unresolved_pair_is_reported():
     assert not report.locally_confluent
     assert report.unresolved
     _ = broken
+
+
+def _reference_critical_pairs(system, bound):
+    """Every ordered pair of bounded instances at every shift, with a set
+    that drops the second of two pairs naming the same joint word and the
+    same two placed instances."""
+    rules = [(schema.id, asg, lhs, rhs) for schema, asg, lhs, rhs in instantiate_all(system, bound)]
+    seen = set()
+    out = []
+    for id1, asg1, l1, r1 in rules:
+        for id2, asg2, l2, r2 in rules:
+            n1, n2 = len(l1), len(l2)
+            for shift in range(-(n2 - 1), n1):
+                lo, hi = max(0, shift), min(n1, shift + n2)
+                if id1 == id2 and asg1 == asg2 and shift == 0:
+                    continue
+                if l1[lo:hi] != l2[lo - shift:hi - shift]:
+                    continue
+                start = min(0, shift)
+                joint = (l2[:-shift] if shift < 0 else "") + l1 + \
+                        (l2[n1 - shift:] if shift + n2 > n1 else "")
+                p1, p2 = -start, shift - start
+                key1 = (p1, id1, tuple(sorted(asg1.items())))
+                key2 = (p2, id2, tuple(sorted(asg2.items())))
+                dedup = (joint,) + tuple(sorted([key1, key2]))
+                if dedup in seen:
+                    continue
+                seen.add(dedup)
+                left = joint[:p1] + r1 + joint[p1 + n1:]
+                right = joint[:p2] + r2 + joint[p2 + n2:]
+                out.append(CriticalPair(joint, left, right,
+                                        (id1, dict(asg1), p1), (id2, dict(asg2), p2)))
+    return out
+
+
+OVERLAP_CASES = [("q", Q_SYSTEM, bound) for bound in range(4)] + [
+    ("fn:1", build_fn_system(1), 3), ("fn:2", build_fn_system(2), 2),
+    ("fn:3", build_fn_system(3), 2),
+] + [(name, DISPATCH[name], 3) for name in ("edge", "zero-start", "one-start", "constant")]
+
+
+@pytest.mark.parametrize("name, system, bound", OVERLAP_CASES,
+                         ids=[f"{name}-{bound}" for name, _, bound in OVERLAP_CASES])
+def test_critical_pairs_match_the_all_pairs_reference(name, system, bound):
+    assert critical_pairs(system, bound) == _reference_critical_pairs(system, bound)
+
+
+@pytest.mark.parametrize("bound", [-1, -2])
+def test_negative_exponent_bounds_are_rejected(bound):
+    with pytest.raises(ValueError, match="below 0"):
+        list(instantiate_all(Q_SYSTEM, bound))
+    with pytest.raises(ValueError, match="below 0"):
+        check_local_confluence(Q_SYSTEM, bound)
+    with pytest.raises(ValueError, match="below 0"):
+        check_termination_order(build_fn_system(1), bound)
 
 
 # ---------------------------------------------------------------------------
