@@ -23,12 +23,11 @@ word tuples are deduplicated before checking.
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from dataclasses import dataclass, field
 
 from .presets import Q_SYSTEM, build_fn_system
-from .rewrite import (_rule_results, compile_atoms, compile_conditions, conditions_hold,
+from .rewrite import (_assignments, _rule_results, compile_atoms, compile_conditions,
                       normal_form, parse_condition, parse_pattern, render_atoms,
                       variable_ranges)
 
@@ -723,12 +722,14 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
     """Check one row over all exponent assignments in 0..bound.
 
     The assignments come from ``rewrite.variable_ranges``: a variable's
-    one-variable conditions narrow its range up front, and every condition
-    is still checked on each assignment, so the admissible assignments and
-    their order are those of the full product.  A word t is checked against
-    the one-step results of ``row.first_rule`` and ``row.second_rule`` only,
-    found by running just those rules' matchers.  ``nf_memo`` maps words to
-    their normal forms under ``system``; rows that share one (as
+    one-variable conditions narrow its range up front and are not checked
+    again; the other conditions are checked on each assignment, so the
+    admissible assignments and their order are those of the full product.
+    A word t is checked against the one-step results of ``row.first_rule``
+    and ``row.second_rule`` only, found by running just those rules'
+    matchers.  ``nf_memo`` maps words to their normal forms under
+    ``system`` and is passed to ``normal_form``, which records every word
+    of each leftmost chain in it; rows that share one (as
     ``verify_appendix``'s rows do) reduce each word once.  Raises ValueError
     on a bound below 0.
     """
@@ -736,9 +737,7 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
         nf_memo = {}
 
     def nf(w: str) -> str:
-        if w not in nf_memo:
-            nf_memo[w] = normal_form(system, w)
-        return nf_memo[w]
+        return nf_memo[w] if w in nf_memo else normal_form(system, w, memo=nf_memo)
 
     n = system.parameter_n
     report = RowReport(row=row)
@@ -756,10 +755,7 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
                 {"assignment": dict(assignment), "t": t, "problems": problems}
             )
 
-    for values in itertools.product(*ranges):
-        assignment = dict(zip(variables, values))
-        if not conditions_hold(checks, assignment):
-            continue
+    for assignment in _assignments(checks, variables, ranges):
         report.assignments += 1
         try:
             words = tuple(render_atoms(p, assignment) for p in patterns)

@@ -42,6 +42,17 @@ class CliError(Exception):
     """A usage or data problem with a user-facing message."""
 
 
+def _step_count(text: str) -> int:
+    """argparse type of --max-steps and --step-limit: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is below 0")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # JSON artifact loading with pointer paths
 
@@ -746,9 +757,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="show a reduction trace")
     p.add_argument("--system", required=True, help="q or fn:<n>")
     p.add_argument("--word", required=True)
-    p.add_argument("--max-steps", type=int, default=None,
+    p.add_argument("--max-steps", type=_step_count, default=None,
                    help="stop after this many steps (default: to normal form)")
-    p.add_argument("--step-limit", type=int, default=None)
+    p.add_argument("--step-limit", type=_step_count, default=None)
     p.set_defaults(handler=_cmd_rewrite)
 
     p = sub.add_parser("nf", parents=[common], help="print the normal form")
@@ -758,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="leftmost")
     p.add_argument("--seed", type=int, default=0,
                    help="rng seed for --strategy random (default 0)")
-    p.add_argument("--step-limit", type=int, default=None)
+    p.add_argument("--step-limit", type=_step_count, default=None)
     p.set_defaults(handler=_cmd_nf)
 
     p = sub.add_parser("confluence", parents=[common],
@@ -766,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, help="q or fn:<n>")
     p.add_argument("--bound", type=int, default=2,
                    help="exponent bound for rule instantiation (default 2)")
-    p.add_argument("--step-limit", type=int, default=None)
+    p.add_argument("--step-limit", type=_step_count, default=None)
     p.set_defaults(handler=_cmd_confluence)
 
     p = sub.add_parser("termination", parents=[common],

@@ -37,11 +37,22 @@ only leaves out matchers that cannot match at a position, so every position
 has the same matches as when every schema is tried there, and the argument
 holds unchanged.
 
+``normal_form`` takes an optional memo from words to their leftmost normal
+forms, which the verify campaigns (``check_local_confluence`` and
+``appendix.verify_appendix``) share across all their words.  Leftmost
+reduction is deterministic, so every word on a chain w -> w1 -> ... -> v has
+v as its leftmost normal form, confluent system or not: the walk stops at the
+first word of the chain that is in the memo and records the result for every
+word it stepped through, so each word is reduced once per campaign.  The step
+limit (``step_limit``, else LEF_STEP_LIMIT, else ``DEFAULT_STEP_LIMIT``; it
+must be an integer >= 0) bounds the steps of one call, so a call that meets
+the memo early takes fewer.
+
 Bounded instantiation (``instantiate_all``, and ``appendix.check_row``)
 iterates the product of ``variable_ranges``: each variable's one-variable
-conditions narrow it as they narrow a matcher's atom, and every condition is
-still checked on each assignment, so the assignments and their order are
-those of the full 0..bound product.
+conditions narrow it as they narrow a matcher's atom.  Those conditions hold
+on the whole product, so only the others are checked on each assignment; the
+assignments and their order are those of the full 0..bound product.
 
 ``critical_pairs`` finds overlaps through an index from every substring of
 every lhs instance to its (instance, start) entries.  Placing l2 at ``shift``
@@ -385,6 +396,31 @@ def variable_ranges(checks: tuple[Check, ...], variables, bound: int) -> list[ra
     return [range(lo[v], min(hi[v], bound) + 1) for v in variables]
 
 
+def _assignments(checks: tuple[Check, ...], variables, ranges):
+    """Yield, in product order, the assignments of ``itertools.product(*ranges)``
+    that pass ``checks``.
+
+    A one-variable ``>=`` check is linear in its variable, so it passes on a
+    whole range when it passes at both ends; such checks are settled by the
+    ranges and not run.  On the ranges of ``variable_ranges`` these are the
+    checks ``_split_bounds`` folds, and only its remainder is run.
+    """
+    span = dict(zip(variables, ranges))
+    rest = []
+    for check in checks:
+        const, var_coeffs, kind = check
+        if kind == _GE and len(var_coeffs) == 1 and span.get(var_coeffs[0][0]):
+            (name, coeff), = var_coeffs
+            values = span[name]
+            if const + coeff * values[0] >= 0 and const + coeff * values[-1] >= 0:
+                continue
+        rest.append(check)
+    for values in itertools.product(*ranges):
+        assignment = dict(zip(variables, values))
+        if not rest or conditions_hold(rest, assignment):
+            yield assignment
+
+
 class _Matcher:
     """One schema compiled against a fixed n.
 
@@ -645,9 +681,22 @@ def _rule_results(system: RewriteSystem, w: str, rule_id: str) -> set[str]:
 
 
 def _step_limit(step_limit: int | None) -> int:
-    if step_limit is not None:
-        return step_limit
-    return int(os.environ.get("LEF_STEP_LIMIT", DEFAULT_STEP_LIMIT))
+    """The step limit to use: ``step_limit`` when given, else LEF_STEP_LIMIT,
+    else ``DEFAULT_STEP_LIMIT``.  Raises ValueError naming the source on a
+    value below 0, or on an environment value that is not an integer."""
+    source = "step_limit"
+    if step_limit is None:
+        raw = os.environ.get("LEF_STEP_LIMIT")
+        if raw is None:
+            return DEFAULT_STEP_LIMIT
+        source = "LEF_STEP_LIMIT"
+        try:
+            step_limit = int(raw)
+        except ValueError:
+            raise ValueError(f"LEF_STEP_LIMIT={raw!r} is not an integer") from None
+    if step_limit < 0:
+        raise ValueError(f"{source}={step_limit} is below 0")
+    return step_limit
 
 
 def _resume_point(w: str, pos: int, runs: int) -> int:
@@ -666,32 +715,56 @@ def _resume_point(w: str, pos: int, runs: int) -> int:
 
 
 def normal_form(system: RewriteSystem, w: str, step_limit: int | None = None,
-                strategy: str = "leftmost", rng: random.Random | None = None) -> str:
+                strategy: str = "leftmost", rng: random.Random | None = None,
+                memo: dict[str, str] | None = None) -> str:
     """Reduce w to an irreducible word.
 
     Unique independent of strategy once the system is verified convergent;
-    strategy='random' exists to test exactly that.
+    strategy='random' exists to test exactly that.  StepLimitError is raised
+    when this call would take more than the step limit (see ``_step_limit``)
+    steps.
+
+    ``memo`` maps words to their leftmost normal forms under ``system``; it
+    is for the leftmost strategy only (ValueError otherwise).  The walk stops
+    at the first word of the chain that is a key, and then every word it
+    stepped through, and the irreducible word it reached, maps to the result.
+    Leftmost reduction is deterministic, so each word of a chain has the
+    chain's end as its leftmost normal form, whether or not the system is
+    confluent.  Nothing is recorded when the step limit is exceeded.
     """
     limit = _step_limit(step_limit)
-    if strategy == "random" and rng is None:
-        rng = random.Random(0)
-    steps = 0
-    start = 0
-    while True:
-        if strategy == "leftmost":
+    leftmost = strategy == "leftmost"
+    if not leftmost:
+        if memo is not None:
+            raise ValueError("a normal-form memo needs the leftmost strategy")
+        if rng is None:
+            rng = random.Random(0)
+    chain: list[str] = []  # the words stepped through, kept for the memo only
+    steps = start = 0
+    while memo is None or w not in memo:
+        if leftmost:
             red = reduce_once(system, w, _start=start)
         else:
             options = enumerate_redexes(system, w)
             red = rng.choice(options) if options else None
         if red is None:
-            return w
+            if memo is None:
+                return w
+            memo[w] = w
+            break
+        if memo is not None:
+            chain.append(w)
         w = red.word
         steps += 1
         if steps > limit:
             raise StepLimitError(
                 f"no normal form within {limit} steps (system {system.name}, stuck at {w[:80]!r})")
-        if strategy == "leftmost":
+        if leftmost:
             start = _resume_point(w, red.position, system._max_atoms)
+    result = memo[w]
+    for word in chain:
+        memo[word] = result
+    return result
 
 
 def reduction_trace(system: RewriteSystem, w: str, step_limit: int | None = None
@@ -721,10 +794,8 @@ def instantiate_all(system: RewriteSystem, exponent_bound: int):
     for m in system._matchers:
         checks = compile_conditions(m.schema.conditions, system.parameter_n)
         variables = m.schema.variables
-        for values in itertools.product(*variable_ranges(checks, variables, exponent_bound)):
-            assignment = dict(zip(variables, values))
-            if not conditions_hold(checks, assignment):
-                continue
+        ranges = variable_ranges(checks, variables, exponent_bound)
+        for assignment in _assignments(checks, variables, ranges):
             lhs, rhs = m.instance(assignment)
             yield m.schema, assignment, lhs, rhs
 
@@ -840,12 +911,12 @@ class ConfluenceReport:
 
 def check_local_confluence(system: RewriteSystem, exponent_bound: int,
                            step_limit: int | None = None) -> ConfluenceReport:
+    limit = _step_limit(step_limit)
     pairs = critical_pairs(system, exponent_bound)
     nf_cache: dict[str, str] = {}
+
     def nf(w: str) -> str:
-        if w not in nf_cache:
-            nf_cache[w] = normal_form(system, w, step_limit=step_limit)
-        return nf_cache[w]
+        return nf_cache[w] if w in nf_cache else normal_form(system, w, limit, memo=nf_cache)
     unresolved = []
     resolved = 0
     for cp in pairs:

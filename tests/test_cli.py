@@ -391,3 +391,19 @@ def test_step_limit_env(capsys, monkeypatch):
     code, _, err = run(capsys, "nf", "--system", "q", "--word", "xcabxcab")
     assert code == 1
     assert "step limit" in err.lower() or "error" in err.lower()
+
+
+def test_negative_step_counts_are_usage_errors(capsys, monkeypatch):
+    for argv, flag, shown in (
+            (("rewrite", "--system", "q", "--word", "xaaccx", "--max-steps", "-1"), "--max-steps", "-1"),
+            (("nf", "--system", "q", "--word", "xcab", "--step-limit", "-5"), "--step-limit", "-5"),
+            (("confluence", "--system", "q", "--step-limit", "x"), "--step-limit", "'x'")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert f"argument {flag}: {shown}" in err and "Traceback" not in err
+    for value, message in (("-3", "LEF_STEP_LIMIT=-3 is below 0"),
+                           ("abc", "LEF_STEP_LIMIT='abc' is not an integer")):
+        monkeypatch.setenv("LEF_STEP_LIMIT", value)
+        code, out, err = run(capsys, "nf", "--system", "q", "--word", "xcab")
+        assert (code, out, err) == (1, "", f"error: {message}\n")

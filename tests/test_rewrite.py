@@ -226,6 +226,80 @@ def test_leftmost_normal_form_is_strategy_independent(name, word, seed):
         normal_form(system, word, strategy="random", rng=random.Random(seed))
 
 
+
+# ---------------------------------------------------------------------------
+# the normal-form memo: every word of a leftmost chain maps to the chain's end
+
+# not confluent: "ab" reduces to "a" by r1 and to "ac" by r2
+DIVERGING = RewriteSystem(name="diverging", alphabet="abc", order="abc",
+                          schemas=(make_schema("r1", "ab", "a"), make_schema("r2", "b", "c")))
+MEMO_SYSTEMS = {**SYSTEMS, "diverging": DIVERGING}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_SYSTEMS))
+def test_a_shared_memo_gives_the_plain_normal_forms(name):
+    system = MEMO_SYSTEMS[name]
+    memo: dict[str, str] = {}
+    for word in all_words(system.alphabet, 5):
+        assert normal_form(system, word, memo=memo) == normal_form(system, word), word
+    assert len(memo) > 0
+    for key, value in memo.items():
+        assert value == normal_form(system, key), key
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_SYSTEMS))
+def test_one_memoised_call_records_its_whole_chain(name):
+    system = MEMO_SYSTEMS[name]
+    shared: dict[str, str] = {}
+    for word in all_words(system.alphabet, 4):
+        final, trace = reduction_trace(system, word)
+        chain = [word] + [red.word for red in trace]
+        memo: dict[str, str] = {}
+        assert normal_form(system, word, memo=memo) == final
+        assert memo == dict.fromkeys(chain, final), word
+        # a shared memo stays closed under the leftmost step
+        normal_form(system, word, memo=shared)
+        assert all(w in shared for w in chain), word
+
+
+def test_memo_step_limit_counts_only_the_steps_taken():
+    word = "xcabxcab"
+    _, trace = reduction_trace(Q_SYSTEM, word)
+    assert len(trace) > 2
+    with pytest.raises(StepLimitError):
+        normal_form(Q_SYSTEM, word, step_limit=2)
+    # the chain meets the memo after two steps, so two steps are enough
+    memo = {trace[1].word: normal_form(Q_SYSTEM, trace[1].word)}
+    assert normal_form(Q_SYSTEM, word, step_limit=2, memo=memo) == normal_form(Q_SYSTEM, word)
+    looping = RewriteSystem(name="loop", alphabet="ab", order="ab",
+                            schemas=(make_schema("r1", "a", "b"), make_schema("r2", "b", "a")))
+    memo = {}
+    with pytest.raises(StepLimitError):
+        normal_form(looping, "a", step_limit=10, memo=memo)
+    assert memo == {}
+
+
+def test_memo_needs_the_leftmost_strategy():
+    with pytest.raises(ValueError, match="leftmost"):
+        normal_form(Q_SYSTEM, "xcab", strategy="random", memo={})
+
+
+def test_step_limits_below_zero_or_not_integers_are_rejected(monkeypatch):
+    with pytest.raises(ValueError, match="step_limit=-1 is below 0"):
+        normal_form(Q_SYSTEM, "xe", step_limit=-1)
+    monkeypatch.setenv("LEF_STEP_LIMIT", "-3")
+    with pytest.raises(ValueError, match="LEF_STEP_LIMIT=-3 is below 0"):
+        normal_form(Q_SYSTEM, "xe")
+    with pytest.raises(ValueError, match="LEF_STEP_LIMIT=-3 is below 0"):
+        reduction_trace(Q_SYSTEM, "xe")
+    monkeypatch.setenv("LEF_STEP_LIMIT", "abc")
+    with pytest.raises(ValueError, match="LEF_STEP_LIMIT='abc' is not an integer"):
+        check_local_confluence(Q_SYSTEM, 1)
+    # an explicit limit wins over the environment, and 0 allows no step
+    assert normal_form(Q_SYSTEM, "xe", step_limit=0) == "xe"
+    with pytest.raises(StepLimitError):
+        normal_form(Q_SYSTEM, "xb", step_limit=0)
+
 def test_compiled_state_belongs_to_its_system():
     def reduce_ab(rhs):
         system = RewriteSystem(name="ab", alphabet="ab", order="ab",
