@@ -27,9 +27,9 @@ import time
 from dataclasses import dataclass, field
 
 from .presets import Q_SYSTEM, build_fn_system
-from .rewrite import (_assignments, _rule_results, compile_atoms, compile_conditions,
-                      normal_form, parse_condition, parse_pattern, render_atoms,
-                      variable_ranges)
+from .rewrite import (_rule_results, bounded_assignments, compile_atoms,
+                      compile_conditions, normal_form, parse_condition, parse_pattern,
+                      render_atoms)
 
 __all__ = [
     "JointRow",
@@ -721,17 +721,17 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
               nf_memo: dict[str, str] | None = None) -> RowReport:
     """Check one row over all exponent assignments in 0..bound.
 
-    The assignments come from ``rewrite.variable_ranges``: a variable's
+    The assignments come from ``rewrite.bounded_assignments``: a variable's
     one-variable conditions narrow its range up front and are not checked
     again; the other conditions are checked on each assignment, so the
     admissible assignments and their order are those of the full product.
     A word t is checked against the one-step results of ``row.first_rule``
     and ``row.second_rule`` only, found by running just those rules'
-    matchers.  ``nf_memo`` maps words to their normal forms under
-    ``system`` and is passed to ``normal_form``, which records every word
-    of each leftmost chain in it; rows that share one (as
-    ``verify_appendix``'s rows do) reduce each word once.  Raises ValueError
-    on a bound below 0.
+    matchers where the window table files them.  ``nf_memo`` maps words to
+    their normal forms under ``system`` and is passed to ``normal_form``,
+    which records every word of each leftmost chain in it; rows that share
+    one (as ``verify_appendix``'s rows do) reduce each word once.  Raises
+    ValueError on a bound below 0.
     """
     if nf_memo is None:
         nf_memo = {}
@@ -743,8 +743,6 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
     report = RowReport(row=row)
     parsed_patterns, conditions = row.parsed
     checks = compile_conditions(conditions, n)
-    variables = row.variables
-    ranges = variable_ranges(checks, variables, bound)
     patterns = [compile_atoms(p, n) for p in parsed_patterns]
     seen: set[tuple[str, str, str, str]] = set()
 
@@ -755,7 +753,7 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
                 {"assignment": dict(assignment), "t": t, "problems": problems}
             )
 
-    for assignment in _assignments(checks, variables, ranges):
+    for assignment in bounded_assignments(checks, row.variables, bound):
         report.assignments += 1
         try:
             words = tuple(render_atoms(p, assignment) for p in patterns)

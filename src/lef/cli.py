@@ -43,7 +43,8 @@ class CliError(Exception):
 
 
 def _step_count(text: str) -> int:
-    """argparse type of --max-steps and --step-limit: an integer >= 0."""
+    """argparse type of the count flags (--max-steps, --step-limit, --limit,
+    --length-bound, --node-bound): an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -425,7 +426,7 @@ def _cmd_assign(args) -> int:
     for assignment, violations in find_relational_assignments(
             mt, relations, distinctness=distinct):
         total += 1
-        if args.limit is None or len(found) < args.limit:
+        if len(found) < args.limit:
             found.append((assignment, violations))
     payload = {
         "order": mt.order,
@@ -832,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use this preset's defining relations")
     p.add_argument("--distinct", action="append", metavar="U!=V",
                    help="flag assignments collapsing this pair (repeatable)")
-    p.add_argument("--limit", type=int, default=20,
+    p.add_argument("--limit", type=_step_count, default=20,
                    help="assignments echoed in the report (default 20)")
     p.set_defaults(handler=_cmd_assign)
 
@@ -893,8 +894,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--method", choices=("auto", "nf", "bfs"), default="auto")
-    p.add_argument("--length-bound", type=int, default=None)
-    p.add_argument("--node-bound", type=int, default=1_000_000)
+    p.add_argument("--length-bound", type=_step_count, default=None)
+    p.add_argument("--node-bound", type=_step_count, default=1_000_000)
     p.set_defaults(handler=_cmd_eq)
 
     p = sub.add_parser("replay", parents=[common],

@@ -10,7 +10,9 @@ one-table predicates are the stack of one.  Enumeration, and the embedding
 search in ``search``, run one propagation engine on flat tables
 (``_TableSearch``), which indexes its cells by value; enumeration up to
 isomorphism keeps the first table of each class in lexicographic order and
-skips the rest of its orbit.
+skips the rest of its orbit.  Word equations over a table are filtered on
+columns of assignments (``_assignment_columns``), one column per variable,
+for ``check_implication`` and ``search.find_relational_assignments`` alike.
 """
 
 from __future__ import annotations
@@ -490,53 +492,43 @@ def relation_variables(relations) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
-def word_value_grid(mt: MulTable, word: str, variables: tuple[str, ...]) -> np.ndarray:
-    """Array of the word's value over every assignment, one axis per variable."""
-    n = mt.order
-    k = len(variables)
-    def axis_grid(ch: str) -> np.ndarray:
-        i = variables.index(ch)
-        shape = [1] * k
-        shape[i] = n
-        return np.arange(n).reshape(shape)
-    val = np.broadcast_to(axis_grid(word[0]), (n,) * k)
+def _word_values(table: np.ndarray, cols: dict[str, np.ndarray], word: str) -> np.ndarray:
+    """The word's value on each assignment row of ``cols``."""
+    val = cols[word[0]]
     for ch in word[1:]:
-        val = mt.table[val, axis_grid(ch)]
+        val = table[val, cols[ch]]
     return val
 
 
-def relation_grid(mt: MulTable, relation: tuple[str, str],
-                  variables: tuple[str, ...]) -> np.ndarray:
-    u, v = relation
-    return word_value_grid(mt, u, variables) == word_value_grid(mt, v, variables)
+def _assignment_columns(mt: MulTable, variables: tuple[str, ...], premises,
+                        conclusions=()) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The assignments of ``variables`` into mt under which every premise
+    holds and no conclusion does, as (table, columns): one column of values
+    per variable, one row per assignment, rows in C order of the grid of
+    assignments.
+
+    Each relation keeps only the rows it allows, so later relations are
+    evaluated on fewer rows.  Values are stored in the smallest unsigned type
+    that holds them, as the grid has order ** variables rows; ``table`` is
+    mt's table in that type, for ``_word_values`` on the columns."""
+    n, k = mt.order, len(variables)
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    table = mt.table.astype(dtype)
+    cols = dict(zip(variables, np.indices((n,) * k, dtype=dtype).reshape(k, n ** k)))
+    for keep_equal, relations in ((True, premises), (False, conclusions)):
+        for u, v in relations:
+            keep = (_word_values(table, cols, u) == _word_values(table, cols, v)) == keep_equal
+            cols = {x: col[keep] for x, col in cols.items()}
+    return table, cols
 
 
 def check_implication(mt: MulTable, premises, conclusions) -> dict | None:
     """None when every assignment satisfying all premises satisfies at least
     one conclusion; otherwise a counterexample assignment, the first in C
-    order of the grid of assignments.
-
-    Assignments are kept as one column of values per variable, in that
-    order; each premise keeps only the assignments that satisfy it, and each
-    conclusion drops those that satisfy it, so later relations are evaluated
-    on fewer assignments.  Values are stored in the smallest unsigned type
-    that holds them, as the grid has order ** variables rows."""
+    order of the grid of assignments: the first row that
+    ``_assignment_columns`` keeps."""
     variables = relation_variables(list(premises) + list(conclusions))
-    n, k = mt.order, len(variables)
-    dtype = np.min_scalar_type(max(n - 1, 0))
-    T = mt.table.astype(dtype)
-    cols = dict(zip(variables, np.indices((n,) * k, dtype=dtype).reshape(k, n ** k)))
-
-    def value(word: str) -> np.ndarray:
-        val = cols[word[0]]
-        for ch in word[1:]:
-            val = T[val, cols[ch]]
-        return val
-
-    for keep_equal, relations in ((True, premises), (False, conclusions)):
-        for u, v in relations:
-            keep = (value(u) == value(v)) == keep_equal
-            cols = {x: col[keep] for x, col in cols.items()}
+    _, cols = _assignment_columns(mt, variables, premises, conclusions)
     if variables and not cols[variables[0]].size:
         return None
     return {x: int(col[0]) for x, col in cols.items()}   # {} is the one empty assignment

@@ -48,10 +48,10 @@ limit (``step_limit``, else LEF_STEP_LIMIT, else ``DEFAULT_STEP_LIMIT``; it
 must be an integer >= 0) bounds the steps of one call, so a call that meets
 the memo early takes fewer.
 
-Bounded instantiation (``instantiate_all``, and ``appendix.check_row``)
-iterates the product of ``variable_ranges``: each variable's one-variable
-conditions narrow it as they narrow a matcher's atom.  Those conditions hold
-on the whole product, so only the others are checked on each assignment; the
+Bounded instantiation (``instantiate_all``, and ``appendix.check_row``) is
+``bounded_assignments``: each variable's one-variable conditions narrow its
+range as they narrow a matcher's atom, the product of those ranges is walked,
+and only the other conditions are checked on each assignment.  The
 assignments and their order are those of the full 0..bound product.
 
 ``critical_pairs`` finds overlaps through an index from every substring of
@@ -381,40 +381,19 @@ def _split_bounds(checks: tuple[Check, ...], variables) -> tuple[dict, dict, lis
     return lo, hi, rest
 
 
-def _require_bound(bound: int) -> None:
+def bounded_assignments(checks: tuple[Check, ...], variables, bound: int):
+    """Yield, in the order of the full 0..bound product, every assignment of
+    ``variables`` into 0..bound that passes ``checks``.
+
+    ``_split_bounds`` folds the one-variable ``>=`` checks into each
+    variable's range, as it does for a matcher's atoms; only the product of
+    the narrowed ranges is walked, and only the checks it did not fold are run
+    on each assignment.  Raises ValueError on a bound below 0.
+    """
     if bound < 0:
         raise ValueError(f"exponent bound {bound} is below 0")
-
-
-def variable_ranges(checks: tuple[Check, ...], variables, bound: int) -> list[range]:
-    """Per variable, the values in 0..bound that its one-variable ``>=``
-    checks allow.  The product of the ranges holds every assignment over
-    0..bound that passes ``checks``, in the order of the full product; the
-    checks with more variables still have to be run on it."""
-    _require_bound(bound)
-    lo, hi, _ = _split_bounds(checks, variables)
-    return [range(lo[v], min(hi[v], bound) + 1) for v in variables]
-
-
-def _assignments(checks: tuple[Check, ...], variables, ranges):
-    """Yield, in product order, the assignments of ``itertools.product(*ranges)``
-    that pass ``checks``.
-
-    A one-variable ``>=`` check is linear in its variable, so it passes on a
-    whole range when it passes at both ends; such checks are settled by the
-    ranges and not run.  On the ranges of ``variable_ranges`` these are the
-    checks ``_split_bounds`` folds, and only its remainder is run.
-    """
-    span = dict(zip(variables, ranges))
-    rest = []
-    for check in checks:
-        const, var_coeffs, kind = check
-        if kind == _GE and len(var_coeffs) == 1 and span.get(var_coeffs[0][0]):
-            (name, coeff), = var_coeffs
-            values = span[name]
-            if const + coeff * values[0] >= 0 and const + coeff * values[-1] >= 0:
-                continue
-        rest.append(check)
+    lo, hi, rest = _split_bounds(checks, variables)
+    ranges = [range(lo[v], min(hi[v], bound) + 1) for v in variables]
     for values in itertools.product(*ranges):
         assignment = dict(zip(variables, values))
         if not rest or conditions_hold(rest, assignment):
@@ -653,31 +632,33 @@ def reduce_once(system: RewriteSystem, w: str, *, _start: int = 0) -> Reduction 
     return None
 
 
-def enumerate_redexes(system: RewriteSystem, w: str) -> list[Reduction]:
-    """Every applicable (position, rule, assignment) reduction of w."""
+def _matches(system: RewriteSystem, w: str, rule_id: str | None = None):
+    """Yield (matcher, position, assignment, consumed) for every match in w,
+    by position, then schema, then assignment; with ``rule_id``, only the
+    matches of that rule's matchers.  Each position tries the matchers the
+    window table files under it."""
     table = system._table
-    out = []
     for pos in range(len(w)):
         ms = table.get(w[pos:pos + 2])
-        if ms is None:
+        if ms is None:  # a letter outside the alphabet, which ends every run
             ms = table.get(w[pos], table[""])
         for m in ms:
-            for assignment, consumed in _match_at(m, w, pos, all_assignments=True):
-                out.append(_apply(m, w, pos, assignment, consumed))
-    return out
+            if rule_id is None or m.schema.id == rule_id:
+                for assignment, consumed in _match_at(m, w, pos, all_assignments=True):
+                    yield m, pos, assignment, consumed
+
+
+def enumerate_redexes(system: RewriteSystem, w: str) -> list[Reduction]:
+    """Every applicable (position, rule, assignment) reduction of w."""
+    return [_apply(m, w, pos, assignment, consumed)
+            for m, pos, assignment, consumed in _matches(system, w)]
 
 
 def _rule_results(system: RewriteSystem, w: str, rule_id: str) -> set[str]:
     """The words one step of rule ``rule_id`` gives from w: the words of
-    ``enumerate_redexes`` with that rule id, from its matchers alone."""
-    out = set()
-    for m in system._matchers:
-        if m.schema.id != rule_id:
-            continue
-        for pos in range(len(w)):
-            for assignment, consumed in _match_at(m, w, pos, all_assignments=True):
-                out.add(w[:pos] + m.render(m.rhs, assignment) + w[pos + consumed:])
-    return out
+    ``enumerate_redexes`` with that rule id."""
+    return {w[:pos] + m.render(m.rhs, assignment) + w[pos + consumed:]
+            for m, pos, assignment, consumed in _matches(system, w, rule_id)}
 
 
 def _step_limit(step_limit: int | None) -> int:
@@ -790,12 +771,9 @@ def instantiate_all(system: RewriteSystem, exponent_bound: int):
     variables in [0, exponent_bound] satisfying the side conditions.
 
     Raises ValueError on a bound below 0."""
-    _require_bound(exponent_bound)
     for m in system._matchers:
         checks = compile_conditions(m.schema.conditions, system.parameter_n)
-        variables = m.schema.variables
-        ranges = variable_ranges(checks, variables, exponent_bound)
-        for assignment in _assignments(checks, variables, ranges):
+        for assignment in bounded_assignments(checks, m.schema.variables, exponent_bound):
             lhs, rhs = m.instance(assignment)
             yield m.schema, assignment, lhs, rhs
 

@@ -1,6 +1,7 @@
 """Bounded exhaustive searches: embed a partial multiplication table into a
 finite semigroup of bounded order (optionally restricted to a class), and
-stream relation-satisfying assignments inside a given table.
+stream relation-satisfying assignments inside a given table, filtered on
+columns of assignments by ``fsg._assignment_columns``.
 
 The embedding search runs the table engine of ``fsg`` (also behind
 enumeration).  It fixes the injection onto the first indices of a flat
@@ -22,10 +23,10 @@ from functools import partial
 
 import numpy as np
 
-from .fsg import (MulTable, PartialTable, _holds, _TableSearch, associative_mask,
-                  clifford_mask, completely_simple_mask, group_mask,
-                  j_trivial_mask, l_trivial_mask, r_trivial_mask, relation_grid,
-                  relation_variables, word_value_grid)
+from .fsg import (MulTable, PartialTable, _assignment_columns, _holds, _TableSearch,
+                  _word_values, associative_mask, clifford_mask, completely_simple_mask,
+                  group_mask, j_trivial_mask, l_trivial_mask, r_trivial_mask,
+                  relation_variables)
 
 __all__ = ["SearchResult", "embed_partial_table", "check_partial_associativity",
            "malcev_witness_table", "find_relational_assignments",
@@ -114,6 +115,9 @@ def find_relational_assignments(mt: MulTable, relations, distinctness=()):
     violations lists the distinctness pairs whose two sides nevertheless
     evaluate to the same element.  Such assignments are reported rather than
     suppressed: a forced collapse is usually the interesting output.
+    Assignments come in C order of the grid of assignments, from the column
+    filter of ``fsg`` that ``check_implication`` uses; the distinctness pairs
+    are evaluated on the columns that are left.
     """
     relations = [tuple(r) for r in relations]
     distinctness = [tuple(d) for d in distinctness]
@@ -129,17 +133,12 @@ def find_relational_assignments(mt: MulTable, relations, distinctness=()):
     if not variables:
         yield {}, []
         return
-    sat = np.ones((mt.order,) * len(variables), dtype=bool)
-    for rel in relations:
-        sat &= relation_grid(mt, rel, variables)
-    pair_grids = [(word_value_grid(mt, u, variables),
-                   word_value_grid(mt, v, variables))
-                  for u, v in distinctness]
-    for combo in np.argwhere(sat):
-        key = tuple(int(c) for c in combo)
-        violated = [d for d, (gu, gv) in zip(distinctness, pair_grids)
-                    if gu[key] == gv[key]]
-        yield dict(zip(variables, key)), violated
+    table, cols = _assignment_columns(mt, variables, relations)
+    collapsed = [(_word_values(table, cols, u) == _word_values(table, cols, v)).tolist()
+                 for u, v in distinctness]
+    for i, values in enumerate(zip(*(cols[x].tolist() for x in variables))):
+        yield dict(zip(variables, values)), [d for d, flags in zip(distinctness, collapsed)
+                                             if flags[i]]
 
 
 def _filler_labels(base: tuple[str, ...], n: int) -> tuple[str, ...]:

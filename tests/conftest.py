@@ -33,6 +33,28 @@ def all_words(alphabet: str, max_len: int, min_len: int = 1) -> list[str]:
     ]
 
 
+def word_value_grid(mt: MulTable, word: str, variables: tuple[str, ...]) -> np.ndarray:
+    """The word's value over every assignment into mt, one axis per variable:
+    the full-grid reference for the column filters of ``lef.fsg``."""
+    n, k = mt.order, len(variables)
+
+    def axis_grid(ch: str) -> np.ndarray:
+        shape = [1] * k
+        shape[variables.index(ch)] = n
+        return np.arange(n).reshape(shape)
+    val = np.broadcast_to(axis_grid(word[0]), (n,) * k)
+    for ch in word[1:]:
+        val = mt.table[val, axis_grid(ch)]
+    return val
+
+
+def relation_grid(mt: MulTable, relation: tuple[str, str],
+                  variables: tuple[str, ...]) -> np.ndarray:
+    """Where the relation's two words agree, over the grid of assignments."""
+    u, v = relation
+    return word_value_grid(mt, u, variables) == word_value_grid(mt, v, variables)
+
+
 # ---------------------------------------------------------------------------
 # randomized constructions over the additive integers
 

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 import lef.appendix
+import lef.rewrite
 from lef.appendix import (
     A_ROWS,
     B_ROWS,
@@ -19,8 +20,8 @@ from lef.appendix import (
     verify_appendix,
 )
 from lef.presets import Q_SYSTEM, build_fn_system
-from lef.rewrite import (compile_conditions, conditions_hold, enumerate_redexes,
-                         parse_condition, variable_ranges)
+from lef.rewrite import (_UNBOUNDED, bounded_assignments, compile_conditions,
+                         conditions_hold, enumerate_redexes, parse_condition)
 
 # rows that admit no assignment at n = 1: every row whose side conditions
 # demand an open window like n < alpha - beta < 2n collapses when n = 1
@@ -131,8 +132,8 @@ def test_verify_appendix_argument_validation():
 # rule's redexes
 
 
-def _full_ranges(checks, variables, bound):
-    return [range(bound + 1)] * len(variables)
+def _fold_nothing(checks, variables):
+    return dict.fromkeys(variables, 0), dict.fromkeys(variables, _UNBOUNDED), list(checks)
 
 
 def _via_all_redexes(system, w, rule_id):
@@ -141,7 +142,7 @@ def _via_all_redexes(system, w, rule_id):
 
 def _reference_check_row(monkeypatch, system, row, bound):
     with monkeypatch.context() as m:
-        m.setattr(lef.appendix, "variable_ranges", _full_ranges)
+        m.setattr(lef.rewrite, "_split_bounds", _fold_nothing)
         m.setattr(lef.appendix, "_rule_results", _via_all_redexes)
         return check_row(system, row, bound)
 
@@ -163,12 +164,14 @@ def test_check_row_matches_the_full_product_reference(monkeypatch):
         assert check_row(system, row, 4).as_json() == expected, (row.label, system.name)
 
 
-def test_variable_ranges_keep_every_admissible_assignment():
+def test_bounded_assignments_keep_every_admissible_assignment():
     """Every row's and every schema's conditions at n = 1, 2 over bounds
-    0..3: the ranges' product, filtered by the checks, is the filtered full
-    product, order included."""
+    0..3: the assignments are the filtered full product, order included."""
     alpha = compile_conditions((parse_condition("0<alpha<=2n"),), 1)
-    assert variable_ranges(alpha, ("alpha", "beta"), 4) == [range(1, 3), range(5)]
+    assert list(bounded_assignments(alpha, ("alpha", "beta"), 4)) == [
+        {"alpha": a, "beta": b} for a in (1, 2) for b in range(5)]
+    with pytest.raises(ValueError, match="exponent bound -1 is below 0"):
+        next(bounded_assignments(alpha, ("alpha",), -1))
     cases = [(row.parsed[1], row.variables, None) for row in A_ROWS]
     cases += [(row.parsed[1], row.variables, n) for row in B_ROWS for n in (1, 2)]
     cases += [(schema.conditions, schema.variables, system.parameter_n)
@@ -177,12 +180,11 @@ def test_variable_ranges_keep_every_admissible_assignment():
     for conditions, variables, n in cases:
         checks = compile_conditions(conditions, n)
         for bound in range(4):
-            def admissible(values_list):
-                return [values for values in values_list
-                        if conditions_hold(checks, dict(zip(variables, values)))]
-            full = admissible(itertools.product(range(bound + 1), repeat=len(variables)))
-            narrowed = admissible(itertools.product(*variable_ranges(checks, variables, bound)))
-            assert narrowed == full, (conditions, n, bound)
+            full = [dict(zip(variables, values))
+                    for values in itertools.product(range(bound + 1), repeat=len(variables))]
+            full = [assignment for assignment in full if conditions_hold(checks, assignment)]
+            assert list(bounded_assignments(checks, variables, bound)) == full, \
+                (conditions, n, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -393,11 +393,15 @@ def test_step_limit_env(capsys, monkeypatch):
     assert "step limit" in err.lower() or "error" in err.lower()
 
 
-def test_negative_step_counts_are_usage_errors(capsys, monkeypatch):
+def test_negative_step_counts_are_usage_errors(capsys, monkeypatch, z3_file):
+    eq = ("eq", "--preset", "t", "--u", "axb", "--v", "acx")
     for argv, flag, shown in (
             (("rewrite", "--system", "q", "--word", "xaaccx", "--max-steps", "-1"), "--max-steps", "-1"),
             (("nf", "--system", "q", "--word", "xcab", "--step-limit", "-5"), "--step-limit", "-5"),
-            (("confluence", "--system", "q", "--step-limit", "x"), "--step-limit", "'x'")):
+            (("confluence", "--system", "q", "--step-limit", "x"), "--step-limit", "'x'"),
+            (("assign", "--table", z3_file, "--relation", "xy=yx", "--limit", "-1"), "--limit", "-1"),
+            (eq + ("--length-bound", "-1"), "--length-bound", "-1"),
+            (eq + ("--node-bound", "-2"), "--node-bound", "-2")):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert out == ""

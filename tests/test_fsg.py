@@ -34,13 +34,13 @@ from lef.fsg import (
     j_trivial_mask,
     l_trivial_mask,
     r_trivial_mask,
-    relation_grid,
     relation_variables,
-    word_value_grid,
     zero_element,
 )
 from lef.presets import PRESENTATIONS
 from lef.search import CLASS_FILTERS, CLASS_MASKS
+
+from conftest import relation_grid, word_value_grid
 
 LEFT_ZERO_2 = MulTable(np.array([[0, 0], [1, 1]]), labels=("p", "q"))
 

@@ -15,8 +15,10 @@ from lef.rewrite import (
     CriticalPair,
     RewriteSystem,
     StepLimitError,
+    _rule_results,
     check_local_confluence,
     check_termination_order,
+    compile_atoms,
     compile_conditions,
     conditions_hold,
     critical_pairs,
@@ -30,6 +32,7 @@ from lef.rewrite import (
     parse_pattern,
     reduce_once,
     reduction_trace,
+    render_atoms,
     system_from_json,
     system_to_json,
 )
@@ -377,11 +380,17 @@ def test_dispatch_matches_the_unfiltered_reference(name):
     # a letter outside the alphabet ends every run, like the end of the word
     # (a system that checks each step's decrease rejects such words)
     foreign = [] if system.assert_decrease else ["az", "ez", "zez", "xazccc", "bzzb", "aazcccc"]
+    rhs = {s.id: compile_atoms(s.rhs, system.parameter_n) for s in system.schemas}
     for w in _dispatch_words(name) + foreign:
         expected = _reference_matches(system, w)
         got = [(r.position, r.rule_id, r.assignment, len(r.matched))
                for r in enumerate_redexes(system, w)]
         assert got == expected, w
+        # one rule's one-step results, as the appendix rows check them
+        for rule_id in rhs:
+            words = {w[:pos] + render_atoms(rhs[rule_id], asg) + w[pos + consumed:]
+                     for pos, rid, asg, consumed in expected if rid == rule_id}
+            assert _rule_results(system, w, rule_id) == words, (w, rule_id)
         red = reduce_once(system, w)
         first = None if red is None else (red.position, red.rule_id, red.assignment,
                                           len(red.matched))

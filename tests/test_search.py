@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lef.approx import cyclic_table
-from lef.fsg import MulTable, PartialTable, _TableSearch, relation_grid
+from lef.fsg import MulTable, PartialTable, _TableSearch, enumerate_semigroups, relation_variables
 from lef.presets import PRESENTATIONS, bicyclic4_table
 from lef.search import (
     CLASS_FILTERS,
@@ -19,6 +19,8 @@ from lef.search import (
     find_relational_assignments,
     malcev_witness_table,
 )
+
+from conftest import relation_grid, word_value_grid
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +278,50 @@ def test_find_relational_assignments_order_cap():
     big = MulTable(np.zeros((MAX_ASSIGN_ORDER + 1, MAX_ASSIGN_ORDER + 1), dtype=int))
     with pytest.raises(ValueError):
         list(find_relational_assignments(big, [("xy", "yx")]))
+
+
+def _full_grid_assignments(mt, relations, distinctness):
+    """find_relational_assignments over the whole grid of assignments: the
+    reference."""
+    variables = relation_variables(relations + distinctness)
+    sat = np.ones((mt.order,) * len(variables), dtype=bool)
+    for rel in relations:
+        sat &= relation_grid(mt, rel, variables)
+    pairs = [(word_value_grid(mt, u, variables), word_value_grid(mt, v, variables))
+             for u, v in distinctness]
+    out = []
+    for combo in np.argwhere(sat):
+        key = tuple(int(c) for c in combo)
+        out.append((dict(zip(variables, key)),
+                    [d for d, (gu, gv) in zip(distinctness, pairs) if gu[key] == gv[key]]))
+    return out
+
+
+def test_find_relational_assignments_matches_the_full_grid():
+    # the s, t and c relations on every semigroup of order <= 3, then seeded
+    # random magmas and relations; the same list in the same (C) order
+    cases = []
+    for preset, distinctness in (("s", [("xax", "xex"), ("a", "b")]),
+                                 ("t", [("xaxb", "bxax"), ("xax", "xex")]),
+                                 ("c", [("cu", "dv"), ("a", "b")])):
+        relations = list(PRESENTATIONS[preset].relations)
+        cases += [(mt, relations, distinctness)
+                  for k in (1, 2, 3) for mt in enumerate_semigroups(k)]
+    rng = random.Random(11)
+
+    def word():
+        return "".join(rng.choice("xyzw") for _ in range(rng.randint(1, 3)))
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        mt = MulTable(np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)]))
+        cases.append((mt, [(word(), word()) for _ in range(rng.randint(1, 3))],
+                      [(word(), word()) for _ in range(rng.randint(0, 2))]))
+    found = 0
+    for mt, relations, distinctness in cases:
+        got = list(find_relational_assignments(mt, relations, distinctness))
+        assert got == _full_grid_assignments(mt, relations, distinctness), (mt.table, relations)
+        found += len(got)
+    assert found > 1000
 
 
 # ---------------------------------------------------------------------------
