@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import random
 import sys
 
 from . import appendix
@@ -22,11 +23,12 @@ from .approx import (ApproxPair, FiniteSubset, WrapMap, approx_integers,
 from .fsg import (MulTable, PartialTable, classify, enumerate_groups,
                   enumerate_semigroups, green)
 from .lwf import build_lwf_wrapping, enumerate_preaccurate
-from .oracle import replay_path, word_equal_bfs, word_equal_nf
+from .oracle import has_normal_forms, replay_path, word_equal_bfs, word_equal_nf
 from .presets import (PRESET_IDS, PRESENTATIONS, Presentation, bicyclic4_table,
                       preset_presentation, preset_system, sm_presentation)
 from .rewrite import (check_local_confluence, check_termination_order,
-                      normal_form, reduce_once, reduction_trace)
+                      leftmost_reductions, normal_form, random_normal_form,
+                      reduce_once)
 from .search import (CLASS_FILTERS, embed_partial_table,
                      find_relational_assignments, malcev_witness_table)
 from .words import ALPHABETS, check_letters
@@ -192,18 +194,10 @@ def _eggbox_lines(mt: MulTable, g) -> list[str]:
 def _cmd_rewrite(args) -> int:
     system = preset_system(args.system)
     word = _system_word(system, args.word)
-    if args.max_steps is None:
-        final, trace = reduction_trace(system, word,
-                                       step_limit=args.step_limit)
-    else:
-        trace = []
-        for _ in range(args.max_steps):
-            red = reduce_once(system, word)
-            if red is None:
-                break
-            trace.append(red)
-            word = red.word
-        final = word
+    # --max-steps overrides --step-limit; islice stops the walk before a step past it
+    limit = args.step_limit if args.max_steps is None else args.max_steps
+    trace = list(itertools.islice(leftmost_reductions(system, word, limit), args.max_steps))
+    final = trace[-1].word if trace else word
     irreducible = reduce_once(system, final) is None
     payload = {
         "system": system.name,
@@ -228,10 +222,9 @@ def _cmd_rewrite(args) -> int:
 
 def _cmd_nf(args) -> int:
     system = preset_system(args.system)
-    result = normal_form(system, _system_word(system, args.word),
-                         step_limit=args.step_limit,
-                         strategy=args.strategy,
-                         rng=__import__("random").Random(args.seed))
+    word = _system_word(system, args.word)
+    result = (random_normal_form(system, word, random.Random(args.seed), args.step_limit)
+              if args.strategy == "random" else normal_form(system, word, args.step_limit))
     payload = {"system": system.name, "word": args.word,
                "strategy": args.strategy, "normal_form": result}
     _emit(args, payload, [result])
@@ -598,7 +591,7 @@ def _cmd_eq(args) -> int:
     pid = args.preset.lower()
     method = args.method
     if method == "auto":
-        method = "nf" if pid == "q" or pid.startswith("fn:") else "bfs"
+        method = "nf" if has_normal_forms(pid) else "bfs"
     if method == "nf":
         verdict = word_equal_nf(pid, args.u, args.v)
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .constructors import build_fn
-from .presets import Q_SYSTEM, Presentation, preset_presentation
+from .presets import Q_SYSTEM, Presentation, family_parameter, preset_presentation
 from .rewrite import check_local_confluence, normal_form
 from .words import ALPHABETS, check_letters, one_step_words, separating_quantity
 
@@ -63,7 +63,7 @@ def word_equal_nf(preset: str, u: str, v: str) -> EqualityVerdict:
         _ensure_locally_confluent(Q_SYSTEM)
         nu, nv = normal_form(Q_SYSTEM, u), normal_form(Q_SYSTEM, v)
     elif pid.startswith("fn:"):
-        handle = build_fn(int(pid.split(":", 1)[1]))
+        handle = build_fn(family_parameter(pid))
         check_letters(u, ALPHABETS["fn"], pid)
         check_letters(v, ALPHABETS["fn"], pid)
         _ensure_locally_confluent(handle.system)
@@ -207,7 +207,7 @@ def word_equal_bfs(preset: str, u: str, v: str, length_bound: int | None = None,
     _check_nonempty(u, v)
     pid = preset.lower()
     if pid.startswith("sm:"):
-        m = int(pid.split(":", 1)[1])
+        m = family_parameter(pid)
         cu, cv = sm_canonical(u, m), sm_canonical(v, m)
         return EqualityVerdict("equal" if cu == cv else "distinct",
                                {"kind": "normal_form", "left": cu, "right": cv})
@@ -245,13 +245,16 @@ def word_equal_bfs(preset: str, u: str, v: str, length_bound: int | None = None,
     return verdict if (a, b) == (u, v) else _flip_path(verdict)
 
 
+def has_normal_forms(preset: str) -> bool:
+    """Whether ``word_equal_nf`` decides the preset: q and fn:<n>."""
+    return preset.lower() == "q" or preset.lower().startswith("fn:")
+
+
 def word_equal(preset: str, u: str, v: str) -> EqualityVerdict:
-    """Equality in any word preset: normal forms for q and fn:<n>, the
-    bounded oracle (canonical forms for sm:<m>) for the others."""
-    pid = preset.lower()
-    if pid == "q" or pid.startswith("fn:"):
-        return word_equal_nf(pid, u, v)
-    return word_equal_bfs(pid, u, v)
+    """Equality in any word preset: normal forms where ``has_normal_forms``,
+    the bounded oracle (canonical forms for sm:<m>) for the others."""
+    equal = word_equal_nf if has_normal_forms(preset) else word_equal_bfs
+    return equal(preset.lower(), u, v)
 
 
 def replay_path(preset: str, path) -> bool:

@@ -202,6 +202,17 @@ def bicyclic4_table() -> PartialTable:
 _PARTIAL_TABLES = {"bicyclic4": bicyclic4_table}
 
 
+def family_parameter(preset_id: str) -> int:
+    """n of 'fn:<n>', m of 'sm:<m>'; a ValueError names the id and its form."""
+    family, _, value = preset_id.partition(":")
+    try:
+        return int(value)
+    except ValueError:
+        letter = family[-1]  # fn:<n>, sm:<m>
+        raise ValueError(f"preset {preset_id!r} is not of the form "
+                         f"{family}:<{letter}> with an integer {letter}") from None
+
+
 def preset_presentation(preset_id: str) -> Presentation | PartialTable:
     """Look up a preset by id; sm presets take the exponent after a colon."""
     key = preset_id.lower()
@@ -210,7 +221,7 @@ def preset_presentation(preset_id: str) -> Presentation | PartialTable:
     if key in _PARTIAL_TABLES:
         return _PARTIAL_TABLES[key]()
     if key.startswith("sm:"):
-        return sm_presentation(int(key.split(":", 1)[1]))
+        return sm_presentation(family_parameter(key))
     raise KeyError(f"unknown preset {preset_id!r}")
 
 
@@ -220,7 +231,7 @@ def preset_system(preset_id: str) -> RewriteSystem:
     if key == "q":
         return Q_SYSTEM
     if key.startswith("fn:"):
-        return build_fn_system(int(key.split(":", 1)[1]))
+        return build_fn_system(family_parameter(key))
     raise KeyError(f"no rewriting system for preset {preset_id!r}")
 
 

@@ -28,7 +28,11 @@ and keeps the result on itself:
   lhs can match the empty word;
 * the rank table of its letter order.
 
-Leftmost reduction resumes near the last edit instead of at position 0.  A
+``_matches`` is the one scan over positions and the window table:
+``reduce_once`` takes its first match, ``enumerate_redexes`` all of them.
+Leftmost reduction is one walk, ``leftmost_reductions``, of ``reduce_once``
+steps; ``normal_form``, ``reduction_trace`` and ``lef rewrite --max-steps``
+step through it.  After a step it resumes near the edit, not at 0.  A
 match attempt reads at most ``max_lhs_atoms`` runs of the word plus one
 look-ahead letter, so after a step at ``pos`` (no earlier position matched)
 every attempt starting ``max_lhs_atoms`` or more runs before the run holding
@@ -44,9 +48,8 @@ reduction is deterministic, so every word on a chain w -> w1 -> ... -> v has
 v as its leftmost normal form, confluent system or not: the walk stops at the
 first word of the chain that is in the memo and records the result for every
 word it stepped through, so each word is reduced once per campaign.  The step
-limit (``step_limit``, else LEF_STEP_LIMIT, else ``DEFAULT_STEP_LIMIT``; it
-must be an integer >= 0) bounds the steps of one call, so a call that meets
-the memo early takes fewer.
+limit (``_step_limit``) bounds the steps of one call, so a call that meets the
+memo early takes fewer.
 
 Bounded instantiation (``instantiate_all``, and ``appendix.check_row``) is
 ``bounded_assignments``: each variable's one-variable conditions narrow its
@@ -538,12 +541,9 @@ def instantiate(schema: RuleSchema, assignment: dict[str, int], n: int | None = 
     return _Matcher(schema, n).instance(assignment)
 
 
-def _match_at(m: _Matcher, w: str, pos: int, all_assignments: bool = False):
-    """Match m's lhs starting at w[pos].
-
-    Returns (assignment, consumed) for the smallest valid assignment, or a list
-    of all of them when all_assignments is set, or None/[] on failure.
-    """
+def _match_at(m: _Matcher, w: str, pos: int):
+    """Yield (assignment, consumed) for every match of m's lhs starting at
+    w[pos], smallest assignment first; each assignment is a fresh dict."""
     size = len(w)
     assignment: dict[str, int] = {}
     cur = pos
@@ -552,7 +552,7 @@ def _match_at(m: _Matcher, w: str, pos: int, all_assignments: bool = False):
         while end < size and w[end] == letter:
             end += 1
         if not lo <= end - cur <= hi:
-            return [] if all_assignments else None
+            return
         if name is not None:
             assignment[name] = end - cur
         cur = end
@@ -564,17 +564,13 @@ def _match_at(m: _Matcher, w: str, pos: int, all_assignments: bool = False):
     if top > hi:
         top = hi
     if top < lo or (m.fixed and not conditions_hold(m.fixed, assignment)):
-        return [] if all_assignments else None
+        return
     flex = m.flex
-    results = []
     for val in range(lo, top + 1):
         if name is not None:
             assignment[name] = val
         if not flex or conditions_hold(flex, assignment):
-            if not all_assignments:
-                return assignment, cur + val - pos
-            results.append((dict(assignment), cur + val - pos))
-    return results if all_assignments else None
+            yield dict(assignment), cur + val - pos
 
 
 @dataclass(frozen=True)
@@ -608,44 +604,37 @@ def _lex_key(w: str, rank: dict[str, int]) -> tuple:
                          f"{''.join(rank)!r}") from None
 
 
-def reduce_once(system: RewriteSystem, w: str, *, _start: int = 0) -> Reduction | None:
-    """One step under the deterministic strategy: leftmost position, lowest
-    schema index, smallest assignment.  None iff w is irreducible.
-
-    ``_start`` skips positions known not to match; only ``normal_form`` sets it.
-    """
+def _matches(system: RewriteSystem, w: str, rule_id: str | None = None, start: int = 0):
+    """Yield (matcher, position, assignment, consumed) for every match in w at
+    a position >= start, by position, then schema, then assignment; with
+    ``rule_id``, only the matches of that rule's matchers.  Each position tries
+    the matchers the window table files under it."""
     table = system._table
-    for pos in range(_start, len(w)):
-        ms = table.get(w[pos:pos + 2])
-        if ms is None:  # a letter outside the alphabet, which ends every run
-            ms = table.get(w[pos], table[""])
-        for m in ms:
-            hit = _match_at(m, w, pos)
-            if hit is not None:
-                red = _apply(m, w, pos, *hit)
-                if system.assert_decrease:
-                    rank = system._rank
-                    if not (len(red.word), _lex_key(red.word, rank)) < (len(w), _lex_key(w, rank)):
-                        raise AssertionError(
-                            f"non-decreasing step {m.schema.id} on {w!r} -> {red.word!r}")
-                return red
-    return None
-
-
-def _matches(system: RewriteSystem, w: str, rule_id: str | None = None):
-    """Yield (matcher, position, assignment, consumed) for every match in w,
-    by position, then schema, then assignment; with ``rule_id``, only the
-    matches of that rule's matchers.  Each position tries the matchers the
-    window table files under it."""
-    table = system._table
-    for pos in range(len(w)):
+    for pos in range(start, len(w)):
         ms = table.get(w[pos:pos + 2])
         if ms is None:  # a letter outside the alphabet, which ends every run
             ms = table.get(w[pos], table[""])
         for m in ms:
             if rule_id is None or m.schema.id == rule_id:
-                for assignment, consumed in _match_at(m, w, pos, all_assignments=True):
+                for assignment, consumed in _match_at(m, w, pos):
                     yield m, pos, assignment, consumed
+
+
+def reduce_once(system: RewriteSystem, w: str, *, _start: int = 0) -> Reduction | None:
+    """One step under the deterministic strategy: leftmost position, lowest
+    schema index, smallest assignment.  None iff w is irreducible.
+
+    ``_start`` skips positions known not to match (``leftmost_reductions``).
+    """
+    for m, pos, assignment, consumed in _matches(system, w, start=_start):
+        red = _apply(m, w, pos, assignment, consumed)
+        if system.assert_decrease:
+            rank = system._rank
+            if not (len(red.word), _lex_key(red.word, rank)) < (len(w), _lex_key(w, rank)):
+                raise AssertionError(
+                    f"non-decreasing step {m.schema.id} on {w!r} -> {red.word!r}")
+        return red
+    return None
 
 
 def enumerate_redexes(system: RewriteSystem, w: str) -> list[Reduction]:
@@ -695,71 +684,70 @@ def _resume_point(w: str, pos: int, runs: int) -> int:
     return i
 
 
-def normal_form(system: RewriteSystem, w: str, step_limit: int | None = None,
-                strategy: str = "leftmost", rng: random.Random | None = None,
-                memo: dict[str, str] | None = None) -> str:
-    """Reduce w to an irreducible word.
+def _limit_error(system: RewriteSystem, limit: int, w: str) -> StepLimitError:
+    return StepLimitError(f"no normal form within {limit} steps "
+                          f"(system {system.name}, stuck at {w[:80]!r})")
 
-    Unique independent of strategy once the system is verified convergent;
-    strategy='random' exists to test exactly that.  StepLimitError is raised
-    when this call would take more than the step limit (see ``_step_limit``)
-    steps.
 
-    ``memo`` maps words to their leftmost normal forms under ``system``; it
-    is for the leftmost strategy only (ValueError otherwise).  The walk stops
-    at the first word of the chain that is a key, and then every word it
-    stepped through, and the irreducible word it reached, maps to the result.
-    Leftmost reduction is deterministic, so each word of a chain has the
-    chain's end as its leftmost normal form, whether or not the system is
-    confluent.  Nothing is recorded when the step limit is exceeded.
-    """
+def leftmost_reductions(system: RewriteSystem, w: str, step_limit: int | None = None):
+    """Yield the ``reduce_once`` steps from w until the word is irreducible,
+    each search after the first from ``_resume_point``.  A step is searched
+    only when asked for, so a caller may stop between steps; StepLimitError
+    is raised when a step past the limit (``_step_limit``) is due."""
     limit = _step_limit(step_limit)
-    leftmost = strategy == "leftmost"
-    if not leftmost:
-        if memo is not None:
-            raise ValueError("a normal-form memo needs the leftmost strategy")
-        if rng is None:
-            rng = random.Random(0)
-    chain: list[str] = []  # the words stepped through, kept for the memo only
-    steps = start = 0
-    while memo is None or w not in memo:
-        if leftmost:
-            red = reduce_once(system, w, _start=start)
-        else:
-            options = enumerate_redexes(system, w)
-            red = rng.choice(options) if options else None
-        if red is None:
-            if memo is None:
-                return w
-            memo[w] = w
-            break
-        if memo is not None:
-            chain.append(w)
-        w = red.word
+    start = steps = 0
+    while (red := reduce_once(system, w, _start=start)) is not None:
         steps += 1
         if steps > limit:
-            raise StepLimitError(
-                f"no normal form within {limit} steps (system {system.name}, stuck at {w[:80]!r})")
-        if leftmost:
-            start = _resume_point(w, red.position, system._max_atoms)
-    result = memo[w]
-    for word in chain:
-        memo[word] = result
+            raise _limit_error(system, limit, red.word)
+        yield red
+        w = red.word
+        start = _resume_point(w, red.position, system._max_atoms)
+
+
+def normal_form(system: RewriteSystem, w: str, step_limit: int | None = None,
+                memo: dict[str, str] | None = None) -> str:
+    """The end of w's chain of ``leftmost_reductions``.  With ``memo`` (words
+    to their leftmost normal forms) the walk stops at the first word that is a
+    key and maps every word it stepped through, and the irreducible word it
+    reached, to the result; nothing is recorded when the step limit is hit."""
+    walk = leftmost_reductions(system, w, _step_limit(step_limit))
+    if memo is None:
+        for red in walk:
+            w = red.word
+        return w
+    chain: list[str] = []  # the words stepped through
+    while w not in memo:
+        red = next(walk, None)
+        if red is None:
+            break
+        chain.append(w)
+        w = red.word
+    result = memo.setdefault(w, w)  # w is a key, or the irreducible end
+    memo.update(dict.fromkeys(chain, result))
     return result
+
+
+def random_normal_form(system: RewriteSystem, w: str, rng: random.Random,
+                       step_limit: int | None = None) -> str:
+    """Reduce w by a redex that ``rng`` draws from ``enumerate_redexes`` at
+    each step.  On a convergent system this is the leftmost normal form; the
+    walk exists to test exactly that.  StepLimitError as in ``normal_form``."""
+    limit = _step_limit(step_limit)
+    steps = 0
+    while options := enumerate_redexes(system, w):
+        w = rng.choice(options).word
+        steps += 1
+        if steps > limit:
+            raise _limit_error(system, limit, w)
+    return w
 
 
 def reduction_trace(system: RewriteSystem, w: str, step_limit: int | None = None
                     ) -> tuple[str, list[Reduction]]:
-    limit = _step_limit(step_limit)
-    trace: list[Reduction] = []
-    while True:
-        red = reduce_once(system, w)
-        if red is None:
-            return w, trace
-        trace.append(red)
-        w = red.word
-        if len(trace) > limit:
-            raise StepLimitError(f"no normal form within {limit} steps")
+    """(normal form, the leftmost reductions that lead to it)."""
+    trace = list(leftmost_reductions(system, w, step_limit))
+    return (trace[-1].word if trace else w), trace
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ __all__ = ["SearchResult", "embed_partial_table", "check_partial_associativity",
 
 MAX_ASSIGN_ORDER = 8
 MAX_BATCH = 1024    # finished tables checked together by embed_partial_table
+ASSIGN_CHUNK = 4096  # assignment rows turned into Python values at a time
 
 # class name -> mask over a stack of tables (see fsg)
 CLASS_MASKS = {
@@ -117,7 +118,7 @@ def find_relational_assignments(mt: MulTable, relations, distinctness=()):
     suppressed: a forced collapse is usually the interesting output.
     Assignments come in C order of the grid of assignments, from the column
     filter of ``fsg`` that ``check_implication`` uses; the distinctness pairs
-    are evaluated on the columns that are left.
+    are evaluated on the columns that are left, ``ASSIGN_CHUNK`` rows at a time.
     """
     relations = [tuple(r) for r in relations]
     distinctness = [tuple(d) for d in distinctness]
@@ -134,11 +135,13 @@ def find_relational_assignments(mt: MulTable, relations, distinctness=()):
         yield {}, []
         return
     table, cols = _assignment_columns(mt, variables, relations)
-    collapsed = [(_word_values(table, cols, u) == _word_values(table, cols, v)).tolist()
+    collapsed = [_word_values(table, cols, u) == _word_values(table, cols, v)
                  for u, v in distinctness]
-    for i, values in enumerate(zip(*(cols[x].tolist() for x in variables))):
-        yield dict(zip(variables, values)), [d for d, flags in zip(distinctness, collapsed)
-                                             if flags[i]]
+    for at in range(0, len(cols[variables[0]]), ASSIGN_CHUNK):
+        chunk = slice(at, at + ASSIGN_CHUNK)
+        rows = zip(*(cols[x][chunk].tolist() for x in variables))
+        for values, *hits in zip(rows, *(c[chunk].tolist() for c in collapsed)):
+            yield dict(zip(variables, values)), [d for d, hit in zip(distinctness, hits) if hit]
 
 
 def _filler_labels(base: tuple[str, ...], n: int) -> tuple[str, ...]:

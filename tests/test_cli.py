@@ -70,6 +70,24 @@ def test_rewrite_json(capsys):
         assert set(step) >= {"rule", "position", "matched", "replacement", "word"}
 
 
+def test_rewrite_max_steps_stops_early_and_overrides_the_step_limit(capsys):
+    argv = ("rewrite", "--system", "q", "--word", "xcabxcab", "--json")
+    _, full, _ = run_json(capsys, *argv)
+    assert len(full["steps"]) == 4 and full["irreducible"] is True
+    code, data, _ = run_json(capsys, *argv, "--max-steps", "2")
+    assert code == 0
+    assert data["steps"] == full["steps"][:2]
+    assert data["result"] == full["steps"][1]["word"]
+    assert data["irreducible"] is False
+    # --max-steps wins over --step-limit: all 4 steps, not a step-limit error
+    code, data, _ = run_json(capsys, *argv, "--max-steps", "5", "--step-limit", "1")
+    assert code == 0
+    assert data == full
+    code, out, err = run(capsys, *argv, "--step-limit", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: no normal form within 1 steps")
+
+
 def test_nf_rejects_words_outside_the_system(capsys):
     for word in ("xyz", ""):
         code, out, err = run(capsys, "nf", "--system", "q", "--word", word)
@@ -384,6 +402,16 @@ def test_unknown_preset_is_an_error(capsys):
     code, _, err = run(capsys, "nf", "--system", "zzz", "--word", "a")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_a_family_id_without_an_integer_is_an_error(capsys):
+    fn_x = "error: preset 'fn:x' is not of the form fn:<n> with an integer n\n"
+    for argv, message in (
+            (("eq", "--preset", "fn:x", "--u", "xa", "--v", "xa"), fn_x),
+            (("nf", "--system", "fn:x", "--word", "xa"), fn_x),
+            (("eq", "--preset", "sm:", "--u", "e", "--v", "ee"),
+             "error: preset 'sm:' is not of the form sm:<m> with an integer m\n")):
+        assert run(capsys, *argv) == (1, "", message), argv
 
 
 def test_step_limit_env(capsys, monkeypatch):

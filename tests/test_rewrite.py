@@ -25,11 +25,13 @@ from lef.rewrite import (
     enumerate_redexes,
     instantiate,
     instantiate_all,
+    leftmost_reductions,
     make_schema,
     normal_form,
     parse_condition,
     parse_linexpr,
     parse_pattern,
+    random_normal_form,
     reduce_once,
     reduction_trace,
     render_atoms,
@@ -153,7 +155,7 @@ def test_random_strategy_agrees_with_leftmost():
     for word in ("xcab", "aexb", "xacacx", "bxca"):
         expected = normal_form(Q_SYSTEM, word)
         for _ in range(5):
-            assert normal_form(Q_SYSTEM, word, strategy="random", rng=rng) == expected
+            assert random_normal_form(Q_SYSTEM, word, rng) == expected
 
 
 def test_step_limit_raises_on_loops():
@@ -163,8 +165,14 @@ def test_step_limit_raises_on_loops():
         order="ab",
         schemas=(make_schema("r1", "a", "b"), make_schema("r2", "b", "a")),
     )
-    with pytest.raises(StepLimitError):
-        normal_form(looping, "a", step_limit=10)
+    message = r"^no normal form within 10 steps \(system loop, stuck at 'b'\)$"
+    for call in (lambda: normal_form(looping, "a", 10),
+                 lambda: reduction_trace(looping, "a", 10),
+                 lambda: random_normal_form(looping, "a", random.Random(0), 10)):
+        with pytest.raises(StepLimitError, match=message):
+            call()
+    # the walk finds a step only when asked, so stopping at the limit is no error
+    assert len(list(itertools.islice(leftmost_reductions(looping, "a", 10), 10))) == 10
 
 
 def test_step_limit_env_override(monkeypatch):
@@ -197,10 +205,20 @@ def _long_words():
     yield "fn:2", "c" * 33 + "a" * 20 + "x" + "e" * 9 + "a" * 4 + "x"
 
 
+def _full_rescan(system, w):
+    """The leftmost chain of w with every step searched from position 0."""
+    chain = []
+    while (red := reduce_once(system, w)) is not None:
+        chain.append(red)
+        w = red.word
+    return w, chain
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEMS) + ["edge"])
 def test_resuming_normal_form_matches_full_rescan(name, monkeypatch):
-    """normal_form resumes near each edit; reduction_trace rescans from 0.
-    The step count of normal_form is read off its reduce_once calls."""
+    """leftmost_reductions, and normal_form through it, resume near each edit;
+    the reference rescans from 0.  The step count of normal_form is read off
+    its reduce_once calls."""
     calls = 0
     original = lef.rewrite.reduce_once
 
@@ -213,10 +231,11 @@ def test_resuming_normal_form_matches_full_rescan(name, monkeypatch):
     system = SYSTEMS.get(name, EDGE)
     words = all_words(system.alphabet, 5) + [w for key, w in _long_words() if key == name]
     for word in words:
-        final, trace = reduction_trace(system, word)
+        final, chain = _full_rescan(system, word)
+        assert list(leftmost_reductions(system, word)) == chain, word
         before = calls
         assert normal_form(system, word) == final, word
-        assert calls - before - 1 == len(trace), word
+        assert calls - before - 1 == len(chain), word
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
@@ -225,8 +244,7 @@ def test_resuming_normal_form_matches_full_rescan(name, monkeypatch):
        seed=st.integers(0, 2**16))
 def test_leftmost_normal_form_is_strategy_independent(name, word, seed):
     system = SYSTEMS[name]
-    assert normal_form(system, word) == \
-        normal_form(system, word, strategy="random", rng=random.Random(seed))
+    assert normal_form(system, word) == random_normal_form(system, word, random.Random(seed))
 
 
 
@@ -280,11 +298,6 @@ def test_memo_step_limit_counts_only_the_steps_taken():
     with pytest.raises(StepLimitError):
         normal_form(looping, "a", step_limit=10, memo=memo)
     assert memo == {}
-
-
-def test_memo_needs_the_leftmost_strategy():
-    with pytest.raises(ValueError, match="leftmost"):
-        normal_form(Q_SYSTEM, "xcab", strategy="random", memo={})
 
 
 def test_step_limits_below_zero_or_not_integers_are_rejected(monkeypatch):
@@ -416,7 +429,7 @@ def test_every_match_is_filed_under_its_window(name):
         for pos in range(len(w)):
             listed = system._table[w[pos:pos + 2]]
             for m in system._matchers:
-                if lef.rewrite._match_at(m, w, pos) is not None:
+                if next(lef.rewrite._match_at(m, w, pos), None) is not None:
                     assert m in listed, (w, pos, m.schema.id)
 
 

@@ -2,12 +2,14 @@
 bicyclic fragment, and the Malcev-style witness."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lef.approx import cyclic_table
 from lef.fsg import MulTable, PartialTable, _TableSearch, enumerate_semigroups, relation_variables
+import lef.search
 from lef.presets import PRESENTATIONS, bicyclic4_table
 from lef.search import (
     CLASS_FILTERS,
@@ -322,6 +324,31 @@ def test_find_relational_assignments_matches_the_full_grid():
         assert got == _full_grid_assignments(mt, relations, distinctness), (mt.table, relations)
         found += len(got)
     assert found > 1000
+
+
+def test_assignments_cross_row_chunks_unchanged(monkeypatch):
+    # chunks of 7 rows split the grid of c's 8 variables over Z2 (256 rows)
+    monkeypatch.setattr(lef.search, "ASSIGN_CHUNK", 7)
+    z2 = cyclic_table(2)
+    relations = list(PRESENTATIONS["c"].relations)
+    for distinctness in ([], [("cu", "dv"), ("a", "b")]):
+        got = list(find_relational_assignments(z2, relations, distinctness))
+        assert len(got) == 2 ** 5
+        assert got == _full_grid_assignments(z2, relations, distinctness)
+
+
+def test_the_first_assignment_needs_no_list_per_column():
+    # 6 ** 8 = 1,679,616 rows all pass; their uint8 columns take about 27 MB,
+    # and a Python list per column of the whole grid would take over 100 MB
+    zero = MulTable(np.zeros((6, 6), dtype=int))
+    tracemalloc.start()
+    try:
+        first = next(find_relational_assignments(zero, [("ab", "cd"), ("ef", "gh")]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (dict.fromkeys("abcdefgh", 0), [])
+    assert peak < 60_000_000
 
 
 # ---------------------------------------------------------------------------
