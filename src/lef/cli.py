@@ -29,8 +29,8 @@ from .presets import (PRESET_IDS, PRESENTATIONS, Presentation, bicyclic4_table,
 from .rewrite import (check_local_confluence, check_termination_order,
                       leftmost_reductions, normal_form, random_normal_form,
                       reduce_once)
-from .search import (CLASS_FILTERS, embed_partial_table,
-                     find_relational_assignments, malcev_witness_table)
+from .search import (CLASS_FILTERS, embed_partial_table, malcev_witness_table,
+                     relational_assignments)
 from .words import ALPHABETS, check_letters
 
 EXIT_OK = 0
@@ -414,13 +414,8 @@ def _cmd_assign(args) -> int:
     if not relations:
         raise CliError("no relations given; use --relation u=v or --preset")
     distinct = [_parse_distinct(d) for d in args.distinct or []]
-    found = []
-    total = 0
-    for assignment, violations in find_relational_assignments(
-            mt, relations, distinctness=distinct):
-        total += 1
-        if len(found) < args.limit:
-            found.append((assignment, violations))
+    total, rows = relational_assignments(mt, relations, distinct)
+    found = list(itertools.islice(rows, args.limit))
     payload = {
         "order": mt.order,
         "relations": [[u, v] for u, v in relations],

@@ -8,11 +8,13 @@ R-trivial, completely simple, Clifford) are masks over a stack of tables of
 one order, so a caller with many tables checks them in one numpy pass; the
 one-table predicates are the stack of one.  Enumeration, and the embedding
 search in ``search``, run one propagation engine on flat tables
-(``_TableSearch``), which indexes its cells by value; enumeration up to
-isomorphism keeps the first table of each class in lexicographic order and
-skips the rest of its orbit.  Word equations over a table are filtered on
-columns of assignments (``_assignment_columns``), one column per variable,
-for ``check_implication`` and ``search.find_relational_assignments`` alike.
+(``_TableSearch``), which indexes its cells by value and writes forced
+cells in place; enumeration up to isomorphism keeps the first table of each
+class in lexicographic order and skips the rest of its orbit.  Word
+equations over a table are filtered on columns of assignments
+(``_assignment_columns``), one column per variable, for ``check_implication``
+and ``search.find_relational_assignments`` alike; the columns grow one
+relation at a time from the rows the earlier relations kept.
 """
 
 from __future__ import annotations
@@ -500,6 +502,17 @@ def _word_values(table: np.ndarray, cols: dict[str, np.ndarray], word: str) -> n
     return val
 
 
+def _cross(cols: dict[str, np.ndarray], new: list[str], n: int, dtype) -> dict[str, np.ndarray]:
+    """Each row of ``cols`` followed by every assignment of ``new``, rows in C order."""
+    if not new:
+        return cols
+    rows, block = len(next(iter(cols.values()))) if cols else 1, n ** len(new)
+    grid = np.indices((n,) * len(new), dtype=dtype).reshape(len(new), block)
+    out = {x: np.repeat(col, block) for x, col in cols.items()}
+    out.update(zip(new, np.tile(grid, rows)))
+    return out
+
+
 def _assignment_columns(mt: MulTable, variables: tuple[str, ...], premises,
                         conclusions=()) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """The assignments of ``variables`` into mt under which every premise
@@ -507,18 +520,32 @@ def _assignment_columns(mt: MulTable, variables: tuple[str, ...], premises,
     per variable, one row per assignment, rows in C order of the grid of
     assignments.
 
-    Each relation keeps only the rows it allows, so later relations are
-    evaluated on fewer rows.  Values are stored in the smallest unsigned type
-    that holds them, as the grid has order ** variables rows; ``table`` is
-    mt's table in that type, for ``_word_values`` on the columns."""
+    Premises, then conclusions, each cross in only the variables they
+    introduce and keep only the rows they allow; variables no relation names
+    come last.  Rows are then in C order of the variables in the order they
+    came in; when that is not ``variables``, one argsort of each row's index
+    in the grid, a flat key in the smallest unsigned type that holds
+    order ** variables (uint32 up to 8 variables over order 8), puts them in
+    grid order.
+    Values are stored in the smallest unsigned type that holds them;
+    ``table`` is mt's table in that type, for ``_word_values``."""
     n, k = mt.order, len(variables)
     dtype = np.min_scalar_type(max(n - 1, 0))
     table = mt.table.astype(dtype)
-    cols = dict(zip(variables, np.indices((n,) * k, dtype=dtype).reshape(k, n ** k)))
+    cols: dict[str, np.ndarray] = {}
     for keep_equal, relations in ((True, premises), (False, conclusions)):
         for u, v in relations:
+            cols = _cross(cols, [x for x in variables if x in u + v and x not in cols], n, dtype)
             keep = (_word_values(table, cols, u) == _word_values(table, cols, v)) == keep_equal
             cols = {x: col[keep] for x, col in cols.items()}
+    cols = _cross(cols, [x for x in variables if x not in cols], n, dtype)
+    if list(cols) != list(variables):
+        key = np.zeros(len(cols[variables[0]]), dtype=np.min_scalar_type(max(n ** k - 1, 0)))
+        for x in variables:
+            key *= n
+            key += cols[x]
+        order = np.argsort(key)
+        cols = {x: cols[x][order] for x in variables}
     return table, cols
 
 
@@ -542,115 +569,122 @@ class _TableSearch:
     """Backtracking completion of a partial n x n table under associativity.
 
     The table is a flat list of n*n ints, cell i*n + j holding the product of
-    i and j, -1 where undefined.  ``assign`` records each cell on a trail and
-    a worklist; ``propagate`` re-checks only the triples (p, q, r) that read a
-    cell on the worklist -- as pq, as qr, as (pq)r or as p(qr) -- and forces
-    the missing product of any triple whose other three are defined.  Forcing
-    is monotone, so a conflict-free fixpoint is unique whatever the order of
-    the worklist.  Backtracking undoes the trail to a mark.  With ``latin``
-    set, a value may not repeat in a row or a column (group tables).
+    i and j, -1 where undefined; ``pins`` are (cell, value) pairs defined at
+    the start.  Every defined cell goes on a trail, and the trail from the
+    point ``propagate`` starts at is its worklist: ``propagate`` re-checks
+    only the triples (p, q, r) that read a cell on it -- as pq, as qr, as
+    (pq)r or as p(qr) -- and forces the missing product of any triple whose
+    other three are defined.  Forcing is monotone, so a conflict-free
+    fixpoint is unique whatever the order of the worklist.  Backtracking
+    cuts the trail back to a mark.  With ``latin`` set, a value may not
+    repeat in a row or a column (group tables); ``propagate`` checks that
+    for each cell it takes from the worklist.
 
-    ``occ[v]`` lists the cells that hold v, in trail order: ``assign``
-    appends to it and ``undo`` pops in reverse trail order.  The triples
-    that read a cell (a, b) as (pq)r or p(qr) are those with pq = a or
-    qr = b, so ``propagate`` walks ``occ[a]`` and ``occ[b]`` instead of
-    scanning all n*n cells for them.
+    ``occ[v]`` lists the cells that hold v, in trail order, so cutting the
+    trail pops from each list exactly the cells it clears.  The triples that
+    read a cell (a, b) as (pq)r or p(qr) are those with pq = a or qr = b, so
+    ``propagate`` walks ``occ[a]`` and ``occ[b]`` instead of scanning all n*n
+    cells for them.
     """
 
-    def __init__(self, n: int, latin: bool = False):
+    def __init__(self, n: int, latin: bool = False, pins=()):
         self.n = n
         self.latin = latin
         self.T = [-1] * (n * n)
         self.pairs = [divmod(c, n) for c in range(n * n)]
         self.occ: list[list[int]] = [[] for _ in range(n)]
         self.trail: list[int] = []
-        self.work: list[int] = []
         self.decisions = 0
+        for cell, v in pins:
+            self.T[cell] = v
+            self.occ[v].append(cell)
+            self.trail.append(cell)
 
-    def assign(self, cell: int, v: int) -> bool:
-        T = self.T
-        if self.latin:
-            n = self.n
-            row = cell - cell % n
-            if v in T[row:row + n] or v in T[cell % n::n]:
-                return False
-        T[cell] = v
-        self.occ[v].append(cell)
-        self.trail.append(cell)
-        self.work.append(cell)
-        return True
-
-    def propagate(self) -> bool:
-        """Check every triple (p, q, r) that reads a cell on the worklist, as
-        pq, qr, (pq)r or p(qr), forcing the product that the other three
-        determine; False on a conflict, leaving the worklist to ``undo``."""
-        T, n, work, assign, pairs, occ = (self.T, self.n, self.work, self.assign,
-                                          self.pairs, self.occ)
-        while work:
-            c = work.pop()
+    def propagate(self, start: int = 0) -> bool:
+        """Check every triple that reads a cell of the trail from ``start``
+        on, writing each forced cell in place and appending it to the trail;
+        False on a conflict.  Row b and column a of the cell (a, b) are read
+        as slices, so a cell forced while its triples are checked may read as
+        undefined there; that cell is on the trail, and checking it re-checks
+        each triple the stale slice skipped, so the fixpoint, the decisions
+        and the completions are the same as with live reads."""
+        T, n, trail, pairs, occ, latin = (self.T, self.n, self.trail, self.pairs,
+                                          self.occ, self.latin)
+        i = start
+        while i < len(trail):
+            c = trail[i]
+            i += 1
             a, b = pairs[c]
             v = T[c]
-            an, bn, vn = a * n, b * n, v * n
-            for r in range(n):                  # pq = c: (ab)r against a(br)
-                qr = T[bn + r]
-                if qr >= 0:
+            an, vn = a * n, v * n
+            if latin and (T[an:an + n].count(v) > 1 or T[b::n].count(v) > 1):
+                return False
+            for r, qr in enumerate(T[b * n:b * n + n]):    # pq = c: (ab)r against a(br)
+                if qr >= 0 and T[vn + r] != T[an + qr]:     # a conflict, or one side undefined
                     left, right = T[vn + r], T[an + qr]
-                    if left >= 0:
-                        if not (assign(an + qr, left) if right < 0 else left == right):
-                            return False
-                    elif right >= 0 and not assign(vn + r, right):
+                    if left >= 0 and right >= 0:
                         return False
-            for p in range(n):                  # qr = c: (pa)b against p(ab)
-                pq = T[p * n + a]
-                if pq >= 0:
+                    x, w = (an + qr, left) if right < 0 else (vn + r, right)
+                    T[x] = w
+                    occ[w].append(x)
+                    trail.append(x)
+            for p, pq in enumerate(T[a::n]):                # qr = c: (pa)b against p(ab)
+                if pq >= 0 and T[pq * n + b] != T[p * n + v]:
                     left, right = T[pq * n + b], T[p * n + v]
-                    if left >= 0:
-                        if not (assign(p * n + v, left) if right < 0 else left == right):
-                            return False
-                    elif right >= 0 and not assign(pq * n + b, right):
+                    if left >= 0 and right >= 0:
                         return False
-            for x in occ[a]:                    # (pq)r = c, x the cell pq
-                p, q = pairs[x]
+                    x, w = (p * n + v, left) if right < 0 else (pq * n + b, right)
+                    T[x] = w
+                    occ[w].append(x)
+                    trail.append(x)
+            for y in occ[a]:                    # (pq)r = c, y the cell pq
+                p, q = pairs[y]
                 qr = T[q * n + b]
                 if qr >= 0:
-                    right = T[p * n + qr]
-                    if not (assign(p * n + qr, v) if right < 0 else right == v):
+                    x = p * n + qr
+                    if T[x] < 0:
+                        T[x] = v
+                        occ[v].append(x)
+                        trail.append(x)
+                    elif T[x] != v:
                         return False
-            for x in occ[b]:                    # p(qr) = c, x the cell qr
-                q, r = pairs[x]
+            for y in occ[b]:                    # p(qr) = c, y the cell qr
+                q, r = pairs[y]
                 pq = T[an + q]
                 if pq >= 0:
-                    left = T[pq * n + r]
-                    if not (assign(pq * n + r, v) if left < 0 else left == v):
+                    x = pq * n + r
+                    if T[x] < 0:
+                        T[x] = v
+                        occ[v].append(x)
+                        trail.append(x)
+                    elif T[x] != v:
                         return False
         return True
-
-    def undo(self, mark: int) -> None:
-        """Clear the cells assigned since the mark, and the worklist."""
-        T, trail, occ = self.T, self.trail, self.occ
-        for c in reversed(trail[mark:]):
-            occ[T[c]].pop()
-            T[c] = -1
-        del trail[mark:]
-        self.work.clear()
 
     def completions(self):
         """Yield the live table at each completion: the first undefined cell
         in row-major order takes each value in ascending order, so the
-        completions come in lexicographic order of the flat table."""
-        T, n, trail = self.T, self.n, self.trail
+        completions come in lexicographic order of the flat table.  Each
+        step first cuts the trail back to its mark, clearing those cells."""
+        T, n, trail, occ = self.T, self.n, self.trail, self.occ
         if -1 not in T:
             yield T
             return
         stack = [(T.index(-1), len(trail), 0)]   # (cell, trail mark, next value)
         while stack:
             c, mark, v = stack.pop()
-            self.undo(mark)
+            for x in trail[mark:]:
+                occ[T[x]].pop()
+                T[x] = -1
+            del trail[mark:]
             if v == n:
                 continue
             stack.append((c, mark, v + 1))
             self.decisions += 1
-            if self.assign(c, v) and self.propagate():
+            T[c] = v
+            occ[v].append(c)
+            trail.append(c)
+            if self.propagate(mark):
                 try:
                     stack.append((T.index(-1, c + 1), len(trail), 0))
                 except ValueError:
@@ -720,11 +754,8 @@ def enumerate_groups(order: int, up_to_iso: bool = True) -> list[MulTable]:
         raise ValueError("order must be positive")
     if order > MAX_GROUP_ORDER:
         raise ValueError(f"group enumeration is bounded at order {MAX_GROUP_ORDER}; got {order}")
-    search = _TableSearch(order, latin=True)
-    for i in range(order):              # the identity 0: its row, then its column
-        search.assign(i, i)
-        if i:
-            search.assign(i * order, i)
+    identity = [(i, i) for i in range(order)] + [(i * order, i) for i in range(1, order)]
+    search = _TableSearch(order, latin=True, pins=identity)   # 0's row and column
     search.propagate()
     if up_to_iso:
         return [_as_table(flat, order) for flat, _ in _classes(search)]

@@ -1,7 +1,8 @@
 """Bounded exhaustive searches: embed a partial multiplication table into a
 finite semigroup of bounded order (optionally restricted to a class), and
 stream relation-satisfying assignments inside a given table, filtered on
-columns of assignments by ``fsg._assignment_columns``.
+columns of assignments by ``fsg._assignment_columns`` (and counted without
+streaming them, by ``relational_assignments``).
 
 The embedding search runs the table engine of ``fsg`` (also behind
 enumeration).  It fixes the injection onto the first indices of a flat
@@ -29,7 +30,7 @@ from .fsg import (MulTable, PartialTable, _assignment_columns, _holds, _TableSea
                   relation_variables)
 
 __all__ = ["SearchResult", "embed_partial_table", "check_partial_associativity",
-           "malcev_witness_table", "find_relational_assignments",
+           "malcev_witness_table", "find_relational_assignments", "relational_assignments",
            "CLASS_FILTERS", "CLASS_MASKS", "MAX_ASSIGN_ORDER"]
 
 MAX_ASSIGN_ORDER = 8
@@ -109,17 +110,10 @@ def malcev_witness_table() -> PartialTable:
     return PartialTable(elements=elements, products=products)
 
 
-def find_relational_assignments(mt: MulTable, relations, distinctness=()):
-    """Yield (assignment, violations) for every mapping of the relations'
-    variables into the table under which all relation equalities hold.
-
-    violations lists the distinctness pairs whose two sides nevertheless
-    evaluate to the same element.  Such assignments are reported rather than
-    suppressed: a forced collapse is usually the interesting output.
-    Assignments come in C order of the grid of assignments, from the column
-    filter of ``fsg`` that ``check_implication`` uses; the distinctness pairs
-    are evaluated on the columns that are left, ``ASSIGN_CHUNK`` rows at a time.
-    """
+def relational_assignments(mt: MulTable, relations, distinctness=()):
+    """(count, rows): the rows of ``find_relational_assignments`` as a
+    generator, and their count, read off the filtered columns, so a caller
+    that lists only the first rows turns no others into Python values."""
     relations = [tuple(r) for r in relations]
     distinctness = [tuple(d) for d in distinctness]
     variables = relation_variables(relations + distinctness)
@@ -132,16 +126,33 @@ def find_relational_assignments(mt: MulTable, relations, distinctness=()):
         raise ValueError("assignment grid too large: order ** variables "
                          "exceeds the configured budget")
     if not variables:
-        yield {}, []
-        return
+        return 1, iter([({}, [])])
     table, cols = _assignment_columns(mt, variables, relations)
     collapsed = [_word_values(table, cols, u) == _word_values(table, cols, v)
                  for u, v in distinctness]
-    for at in range(0, len(cols[variables[0]]), ASSIGN_CHUNK):
-        chunk = slice(at, at + ASSIGN_CHUNK)
-        rows = zip(*(cols[x][chunk].tolist() for x in variables))
-        for values, *hits in zip(rows, *(c[chunk].tolist() for c in collapsed)):
-            yield dict(zip(variables, values)), [d for d, hit in zip(distinctness, hits) if hit]
+    count = len(cols[variables[0]])
+
+    def rows():
+        for at in range(0, count, ASSIGN_CHUNK):
+            chunk = slice(at, at + ASSIGN_CHUNK)
+            values = zip(*(cols[x][chunk].tolist() for x in variables))
+            for row, *hits in zip(values, *(c[chunk].tolist() for c in collapsed)):
+                yield dict(zip(variables, row)), [d for d, hit in zip(distinctness, hits) if hit]
+    return count, rows()
+
+
+def find_relational_assignments(mt: MulTable, relations, distinctness=()):
+    """Yield (assignment, violations) for every mapping of the relations'
+    variables into the table under which all relation equalities hold.
+
+    violations lists the distinctness pairs whose two sides nevertheless
+    evaluate to the same element.  Such assignments are reported rather than
+    suppressed: a forced collapse is usually the interesting output.
+    Assignments come in C order of the grid of assignments, from the column
+    filter of ``fsg`` that ``check_implication`` uses; the distinctness pairs
+    are evaluated on the columns that are left, ``ASSIGN_CHUNK`` rows at a time.
+    """
+    yield from relational_assignments(mt, relations, distinctness)[1]
 
 
 def _filler_labels(base: tuple[str, ...], n: int) -> tuple[str, ...]:
@@ -206,9 +217,9 @@ def embed_partial_table(pt: PartialTable, max_order: int,
     at = {label: i for i, label in enumerate(pt.elements)}
     explored = 0
     for n in range(k, max_order + 1):
-        search = _TableSearch(n, latin=class_filter == "group")
-        if all(search.assign(at[x] * n + at[y], at[z])
-               for (x, y), z in pt.products.items()) and search.propagate():
+        pins = [(at[x] * n + at[y], at[z]) for (x, y), z in pt.products.items()]
+        search = _TableSearch(n, latin=class_filter == "group", pins=pins)
+        if search.propagate():
             for stack, found_at in _batches(search):
                 if not associative_mask(stack).all():
                     raise AssertionError("propagation let an inassociative table through")

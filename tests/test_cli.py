@@ -11,7 +11,8 @@ from lef.approx import cyclic_table
 from lef.cli import main
 from lef.fsg import MulTable
 from lef.rewrite import normal_form
-from lef.presets import Q_SYSTEM
+from lef.presets import PRESENTATIONS, Q_SYSTEM
+from lef.search import find_relational_assignments
 
 
 def run(capsys, *argv):
@@ -206,6 +207,39 @@ def test_assign_verb(capsys, z3_file):
                        "--relation", "xx=x")
     assert code == 0
     assert "x=0" in out.replace(" ", "") or "'x': 0" in out or "x: 0" in out
+
+
+def test_assign_counts_what_it_does_not_list(capsys, tmp_path):
+    # all 6 ** 8 assignments pass on the all-zero table of order 6; the count
+    # comes from the filtered columns and only the listed rows become dicts
+    path = tmp_path / "zero6.json"
+    path.write_text(json.dumps({"order": 6, "table": [[0] * 6] * 6}))
+    code, data, _ = run_json(capsys, "assign", "--table", str(path), "--relation", "ab=cd",
+                             "--relation", "ef=gh", "--limit", "1", "--json")
+    assert code == 0 and data["count"] == 1_679_616
+    assert data["assignments"] == [{"assignment": dict.fromkeys("abcdefgh", 0), "collapsed": []}]
+    code, out, _ = run(capsys, "assign", "--table", str(path), "--relation", "ab=cd",
+                       "--relation", "ef=gh", "--limit", "2")
+    assert out.splitlines() == ["satisfying assignments: 1679616",
+                                "  a=s0 b=s0 c=s0 d=s0 e=s0 f=s0 g=s0 h=s0",
+                                "  a=s0 b=s0 c=s0 d=s0 e=s0 f=s0 g=s0 h=s1",
+                                "  ... 1679614 more (raise --limit)"]
+
+
+def test_assign_lists_the_first_rows_of_the_search(capsys, tmp_path):
+    # the Klein four-group under c's relations, with a distinctness pair
+    # on variables the relations name
+    v4 = MulTable(np.bitwise_xor.outer(np.arange(4), np.arange(4)))
+    path = tmp_path / "v4.json"
+    path.write_text(json.dumps(v4.to_json()))
+    code, data, _ = run_json(capsys, "assign", "--table", str(path), "--preset", "c",
+                             "--distinct", "cu!=dv", "--distinct", "a!=b", "--limit", "7",
+                             "--json")
+    want = list(find_relational_assignments(v4, PRESENTATIONS["c"].relations,
+                                            [("cu", "dv"), ("a", "b")]))
+    assert code == 0 and data["count"] == len(want) == 4 ** 5
+    assert [(row["assignment"], [tuple(pair) for pair in row["collapsed"]])
+            for row in data["assignments"]] == want[:7]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ brute-force oracles and published isomorphism-class counts."""
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,6 +455,22 @@ def test_check_implication_matches_the_full_grid():
         assert got == _full_grid_implication(mt, premises, conclusions), (mt.table, premises)
         counterexamples += got is not None
     assert 100 < counterexamples < len(cases) - 100
+
+
+def test_the_malcev_sweep_never_builds_the_full_grid():
+    # c's 8 variables span 6 ** 8 = 1,679,616 assignments over a group of
+    # order 6, 13 MB as uint8 columns; grown one relation at a time the
+    # filter never holds more than 6 ** 6 of them
+    premises = list(PRESENTATIONS["c"].relations)
+    groups = enumerate_groups(6)
+    tracemalloc.start()
+    try:
+        for g in groups:
+            assert check_implication(g, premises, [("cu", "dv")]) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 # ---------------------------------------------------------------------------

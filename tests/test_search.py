@@ -1,6 +1,8 @@
 """Bounded embeddability search for partial multiplication tables, the
 bicyclic fragment, and the Malcev-style witness."""
 
+import hashlib
+import itertools
 import random
 import tracemalloc
 
@@ -144,12 +146,26 @@ def test_malcev_table_embeds_at_order_13():
 # the engine's value index, and stacked leaf checks against one-by-one checks
 
 
-class _CheckedSearch(_TableSearch):
-    """Checks that occ[v] holds exactly the cells of value v after each undo."""
+class _CheckedTrail(list):
+    """A trail that checks, each time the search cuts it back to a mark on a
+    backtrack, that occ[v] holds exactly the cells of value v."""
 
-    def undo(self, mark):
-        super().undo(mark)
-        _assert_occ(self)
+    def __init__(self, search):
+        super().__init__()
+        self.search = search
+        self.checks = 0
+
+    def __delitem__(self, index):
+        super().__delitem__(index)
+        _assert_occ(self.search)
+        self.checks += 1
+
+
+class _CheckedSearch(_TableSearch):
+    def __init__(self, n, latin=False, pins=()):
+        super().__init__(n, latin, pins)
+        self.trail = _CheckedTrail(self)
+        self.trail += [c for c, _ in pins]
 
 
 def _assert_occ(search):
@@ -157,10 +173,9 @@ def _assert_occ(search):
         assert sorted(cells) == [c for c, x in enumerate(search.T) if x == v]
 
 
-def _pinned(n, products, latin=False):
-    search = _CheckedSearch(n, latin=latin)
-    ok = all(search.assign(c, v) for c, v in products) and search.propagate()
-    return search if ok else None
+def _pinned(n, products, latin=False, search_class=_CheckedSearch):
+    search = search_class(n, latin=latin, pins=products)
+    return search if search.propagate() else None
 
 
 def test_value_index_matches_the_table():
@@ -168,12 +183,81 @@ def test_value_index_matches_the_table():
     searches += [_pinned(n, []) for n in (1, 2, 3)]
     searches.append(_pinned(4, [(i, i) for i in range(4)] + [(4 * i, i) for i in range(1, 4)],
                             latin=True))
-    completions = 0
+    completions = checks = 0
     for search in searches:
         for _ in search.completions():
             _assert_occ(search)
             completions += 1
+        checks += search.trail.checks
     assert completions > 100
+    assert checks > sum(search.decisions for search in searches)   # one per step
+
+
+def _fingerprint(search, limit=None):
+    """The decision count after the first ``limit`` completions (all of them
+    by default), and a sha256 over each completion's cells followed by the
+    decision count at which it was found."""
+    digest = hashlib.sha256()
+    for flat in itertools.islice(search.completions(), limit):
+        digest.update(bytes(flat))
+        digest.update(search.decisions.to_bytes(4, "little"))
+    return search.decisions, digest.hexdigest()
+
+
+def _identity_pins(n):
+    return [(i, i) for i in range(n)] + [(i * n, i) for i in range(1, n)]
+
+
+def _malcev_pins():
+    pt = malcev_witness_table()
+    at = {x: i for i, x in enumerate(pt.elements)}
+    return [(at[x] * 13 + at[y], at[z]) for (x, y), z in pt.products.items()]
+
+
+# The engine's search order, recorded when propagate still wrote each forced
+# cell through a method call and undo cleared the trail: any rewrite of the
+# engine must make the same decisions and find the same completions in the
+# same order.  {p,q} sums to the 100,659 decisions of the benchmark's
+# {p,q} <= 5 searches, the unpinned orders 1-4 to 19,309.
+ENGINE_PINS = [
+    ("pq", 2, [(1, 1), (2, 0)], False, None,
+     0, "601657da685528a70db443696162e7d26f76ee38faa01c29ba2d3e18263808e7"),
+    ("pq", 3, [(1, 1), (3, 0)], False, None,
+     45, "49d8c61564d21dbcf599dc7adfb79b388360ae3ca9eb3e88ef2fb0e8baa052e2"),
+    ("pq", 4, [(1, 1), (4, 0)], False, None,
+     1524, "1ed67f18a4e7fe2bc6bc4629d0a77efe020077b40f7899b81c8bad132f6c6c37"),
+    ("pq", 5, [(1, 1), (5, 0)], False, None,
+     99090, "9774fc0d1d2a796699aa80f47fd6b328ac7bf573fa87aedc4d5bdc1eab4c7a66"),
+    ("free", 1, [], False, None,
+     1, "86f9649499b0080656c014aa244f654864bad4145c8513e9c8409f437d4a2b3b"),
+    ("free", 2, [], False, None,
+     14, "4413a40b6c98217f7054962b820b7295d39e66ed7e388f650bef9a99664f535c"),
+    ("free", 3, [], False, None,
+     390, "773246c9a6375bb91118cea5b00a5b1a9b2e72c65103496fd162646e0631c23f"),
+    ("free", 4, [], False, None,
+     18904, "7768b0873a0cfb35362ed6d6aa23652c97b1c55790daa67b5cd1e283eb3af085"),
+    ("latin", 1, _identity_pins(1), True, None,
+     0, "8855508aade16ec573d21e6a485dfd0a7624085c1a14b5ecdd6485de0c6839a4"),
+    ("latin", 2, _identity_pins(2), True, None,
+     2, "50cedcd8875dcfa5e3b044358ab956d80cc558f5d42f47a42f141f1420dc72bf"),
+    ("latin", 3, _identity_pins(3), True, None,
+     9, "15f3f6d9425e34a73e95bd2b5699ede206a5415894e873ef9cf4e0bef57a7aff"),
+    ("latin", 4, _identity_pins(4), True, None,
+     36, "81427dc42e5c5a9466b353745a5f5793b7cce26004e98a31fcf6153df672239d"),
+    ("latin", 5, _identity_pins(5), True, None,
+     120, "1fb7d3a92c1c4a1da562a126ca1a59521c1cfda49322465011dda0fa7913c37a"),
+    ("latin", 6, _identity_pins(6), True, None,
+     900, "1a2f00ea435d5fc7aadf9d9a50887b13c96d7e6ae0a81bc23ec148c2e86cdddf"),
+    ("malcev", 13, _malcev_pins(), False, 1,          # the first completion under "any"
+     74, "7aac407a61b4d540b343701663dcfcc5580a4aaebfda1ddb50c30cefd44d2456"),
+]
+
+
+@pytest.mark.parametrize("name, n, pins, latin, limit, decisions, digest", ENGINE_PINS,
+                         ids=[f"{name}-{n}" for name, n, *_ in ENGINE_PINS])
+def test_engine_search_order_is_pinned(name, n, pins, latin, limit, decisions, digest):
+    search = _pinned(n, pins, latin=latin, search_class=_TableSearch)
+    assert _fingerprint(search, limit) == (decisions, digest)
 
 
 def _one_by_one(pt, max_order, class_filter="any"):
@@ -183,9 +267,9 @@ def _one_by_one(pt, max_order, class_filter="any"):
     at = {label: i for i, label in enumerate(pt.elements)}
     explored = 0
     for n in range(len(pt.elements), max_order + 1):
-        search = _TableSearch(n, latin=class_filter == "group")
-        if all(search.assign(at[x] * n + at[y], at[z])
-               for (x, y), z in pt.products.items()) and search.propagate():
+        pins = [(at[x] * n + at[y], at[z]) for (x, y), z in pt.products.items()]
+        search = _TableSearch(n, latin=class_filter == "group", pins=pins)
+        if search.propagate():
             for flat in search.completions():
                 mt = MulTable(np.array(flat).reshape(n, n),
                               labels=_filler_labels(pt.elements, n))
