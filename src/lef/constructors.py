@@ -10,6 +10,7 @@ approximation checkers multiply handles with the same methods.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -268,11 +269,13 @@ def quotient_by_length_ideal(alphabet: str, max_len: int, relations=()) -> MulTa
     rels = _check_length_ideal_args(alphabet, max_len, relations)
     reps, word_class = _length_ideal_classes(alphabet, max_len, rels)
     n = len(reps)
+    # reps come in length order, so the partners short enough for reps[i]
+    # form a prefix of reps[1:]; every other product stays in the zero class
+    lengths = [len(w) for w in reps[1:]]
     T = np.zeros((n, n), dtype=np.int64)
     for i in range(1, n):
-        for j in range(1, n):
-            w = reps[i] + reps[j]
-            T[i, j] = word_class.get(w, 0) if len(w) <= max_len else 0
+        stop = 1 + bisect.bisect_right(lengths, max_len - lengths[i - 1])
+        T[i, 1:stop] = [word_class[reps[i] + v] for v in reps[1:stop]]
     return MulTable(T, reps)
 
 

@@ -8,6 +8,12 @@ elements, which lets a finite cut-off of the free semigroup wrap the subset:
 by plain length for the t host, and by e-reduced length with runs of e folded
 below a fixed modulus for the s host, whose pre-accurate words pump
 arbitrarily long runs of e.
+
+Membership of a candidate word costs one oracle call, ``equal_to_any``
+against the representatives sharing its conserved quantities, whatever
+their number.  The s carrier's table is filled block by block from word
+codes, and the t carrier (``quotient_by_length_ideal``) visits only the
+products short enough to stay out of the zero class.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 from .approx import FiniteSubset, WrapMap
 from .constructors import quotient_by_length_ideal
 from .fsg import MulTable
-from .oracle import sm_canonical, word_equal
+from .oracle import equal_to_any, sm_canonical, word_equal
 from .words import ALPHABETS, conserved_vector, e_reduced_length
 
 _WORD_HOSTS = ("q", "s", "t", "c")
@@ -92,9 +98,10 @@ def enumerate_preaccurate(preset: str, n: int,
     defining word in the host, so candidates at each length come from joining
     shorter pre-accurate words, and membership is settled by the word oracle
     against the base representatives.  A word is compared only with the
-    representatives that share its conserved quantities; every other
-    representative is distinct from it by invariant.  Raises when the base
-    words themselves cannot be partitioned.
+    representatives that share its conserved quantities (every other
+    representative is distinct from it by invariant), all at once through
+    one ``equal_to_any`` call; the base words are partitioned the same way.
+    Raises when the base words themselves cannot be partitioned.
     """
     pid = preset.lower()
     if pid not in _WORD_HOSTS:
@@ -113,29 +120,24 @@ def enumerate_preaccurate(preset: str, n: int,
     buckets: dict[tuple, list[str]] = {}
     for w in base_words:
         bucket = buckets.setdefault(_quantity_key(w, pid), [])
-        hit = False
-        for r in bucket:
-            status = word_equal(pid, w, r).status
-            if status == "unknown":
-                raise RuntimeError(
-                    f"cannot partition the defining words: {w!r} vs {r!r} "
-                    f"is undecided")
-            if status == "equal":
-                hit = True
-                break
-        if not hit:
+        status = equal_to_any(pid, w, bucket).status if bucket else "distinct"
+        if status == "unknown":
+            # name the pairs left open, as the pairwise oracle sees them
+            open_pairs = [r for r in bucket
+                          if word_equal(pid, w, r).status == "unknown"] or bucket
+            raise RuntimeError(
+                f"cannot partition the defining words: {w!r} vs "
+                f"{', '.join(map(repr, open_pairs))} is undecided")
+        if status == "distinct":
             reps.append(w)
             bucket.append(w)
 
     def in_subset(w: str) -> bool | None:
-        undecided = False
-        for r in buckets.get(_quantity_key(w, pid), ()):
-            status = word_equal(pid, w, r).status
-            if status == "equal":
-                return True
-            if status == "unknown":
-                undecided = True
-        return None if undecided else False
+        bucket = buckets.get(_quantity_key(w, pid))
+        if not bucket:
+            return False
+        status = equal_to_any(pid, w, bucket).status
+        return None if status == "unknown" else status == "equal"
 
     by_length: dict[int, list[str]] = {
         ell: ["".join(t) for t in itertools.product(letters, repeat=ell)]
@@ -193,50 +195,55 @@ def sm_ideal_quotient(m: int, bound: int) -> tuple[MulTable, dict[str, int]]:
     a zero at index 0 absorbing every longer product.
 
     Returns the table and the word-to-index map.
+
+    A canonical word of e-reduced length k alternates k + 1 runs of e,
+    each shorter than m, with the k letters of its skeleton from abcx (level
+    0 holds e .. e**(m-1)).  Its code reads these 2k + 1 digits in the mixed
+    radix m, 4, m, ..., m, so a product's code is index arithmetic: the left
+    factor's digits but its last run, the joined run, then the right
+    factor's digits but its first run.  Both factors are canonical, so only
+    the joined run can reach m, and a small table folds it.  Each (level,
+    level) block of the table is filled from these codes at once, through
+    the result level's code-to-index array.
     """
     if m < 2:
         raise ValueError("the e-run modulus m must be at least 2")
     if bound < 0:
         raise ValueError("the e-reduced length bound must be nonnegative")
+    runs = ["e" * r for r in range(m)]
     skeleton = sorted(set(ALPHABETS["s"]) - {"e"})
+    radix = m * len(skeleton)      # one letter and the run after it
     words = ["0"]
     by_level: list[range] = []
+    code_index: list[np.ndarray] = []   # per level: code -> table index
+    codes: list[np.ndarray] = []        # per level: each word's code, by index
     for k in range(bound + 1):
-        level: list[str] = []
-        if k == 0:
-            level = ["e" * r for r in range(1, m)]
-        else:
-            for skel in itertools.product(skeleton, repeat=k):
-                for runs in itertools.product(range(m), repeat=k + 1):
-                    parts = []
-                    for i in range(k):
-                        parts.append("e" * runs[i])
-                        parts.append(skel[i])
-                    parts.append("e" * runs[k])
-                    level.append("".join(parts))
-        level.sort(key=lambda w: (len(w), w))
+        # product counts in the mixed radix, so a word's position is its
+        # code; the empty word (code 0 of level 0) is no element
+        level = ["".join(p) for p in itertools.product(*[runs, skeleton] * k, runs)]
+        order = sorted(range(1 if k == 0 else 0, len(level)),
+                       key=lambda c: (len(level[c]), level[c]))
         start = len(words)
-        words.extend(level)
-        by_level.append(range(start, start + len(level)))
+        words.extend(level[c] for c in order)
+        by_level.append(range(start, start + len(order)))
+        at = np.zeros(len(level), dtype=np.int64)
+        at[order] = np.arange(start, start + len(order))
+        code_index.append(at)
+        codes.append(np.array(order, dtype=np.int64))
     index = {w: i for i, w in enumerate(words)}
     total = len(words)
     dtype = np.uint16 if total <= np.iinfo(np.uint16).max else np.uint32
     table = np.zeros((total, total), dtype=dtype)
-    # Both factors are canonical, so only the run of e's where they meet can
-    # reach m: a word splits into (head, trailing e count) as a left factor
-    # and (leading e count, tail) as a right factor, and the joined run of
-    # t + s <= 2m - 2 e's folds to junction[t + s].
-    junction = [sm_canonical("e" * k, m) for k in range(2 * m)]
-    lefts = [(w.rstrip("e"), len(w) - len(w.rstrip("e"))) for w in words]
-    rights = [(len(w) - len(w.lstrip("e")), w.lstrip("e")) for w in words]
+    fold = np.array([len(sm_canonical("e" * r, m)) for r in range(2 * m - 1)])
     for ki, rows in enumerate(by_level):
+        head, last_run = np.divmod(codes[ki], m)
         for kj in range(bound + 1 - ki):
+            first_run, tail = np.divmod(codes[kj], radix ** kj)
+            code = ((head * m * radix ** kj)[:, None]
+                    + fold[last_run[:, None] + first_run[None, :]] * radix ** kj
+                    + tail[None, :])
             cols = by_level[kj]
-            block = [rights[j] for j in cols]
-            for i in rows:
-                head, t = lefts[i]
-                table[i, cols.start:cols.stop] = [
-                    index[head + junction[t + s] + tail] for s, tail in block]
+            table[rows.start:rows.stop, cols.start:cols.stop] = code_index[ki + kj][code]
     return MulTable(table, labels=tuple(words)), index
 
 

@@ -4,6 +4,18 @@ Exact answers come from confluent rewriting (q, fn:<n>) or canonical forms
 (sm:<m>); everywhere else the oracle combines conserved-quantity separation
 with bounded bidirectional closure of the single-relation-application graph,
 and says so when the bounds ran out.
+
+``equal_to_any`` asks whether a word equals one of several targets with one
+search: side 1 starts from every target at once, and the root of the back
+chain through the meeting word names the target met.  When every pairwise
+``word_equal_bfs`` call on targets sharing the word's conserved quantities
+is decided, this one search decides the same way, node budget permitting.
+Its length bound is at least each pair's bound, and a larger bound loses
+nothing: a path within a pair's bound stays within it, and a class that
+closed under a pair's bound lies wholly below it and closes again.  So a
+target equal to the word is met, and if every pair was settled distinct,
+either the word's own class closes (side 0) or every target's class does,
+and then so does their union (side 1).
 """
 
 from __future__ import annotations
@@ -53,24 +65,33 @@ def _check_nonempty(u: str, v: str) -> None:
         raise ValueError("the empty word names no element")
 
 
+def _normal_forms(pid: str):
+    """The map from a word to its normal form, for q and fn:<n>."""
+    if pid == "q":
+        _ensure_locally_confluent(Q_SYSTEM)
+
+        def form(w: str) -> str:
+            check_letters(w, ALPHABETS["q"], pid)
+            return normal_form(Q_SYSTEM, w)
+        return form
+    handle = build_fn(family_parameter(pid))
+    _ensure_locally_confluent(handle.system)
+
+    def form(w: str) -> str:
+        check_letters(w, ALPHABETS["fn"], pid)
+        return handle.element(w)
+    return form
+
+
 def word_equal_nf(preset: str, u: str, v: str) -> EqualityVerdict:
     """Equality by normal form; presets q and fn:<n> only, never unknown."""
     _check_nonempty(u, v)
     pid = preset.lower()
-    if pid == "q":
-        check_letters(u, ALPHABETS["q"], pid)
-        check_letters(v, ALPHABETS["q"], pid)
-        _ensure_locally_confluent(Q_SYSTEM)
-        nu, nv = normal_form(Q_SYSTEM, u), normal_form(Q_SYSTEM, v)
-    elif pid.startswith("fn:"):
-        handle = build_fn(family_parameter(pid))
-        check_letters(u, ALPHABETS["fn"], pid)
-        check_letters(v, ALPHABETS["fn"], pid)
-        _ensure_locally_confluent(handle.system)
-        nu, nv = handle.element(u), handle.element(v)
-    else:
+    if not has_normal_forms(pid):
         raise ValueError(f"no confluent system for preset {preset!r}; "
                          "use word_equal_bfs")
+    form = _normal_forms(pid)
+    nu, nv = form(u), form(v)
     evidence = {"kind": "normal_form", "left": nu, "right": nv}
     return EqualityVerdict("equal" if nu == nv else "distinct", evidence)
 
@@ -127,18 +148,25 @@ def _back_chain(parents: dict[str, str | None], w: str) -> list[str]:
     return out
 
 
-def _bidirectional_search(relations, u: str, v: str, length_bound: int,
+def _bidirectional_search(relations, u: str, targets, length_bound: int,
                           node_bound: int):
-    """Meet-in-the-middle over the relation graph.  Returns (path, None, nodes)
-    on success, (None, closure_info, nodes) when a side's closure completed
-    without meeting, or (None, None, nodes) when the bounds ran out."""
-    if u == v:
+    """Meet-in-the-middle over the relation graph, from u on side 0 and from
+    every target at once on side 1.  Returns (path, None, nodes) on success,
+    the path running from u to the target it met (the root of side 1's back
+    chain), (None, closure_info, nodes) when a side's closure completed
+    without meeting, or (None, None, nodes) when the bounds ran out.
+
+    Side 1 is the union of the targets' balls, so a complete side-1 closure
+    without u, or a complete side-0 closure without any target, shows u
+    distinct from every target.  With one target this is the pairwise search.
+    """
+    if u in targets:
         return [u], None, 1
-    parents = ({u: None}, {v: None})
-    frontier: list[list[str]] = [[u], [v]]
+    parents = ({u: None}, dict.fromkeys(targets))
+    frontier: list[list[str]] = [[u], list(parents[1])]
     complete = [True, True]
     exhausted = [False, False]
-    nodes = 2
+    nodes = 1 + len(parents[1])
 
     def path_through(meet: str) -> list[str]:
         left = _back_chain(parents[0], meet)
@@ -186,6 +214,21 @@ DEFAULT_NODE_BOUND = 1_000_000
 _verdict_memo: dict[tuple, EqualityVerdict] = {}
 
 
+def _search_verdict(pid: str, u: str, targets, length_bound: int,
+                    node_bound: int) -> EqualityVerdict:
+    """The verdict of one bidirectional search from u against the targets."""
+    path, closure, nodes = _bidirectional_search(
+        preset_presentation(pid).relations, u, targets, length_bound, node_bound)
+    if path is not None:
+        return EqualityVerdict("equal", {"kind": "path", "path": path})
+    if closure is not None:
+        return EqualityVerdict(
+            "distinct", {"kind": "closure", "explored": nodes, **closure})
+    return EqualityVerdict(
+        "unknown", {"kind": "bound", "length_bound": length_bound,
+                    "node_bound": node_bound, "explored": nodes})
+
+
 def _flip_path(verdict: EqualityVerdict) -> EqualityVerdict:
     if verdict.evidence.get("kind") != "path":
         return verdict
@@ -229,18 +272,7 @@ def word_equal_bfs(preset: str, u: str, v: str, length_bound: int | None = None,
     if name is not None:
         verdict = EqualityVerdict("distinct", {"kind": "invariant", "name": name})
     else:
-        relations = preset_presentation(pid).relations
-        path, closure, nodes = _bidirectional_search(
-            relations, a, b, length_bound, node_bound)
-        if path is not None:
-            verdict = EqualityVerdict("equal", {"kind": "path", "path": path})
-        elif closure is not None:
-            verdict = EqualityVerdict(
-                "distinct", {"kind": "closure", "explored": nodes, **closure})
-        else:
-            verdict = EqualityVerdict(
-                "unknown", {"kind": "bound", "length_bound": length_bound,
-                            "node_bound": node_bound, "explored": nodes})
+        verdict = _search_verdict(pid, a, (b,), length_bound, node_bound)
     _verdict_memo[key] = verdict
     return verdict if (a, b) == (u, v) else _flip_path(verdict)
 
@@ -255,6 +287,47 @@ def word_equal(preset: str, u: str, v: str) -> EqualityVerdict:
     the bounded oracle (canonical forms for sm:<m>) for the others."""
     equal = word_equal_nf if has_normal_forms(preset) else word_equal_bfs
     return equal(preset.lower(), u, v)
+
+
+def equal_to_any(preset: str, w: str, targets) -> EqualityVerdict:
+    """Whether w equals one of the targets, settled at once rather than one
+    pair at a time.
+
+    q and fn:<n> compare w's normal form with the targets' normal forms.
+    s, t and c run one search from w against all targets, with length bound
+    len(w) + the longest target + 4 and the default node bound; see the
+    module docstring for why it decides whenever every pairwise search
+    would.  No conserved quantity is consulted: pass the targets that share
+    w's quantities, since the others are distinct by invariant and their
+    balls would only widen the search.
+
+    An equal verdict names the target under "target" (a path ends there);
+    distinct means distinct from every target.
+    """
+    targets = tuple(targets)
+    if not targets:
+        raise ValueError("equal_to_any needs at least one target")
+    if not w or not all(targets):
+        raise ValueError("the empty word names no element")
+    pid = preset.lower()
+    if has_normal_forms(pid):
+        form = _normal_forms(pid)
+        fw = form(w)
+        for r in targets:
+            if form(r) == fw:
+                return EqualityVerdict("equal", {"kind": "normal_form", "left": fw,
+                                                 "right": fw, "target": r})
+        return EqualityVerdict("distinct", {"kind": "normal_form", "left": fw})
+    if pid not in ("s", "t", "c"):
+        raise ValueError(f"equal_to_any does not know preset {preset!r}")
+    for x in (w, *targets):
+        check_letters(x, ALPHABETS[pid], pid)
+    length_bound = len(w) + max(map(len, targets)) + 4
+    verdict = _search_verdict(pid, w, targets, length_bound, DEFAULT_NODE_BOUND)
+    if verdict.status != "equal":
+        return verdict
+    return EqualityVerdict("equal", {**verdict.evidence,
+                                     "target": verdict.evidence["path"][-1]})
 
 
 def replay_path(preset: str, path) -> bool:

@@ -122,9 +122,6 @@ def relational_assignments(mt: MulTable, relations, distinctness=()):
     if mt.order > MAX_ASSIGN_ORDER:
         raise ValueError(f"assignment search is bounded at order "
                          f"{MAX_ASSIGN_ORDER}, got {mt.order}")
-    if mt.order ** len(variables) > 20_000_000:
-        raise ValueError("assignment grid too large: order ** variables "
-                         "exceeds the configured budget")
     if not variables:
         return 1, iter([({}, [])])
     table, cols = _assignment_columns(mt, variables, relations)

@@ -175,6 +175,21 @@ def test_quotient_by_length_ideal_free():
     assert mt.mul(word_map["a"], word_map["aa"]) == zero  # length 3 -> ideal
 
 
+@pytest.mark.parametrize("alphabet, max_len", [("ab", 2), ("abcdex", 3)])
+def test_quotient_by_length_ideal_cells_are_concatenations(alphabet, max_len):
+    # every one of the n^2 cells, against the word map: ("abcdex", 3) is the
+    # carrier of the t wrapping at n = 1
+    mt = quotient_by_length_ideal(alphabet, max_len)
+    word_map = quotient_word_map(alphabet, max_len)
+    expected = np.zeros_like(mt.table)
+    for i in range(1, mt.order):
+        for j in range(1, mt.order):
+            w = mt.label(i) + mt.label(j)
+            expected[i, j] = word_map[w] if len(w) <= max_len else 0
+    assert mt.order == 1 + sum(len(alphabet) ** k for k in range(1, max_len + 1))
+    assert np.array_equal(mt.table, expected)
+
+
 def test_quotient_by_length_ideal_with_relations():
     mt = quotient_by_length_ideal("ab", 2, relations=(("ab", "ba"),))
     word_map = quotient_word_map("ab", 2, relations=(("ab", "ba"),))

@@ -16,7 +16,7 @@ from lef.lwf import (
     fallback_element,
     sm_ideal_quotient,
 )
-from lef.oracle import sm_canonical, word_equal
+from lef.oracle import equal_to_any, sm_canonical, word_equal
 from lef.words import ALPHABETS, e_reduced_length
 
 
@@ -85,7 +85,8 @@ def _reference_preaccurate(preset: str, n: int, cap: int) -> PreAccurateSet:
 
 
 @pytest.mark.parametrize("preset, n, cap", [("t", 2, 8), ("s", 2, 10),
-                                            ("c", 1, 6), ("q", 2, 8)])
+                                            ("c", 1, 6), ("q", 2, 8),
+                                            ("t", 2, 12), ("s", 2, 12)])
 def test_preaccurate_matches_the_unbucketed_reference(preset, n, cap):
     assert (enumerate_preaccurate(preset, n, cap)
             == _reference_preaccurate(preset, n, cap))
@@ -93,17 +94,24 @@ def test_preaccurate_matches_the_unbucketed_reference(preset, n, cap):
 
 def test_preaccurate_t_n2_asks_few_oracle_calls(monkeypatch):
     # comparing each candidate with every representative took about 73k
-    # oracle calls here; the conserved-quantity buckets leave a few thousand
-    calls = 0
+    # oracle calls here, and one call per bucketed pair a few thousand; one
+    # multi-target call per word leaves at most one per base or candidate word
+    asked = []
 
-    def counting(preset, u, v):
-        nonlocal calls
-        calls += 1
-        return word_equal(preset, u, v)
+    def counting(preset, w, targets):
+        asked.append(w)
+        return equal_to_any(preset, w, targets)
 
-    monkeypatch.setattr(lef.lwf, "word_equal", counting)
-    enumerate_preaccurate("t", 2)
-    assert 0 < calls < 10_000
+    monkeypatch.setattr(lef.lwf, "equal_to_any", counting)
+    pre = enumerate_preaccurate("t", 2)
+    by_length: dict[int, list[str]] = {}
+    for w in pre.words:
+        by_length.setdefault(len(w), []).append(w)
+    candidates = {u + v for ell in range(pre.n + 1, pre.length_cap + 1)
+                  for j in range(1, ell)
+                  for u in by_length.get(j, ()) for v in by_length.get(ell - j, ())}
+    assert asked and len(asked) == len(set(asked))
+    assert set(asked) <= set(pre.base_words) | candidates
 
 
 def test_preaccurate_rejects_bad_arguments():
@@ -160,8 +168,11 @@ def test_sm_ideal_quotient():
     assert mt.mul(a, a) == zero
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("bound", [0, 1, 2])
+@pytest.mark.parametrize("m, bound", [
+    pytest.param(m, bound, id=f"{bound}-{m}")
+    for bound in (0, 1, 2) for m in (2, 3, 4)] + [
+    # the 5,655-element carrier of the s wrapping at n = 1
+    pytest.param(3, 3, id="3-3")])
 def test_sm_ideal_quotient_cells_are_canonical_products(m, bound):
     mt, index = sm_ideal_quotient(m, bound)
     by_reduced: dict[int, list[int]] = {}
@@ -213,6 +224,16 @@ def test_build_lwf_wrapping_rejects_bad_input():
         build_lwf_wrapping("t", [], 1)
     with pytest.raises(ValueError):
         build_lwf_wrapping("t", ["aa"], 1)  # word longer than n
+
+
+@pytest.mark.parametrize("preset, word, rep", [("t", "bxax", "xex"),
+                                               ("s", "axc", "acx")])
+def test_wrapping_at_n2_names_the_undecided_pair(preset, word, rep):
+    # at n = 2 the base partition of the words of length <= 4 fails, and the
+    # error names the pair the oracle leaves open
+    with pytest.raises(RuntimeError, match=f"^cannot partition the defining "
+                                           f"words: '{word}' vs '{rep}' is undecided$"):
+        build_lwf_wrapping(preset, ["a"], 2)
 
 
 def test_build_lwf_wrapping_accepts_subsets():

@@ -2,9 +2,12 @@
 search, closure exhaustion, and path replay."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lef.oracle import (
     bounded_closure,
+    equal_to_any,
     one_step_words,
     replay_path,
     sm_canonical,
@@ -13,7 +16,7 @@ from lef.oracle import (
     word_equal_nf,
 )
 from lef.presets import PRESENTATIONS
-from lef.words import separating_quantity
+from lef.words import ALPHABETS, separating_quantity
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +207,86 @@ def test_replay_path_rejects_bad_paths():
     assert replay_path("q", ["xca", "xac", "xca"])  # revisiting is allowed
     with pytest.raises(ValueError, match="has no defining relations"):
         replay_path("bicyclic4", ["a", "b"])  # a partial table, not a presentation
+
+
+# ---------------------------------------------------------------------------
+# one word against several targets
+
+
+def test_equal_to_any_names_the_target_it_met():
+    verdict = equal_to_any("t", "xcd", ["xa", "xe", "xb"])
+    assert verdict.status == "equal"
+    assert verdict.evidence["target"] == "xe"
+    path = verdict.evidence["path"]
+    assert path[0] == "xcd" and path[-1] == "xe" and replay_path("t", path)
+    assert equal_to_any("c", "ax", ["cx", "dx"]).status == "distinct"
+    assert equal_to_any("q", "xca", ["a", "xe"]).evidence["target"] == "xe"
+
+
+def test_equal_to_any_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="at least one target"):
+        equal_to_any("t", "a", [])
+    with pytest.raises(ValueError, match="the empty word names no element"):
+        equal_to_any("t", "a", ["b", ""])
+    with pytest.raises(ValueError, match="outside"):
+        equal_to_any("t", "a", ["b", "y"])
+    with pytest.raises(ValueError):
+        equal_to_any("sm:3", "e", ["ee"])
+
+
+def _walk(w: str, relations, picks) -> str:
+    """The word reached from w by one relation step per pick."""
+    for pick in picks:
+        step = one_step_words(w, relations)
+        if not step:
+            break
+        w = step[pick % len(step)]
+    return w
+
+
+# the pairwise gate runs under a small node budget: a verdict it reaches is
+# the one the default budget reaches too, since the search is the same
+_PAIR_NODES = 20_000
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(preset=st.sampled_from(["t", "s", "c"]), data=st.data())
+def test_equal_to_any_agrees_with_every_decided_pair(preset, data):
+    alphabet = ALPHABETS[preset]
+    relations = PRESENTATIONS[preset].relations
+    w = data.draw(st.text(alphabet, min_size=2, max_size=5), label="w")
+    pool = data.draw(st.lists(st.permutations(w).map("".join)
+                              | st.text(alphabet, min_size=2, max_size=5),
+                              min_size=1, max_size=4), label="pool")
+    if data.draw(st.booleans(), label="with a word equal to w"):
+        picks = data.draw(st.lists(st.integers(0, 99), max_size=3), label="walk")
+        pool.append(_walk(w, relations, picks))
+    # the targets a caller passes: those sharing w's conserved quantities
+    targets = sorted({r for r in pool if separating_quantity(w, r, preset) is None})
+    assume(targets)
+    pairwise = {r: word_equal_bfs(preset, w, r, node_bound=_PAIR_NODES).status
+                for r in targets}
+    assume("unknown" not in pairwise.values())
+    verdict = equal_to_any(preset, w, targets)
+    if "equal" in pairwise.values():
+        assert verdict.status == "equal"
+        target = verdict.evidence["target"]
+        assert pairwise[target] == "equal"
+        path = verdict.evidence["path"]
+        assert path[0] == w and path[-1] == target and replay_path(preset, path)
+    else:
+        assert verdict.status == "distinct"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bfs_never_contradicts_the_normal_forms_on_q(data):
+    relations = PRESENTATIONS["q"].relations
+    u = data.draw(st.text(ALPHABETS["q"], min_size=1, max_size=5), label="u")
+    v = data.draw(st.one_of(
+        st.lists(st.integers(0, 99), max_size=4).map(lambda p: _walk(u, relations, p)),
+        st.permutations(u).map("".join),
+        st.text(ALPHABETS["q"], min_size=1, max_size=5)), label="v")
+    bfs = word_equal_bfs("q", u, v, node_bound=_PAIR_NODES)
+    if bfs.status != "unknown":
+        assert bfs.status == word_equal_nf("q", u, v).status

@@ -366,6 +366,13 @@ def test_find_relational_assignments_order_cap():
         list(find_relational_assignments(big, [("xy", "yx")]))
 
 
+def test_find_relational_assignments_variable_cap():
+    z2 = MulTable(np.array([[0, 1], [1, 0]]))
+    assert sum(1 for _ in find_relational_assignments(z2, [("abcd", "efgh")])) == 2 ** 7
+    with pytest.raises(ValueError, match="at most 8 distinct variables"):
+        list(find_relational_assignments(z2, [("abcd", "efghi")]))
+
+
 def _full_grid_assignments(mt, relations, distinctness):
     """find_relational_assignments over the whole grid of assignments: the
     reference."""
