@@ -41,8 +41,10 @@ def main() -> None:
         wrap = build_lwf_wrapping(preset, words, 1)
         H = subset_from_words(preset, words)
         result = check_lwf_wrapping(H, wrap)
+        # the carrier is a product rule; d stores only the non-fallback entries
         print(f"  {preset.upper()}: carrier order {wrap.D.order}, "
-              f"{len(set(wrap.d))} distinct images, valid={result.valid}")
+              f"{len(wrap.d)} stored entries, {len(wrap.images)} distinct "
+              f"images, valid={result.valid}")
 
     print("\n== the equality oracle on T ==")
     queries = [("xcd", "xe"), ("axb", "acx"), ("a", "d"), ("xexb", "bxex")]

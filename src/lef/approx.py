@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .constructors import ReesSpec, SemilatticeSpec, mul_in, rees_matrix, \
-    semilattice_semigroup
-from .fsg import MulTable, direct_product, generate_subsemigroup
+from .constructors import IdealQuotient, ReesSpec, SemilatticeSpec, mul_in, \
+    rees_matrix, semilattice_semigroup
+from .fsg import MulTable, direct_product
 from . import oracle
 
 
@@ -81,32 +81,78 @@ class ApproxPair:
         for key, val in mapping.items():
             if not isinstance(val, int) or isinstance(val, bool) \
                     or not 0 <= val < table.order:
-                raise ValueError(f"/map/{key}: index {val!r} outside "
+                raise ValueError(f"/map/{_pointer(key)}: index {val!r} outside "
                                  f"0..{table.order - 1}")
         return cls(F=table, f=dict(mapping))
 
 
 @dataclass(frozen=True)
 class WrapMap:
-    D: MulTable
-    d: tuple  # host handle for every D index
+    """A wrapping map (D, d), D an explicit MulTable or an IdealQuotient
+    product rule.  d holds the entries {D index: host handle}; every other
+    index maps to `fallback`, which may be None only when d is total.  Over
+    a rule carrier the JSON is {"carrier", "d": {carrier word: host word},
+    "fallback"}, its size independent of D's order; over a MulTable it is
+    {"table", "d_words"} with one word per index."""
+
+    D: MulTable | IdealQuotient
+    d: dict
+    fallback: object = None
 
     def __post_init__(self):
-        object.__setattr__(self, "d", tuple(self.d))
-        if len(self.d) != self.D.order:
-            raise ValueError("d must be total on D")
+        object.__setattr__(self, "d", dict(self.d))
+        for i in self.d:
+            if not 0 <= i < self.D.order:
+                raise ValueError(f"d has an entry at {i!r}, outside D")
+        if self.fallback is None and len(self.d) != self.D.order:
+            raise ValueError("d must be total on D when there is no fallback")
+
+    def value(self, i: int):
+        """d(i)."""
+        return self.d.get(i, self.fallback)
+
+    @property
+    def images(self) -> set:
+        partial = len(self.d) < self.D.order
+        return set(self.d.values()) | ({self.fallback} if partial else set())
 
     def as_json(self) -> dict:
-        return {"table": self.D.to_json(),
-                "d_words": [_handle_key(h) for h in self.d]}
+        if isinstance(self.D, MulTable):
+            return {"table": self.D.to_json(),
+                    "d_words": [_handle_key(self.value(i))
+                                for i in range(self.D.order)]}
+        return {"carrier": self.D.to_json(),
+                "d": {self.D.label(i): _handle_key(h)
+                      for i, h in sorted(self.d.items())},
+                "fallback": _handle_key(self.fallback)}
 
     @classmethod
     def from_json(cls, data) -> "WrapMap":
-        """Validate {"table", "d_words"}; errors are ValueErrors with
-        JSON-pointer paths."""
+        """Validate {"carrier", "d", "fallback"} or {"table", "d_words"};
+        errors are ValueErrors with JSON-pointer paths."""
+        if isinstance(data, dict) and "carrier" in data:
+            D = IdealQuotient.from_json(data["carrier"], "/carrier")
+            entries = data.get("d")
+            if not isinstance(entries, dict):
+                raise ValueError("/d: expected an object of carrier word -> "
+                                 "host word")
+            d = {}
+            for key, w in entries.items():
+                try:
+                    d[D.index(key)] = w
+                except ValueError as exc:
+                    raise ValueError(f"/d/{_pointer(key)}: {exc}") from None
+                if not isinstance(w, str):
+                    raise ValueError(f"/d/{_pointer(key)}: expected a string")
+            if "fallback" not in data:
+                raise ValueError("/fallback: missing")
+            if not isinstance(data["fallback"], str):
+                raise ValueError("/fallback: expected a string")
+            return cls(D=D, d=d, fallback=data["fallback"])
         if not isinstance(data, dict) or "table" not in data \
                 or "d_words" not in data:
-            raise ValueError("/: expected an object with 'table' and 'd_words'")
+            raise ValueError("/: expected an object with 'carrier', 'd' and "
+                             "'fallback', or with 'table' and 'd_words'")
         table = MulTable.from_json(data["table"], "/table")
         d_words = data["d_words"]
         if not isinstance(d_words, list) or len(d_words) != table.order:
@@ -114,7 +160,7 @@ class WrapMap:
         for i, w in enumerate(d_words):
             if not isinstance(w, str):
                 raise ValueError(f"/d_words/{i}: expected a string")
-        return cls(D=table, d=tuple(d_words))
+        return cls(D=table, d=dict(enumerate(d_words)))
 
 
 @dataclass(frozen=True)
@@ -125,6 +171,11 @@ class GroupHandle:
     description: str
     op: Callable
     approximator: Callable
+
+
+def _pointer(key: str) -> str:
+    """key as one JSON-pointer segment (RFC 6901)."""
+    return key.replace("~", "~0").replace("/", "~1")
 
 
 def _handle_key(handle) -> str:
@@ -256,23 +307,25 @@ def check_approximating_pair(H: FiniteSubset, pair: ApproxPair) -> CheckResult:
 
 def check_lwf_wrapping(H: FiniteSubset, wrap: WrapMap) -> CheckResult:
     """Valid iff d's image covers H and d(x'y') = d(x')d(y') whenever both
-    d-values lie in H (regardless of where the product lands)."""
+    d-values lie in H (regardless of where the product lands).
+
+    The factors are read off d's entries; the other indices of D join them
+    only when the fallback itself lies in H."""
     host = H.host
-    distinct_values = sorted(set(wrap.d), key=_handle_key)
-    value_in_h: dict = {}
-    for val in distinct_values:
-        value_in_h[val] = any(host_equal(host, val, h) for h in H.elements)
+    images = sorted(wrap.images, key=_handle_key)
+    in_h = {val: any(host_equal(host, val, h) for h in H.elements)
+            for val in images}
     for h in H.elements:
-        if not any(host_equal(host, val, h) for val in distinct_values):
+        if not any(host_equal(host, val, h) for val in images):
             return CheckResult(False, "coverage", (h,))
-    triggers = [i for i in range(wrap.D.order) if value_in_h[wrap.d[i]]]
+    factors = range(wrap.D.order) if in_h.get(wrap.fallback) else sorted(wrap.d)
+    triggers = [i for i in factors if in_h[wrap.value(i)]]
     for i in triggers:
         for j in triggers:
-            k = wrap.D.mul(i, j)
-            expected = host_mul(host, wrap.d[i], wrap.d[j])
-            if not host_equal(host, wrap.d[k], expected):
-                return CheckResult(False, "product",
-                                   (wrap.d[i], wrap.d[j], wrap.d[k], expected))
+            x, y, xy = wrap.value(i), wrap.value(j), wrap.value(wrap.D.mul(i, j))
+            expected = host_mul(host, x, y)
+            if not host_equal(host, xy, expected):
+                return CheckResult(False, "product", (x, y, xy, expected))
     return CheckResult(True)
 
 
@@ -423,52 +476,3 @@ def approx_semilattice(spec: SemilatticeSpec, H: FiniteSubset) -> ApproxPair:
             shape[e]))
          for e, v in pairs}
     return ApproxPair(F=F, f=f)
-
-
-# ---------------------------------------------------------------------------
-# deriving a wrapping map from an approximating pair (finite hosts)
-
-
-def wrap_from_pair(H: FiniteSubset, pair: ApproxPair) -> WrapMap:
-    """Mechanical wrapping map from a pair on a finite table host: restrict F
-    to the subsemigroup its image generates, send image points back through f,
-    send image products to the host products they must represent, and dump
-    everything else on an element outside H.
-
-    Fails (with an error) when F identifies two subset products that differ in
-    the host; such a pair carries too little information to wrap.
-    """
-    mt = H.host
-    if not isinstance(mt, MulTable):
-        raise TypeError("wrap derivation needs a finite table host")
-    image = sorted({pair.f[x] for x in H.elements})
-    sub = generate_subsemigroup(pair.F, image)
-    local = {g: i for i, g in enumerate(sub)}
-    table = np.array([[local[pair.F.mul(a, b)] for b in sub] for a in sub])
-    D = MulTable(table, labels=tuple(pair.F.label(g) for g in sub))
-
-    assigned: dict[int, str] = {}
-    for x in H.elements:
-        assigned[local[pair.f[x]]] = x
-    for x, y in itertools.product(H.elements, repeat=2):
-        z = local[pair.F.mul(pair.f[x], pair.f[y])]
-        want = host_mul(mt, x, y)
-        if assigned.get(z, want) != want:
-            raise ValueError(
-                f"pair does not separate subset products: F-element {z} would "
-                f"need d-values {assigned[z]!r} and {want!r}")
-        assigned[z] = want
-
-    members = set(H.elements)
-    fallback = next((mt.label(i) for i in range(mt.order)
-                     if mt.label(i) not in members), None)
-    d = []
-    for i in range(D.order):
-        if i in assigned:
-            d.append(assigned[i])
-        elif fallback is not None:
-            d.append(fallback)
-        else:
-            raise ValueError("subset exhausts the host; no fallback element "
-                             "for the unassigned part of D")
-    return WrapMap(D=D, d=tuple(d))

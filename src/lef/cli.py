@@ -531,14 +531,14 @@ def _cmd_lwf_build(args) -> int:
         "n": args.n,
         "subset": members,
         "carrier_order": wrap.D.order,
-        "distinct_images": len(set(wrap.d)),
+        "distinct_images": len(wrap.images),
     }
     lines = [
         f"wrapping map for {len(members)} "
         f"word{'s' if len(members) != 1 else ''} of length <= {args.n} "
         f"over preset {pid}",
         f"carrier order: {wrap.D.order}",
-        f"distinct image words: {len(set(wrap.d))}",
+        f"distinct image words: {len(wrap.images)}",
     ]
     code = EXIT_OK
     if args.no_check:

@@ -1,7 +1,8 @@
 """Builders for the finite carriers the rest of the package computes with:
 Rees matrix semigroups over a group, strong semilattices of semigroups,
-quotients of free semigroups by a length ideal, and the finite shadow
-semigroups F_n of the infinite presentation Q.
+Rees quotients of free semigroups by a length ideal (held as product rules,
+IdealQuotient), and the finite shadow semigroups F_n of the infinite
+presentation Q.
 
 ReesSpec.mul and SemilatticeSpec.mul are the one place each product rule is
 written: the table builders here fill every cell from them, and the
@@ -10,7 +11,6 @@ approximation checkers multiply handles with the same methods.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass
 
@@ -19,7 +19,7 @@ import numpy as np
 from .fsg import MulTable, is_completely_simple, is_group
 from .presets import build_fn_system, preset_presentation  # noqa: F401  (re-export)
 from .rewrite import RewriteSystem, normal_form
-from .words import block_count_s, one_step_words
+from .words import block_count_s
 
 
 def mul_in(S, x, y):
@@ -208,83 +208,169 @@ def semilattice_semigroup(spec: SemilatticeSpec) -> MulTable:
 
 
 # ---------------------------------------------------------------------------
-# quotients of a free semigroup by the ideal of long words
+# Rees quotients of a free semigroup by the ideal of long words
 
 
-def _check_length_ideal_args(alphabet: str, max_len: int, relations) -> tuple:
+_SM_LETTERS = "abcx"   # the s alphabet without e
+
+
+class IdealQuotient:
+    """A Rees quotient of a free semigroup by the ideal of long words, held
+    as its product rule: no table is built.
+
+    The elements are the words with at most `bound` letters from `letters`,
+    and a zero at index 0 (label "0") absorbing every longer product.  With
+    m >= 2 the letter e is not counted and its runs fold modulo e**m = e, so
+    an element is a word whose runs of e are shorter than m.  The two kinds,
+    and the only ones a wrap file names, are quotient_by_length_ideal (no e)
+    and sm_ideal_quotient (letters abcx).
+
+    A word with k counted letters alternates k + 1 runs of e with them.  Its
+    code reads these 2k + 1 digits in the mixed radix m, len(letters), m, ...,
+    m, and its index is the code plus the codes on the levels below k; the
+    empty word, code 0 of level 0, leaves index 0 to the zero.  A product is
+    index arithmetic: the left factor's digits but its last run, the joined
+    run folded, then the right factor's digits but its first run.
+    """
+
+    def __init__(self, letters: str, bound: int, m: int = 1):
+        if m > 1 and letters != _SM_LETTERS:
+            raise ValueError(f"runs of e fold only over the letters {_SM_LETTERS}")
+        self.letters, self.bound, self.m = letters, bound, m
+        self.fold = "e" if m > 1 else ""
+        self.radix = m * len(letters)
+        self._rank = {ch: r for r, ch in enumerate(letters)}
+        # with radix >= 2, level 63 alone holds 2**63 codes
+        if self.radix > 1 and bound >= 63 or self._start(bound + 1) > 2 ** 63:
+            raise ValueError("the carrier would have more than 2**63 elements")
+        self.order = self._start(bound + 1)
+
+    def _start(self, k: int) -> int:
+        """Number of codes on the levels below k."""
+        if self.radix == 1:
+            return self.m * k
+        return self.m * (self.radix ** k - 1) // (self.radix - 1)
+
+    def _locate(self, i: int) -> tuple[int, int]:
+        """Level and code of index i."""
+        k, start, size = 0, 0, self.m
+        while i >= start + size:
+            k, start, size = k + 1, start + size, size * self.radix
+        return k, i - start
+
+    def mul(self, i: int, j: int) -> int:
+        if i == 0 or j == 0:
+            return 0
+        ki, ci = self._locate(i)
+        kj, cj = self._locate(j)
+        if ki + kj > self.bound:
+            return 0
+        scale = self.radix ** kj
+        head, last = divmod(ci, self.m)
+        first, tail = divmod(cj, scale)
+        run = last + first
+        if run >= self.m:
+            run = (run - 1) % (self.m - 1) + 1
+        return self._start(ki + kj) + (head * self.m + run) * scale + tail
+
+    def label(self, i: int) -> str:
+        if i == 0:
+            return "0"
+        k, code = self._locate(i)
+        code, run = divmod(code, self.m)
+        parts = [self.fold * run]
+        for _ in range(k):
+            code, letter = divmod(code, len(self.letters))
+            code, run = divmod(code, self.m)
+            parts += [self.letters[letter], self.fold * run]
+        return "".join(reversed(parts))
+
+    def index(self, word: str) -> int:
+        """Index of a canonical word of the carrier, or of the label "0";
+        raises ValueError for any other string."""
+        if word == "0":
+            return 0
+        code = run = k = 0
+        for ch in word:
+            if ch == self.fold:
+                run += 1
+                if run == self.m:
+                    raise ValueError(f"{word!r} is not canonical: it holds "
+                                     f"a run of {self.m} e's")
+            elif ch in self._rank:
+                code = (code * self.m + run) * len(self.letters) + self._rank[ch]
+                run, k = 0, k + 1
+            else:
+                raise ValueError(f"{word!r} has a letter outside "
+                                 f"{self.letters + self.fold}")
+        if not word:
+            raise ValueError("the empty word names no element")
+        if k > self.bound:
+            raise ValueError(f"{word!r} lies in the ideal: it has {k} letters "
+                             f"from {self.letters}, above {self.bound}")
+        return self._start(k) + code * self.m + run
+
+    def to_json(self) -> dict:
+        if self.m > 1:
+            return {"kind": "sm_ideal", "m": self.m, "bound": self.bound}
+        return {"kind": "length_ideal", "alphabet": self.letters,
+                "max_len": self.bound}
+
+    @classmethod
+    def from_json(cls, data, where: str = "") -> "IdealQuotient":
+        """Validate {"kind": "length_ideal", "alphabet", "max_len"} or
+        {"kind": "sm_ideal", "m", "bound"}; errors are ValueErrors with
+        JSON-pointer paths under the prefix `where`."""
+        if not isinstance(data, dict):
+            raise ValueError(f"{where or '/'}: expected an object with 'kind'")
+
+        def integer(key: str, least: int) -> int:
+            v = data.get(key)
+            if not isinstance(v, int) or isinstance(v, bool) or v < least:
+                raise ValueError(f"{where}/{key}: expected an integer of at "
+                                 f"least {least}, got {v!r}")
+            return v
+        kind = data.get("kind")
+        if kind == "length_ideal":
+            alphabet = data.get("alphabet")
+            if not isinstance(alphabet, str):
+                raise ValueError(f"{where}/alphabet: expected a string, "
+                                 f"got {alphabet!r}")
+            build = functools.partial(quotient_by_length_ideal, alphabet,
+                                      integer("max_len", 1))
+        elif kind == "sm_ideal":
+            build = functools.partial(sm_ideal_quotient, integer("m", 2),
+                                      integer("bound", 0))
+        else:
+            raise ValueError(f"{where}/kind: expected 'length_ideal' or "
+                             f"'sm_ideal', got {kind!r}")
+        try:
+            return build()
+        except ValueError as exc:
+            raise ValueError(f"{where or '/'}: {exc}") from None
+
+
+def quotient_by_length_ideal(alphabet: str, max_len: int) -> IdealQuotient:
+    """The free semigroup on the alphabet with every word longer than
+    max_len collapsed to a zero (index 0, label "0")."""
     if len(set(alphabet)) != len(alphabet) or not alphabet:
         raise ValueError("alphabet must be nonempty distinct letters")
     if "0" in alphabet:
         raise ValueError("the letter '0' is reserved for the zero class")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    rels = tuple((str(u), str(v)) for u, v in relations)
-    for u, v in rels:
-        if not u or not v:
-            raise ValueError("relation sides must be nonempty")
-        if set(u + v) - set(alphabet):
-            raise ValueError(f"relation ({u},{v}) uses letters outside the alphabet")
-        if len(u) != len(v):
-            raise ValueError(
-                f"relation ({u},{v}) changes length; the length ideal is only "
-                "a congruence class for length-preserving relations")
-    return rels
+    return IdealQuotient(alphabet, max_len)
 
 
-@functools.lru_cache(maxsize=None)
-def _length_ideal_classes(alphabet: str, max_len: int, relations: tuple):
-    """Equivalence classes of nonempty words of length <= max_len under the
-    congruence the relations generate.  Returns (ordered reps, word -> index)
-    with index 0 reserved for the zero class."""
-    rank = {ch: i for i, ch in enumerate(alphabet)}
-
-    word_class: dict[str, int] = {}
-    reps: list[str] = ["0"]
-    words = [""]
-    for _ in range(max_len):
-        words = [w + ch for w in words for ch in alphabet]
-        for w in sorted(words, key=lambda s: tuple(rank[c] for c in s)):
-            if w in word_class:
-                continue
-            index = len(reps)
-            stack = [w]
-            word_class[w] = index
-            while stack:
-                cur = stack.pop()
-                for nxt in one_step_words(cur, relations):
-                    if nxt not in word_class:
-                        word_class[nxt] = index
-                        stack.append(nxt)
-            reps.append(w)
-    return tuple(reps), word_class
-
-
-def quotient_by_length_ideal(alphabet: str, max_len: int, relations=()) -> MulTable:
-    """The free semigroup on the alphabet modulo the relations, with every
-    word longer than max_len collapsed to a zero (index 0, label "0").
-
-    Relations must preserve length, so each congruence class stays within one
-    length level and the collapsed set really is an ideal.
-    """
-    rels = _check_length_ideal_args(alphabet, max_len, relations)
-    reps, word_class = _length_ideal_classes(alphabet, max_len, rels)
-    n = len(reps)
-    # reps come in length order, so the partners short enough for reps[i]
-    # form a prefix of reps[1:]; every other product stays in the zero class
-    lengths = [len(w) for w in reps[1:]]
-    T = np.zeros((n, n), dtype=np.int64)
-    for i in range(1, n):
-        stop = 1 + bisect.bisect_right(lengths, max_len - lengths[i - 1])
-        T[i, 1:stop] = [word_class[reps[i] + v] for v in reps[1:stop]]
-    return MulTable(T, reps)
-
-
-def quotient_word_map(alphabet: str, max_len: int, relations=()) -> dict[str, int]:
-    """Index in quotient_by_length_ideal's table of every word of length
-    <= max_len (the natural map, minus the zero class)."""
-    rels = _check_length_ideal_args(alphabet, max_len, relations)
-    _, word_class = _length_ideal_classes(alphabet, max_len, rels)
-    return dict(word_class)
+def sm_ideal_quotient(m: int, bound: int) -> IdealQuotient:
+    """Finite carrier over the five-letter alphabet acebx with runs of e
+    folded modulo e**m = e: canonical words of e-reduced length at most
+    bound, plus a zero at index 0 absorbing every longer product."""
+    if m < 2:
+        raise ValueError("the e-run modulus m must be at least 2")
+    if bound < 0:
+        raise ValueError("the e-reduced length bound must be nonnegative")
+    return IdealQuotient(_SM_LETTERS, bound, m)
 
 
 # ---------------------------------------------------------------------------

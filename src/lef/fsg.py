@@ -37,9 +37,7 @@ class MulTable:
         n = self.order
         if self.table.shape != (n, n):
             raise ValueError("table must be square")
-        # an unsigned table (the large carriers) has no negative entries to look for
-        if self.table.size and (self.table.max() >= n or (
-                self.table.dtype.kind == "i" and self.table.min() < 0)):
+        if self.table.size and (self.table.max() >= n or self.table.min() < 0):
             raise ValueError("table entries must be element indices")
         if self.labels is not None:
             self.labels = tuple(self.labels)

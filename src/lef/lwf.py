@@ -11,9 +11,10 @@ arbitrarily long runs of e.
 
 Membership of a candidate word costs one oracle call, ``equal_to_any``
 against the representatives sharing its conserved quantities, whatever
-their number.  The s carrier's table is filled block by block from word
-codes, and the t carrier (``quotient_by_length_ideal``) visits only the
-products short enough to stay out of the zero class.
+their number.  Both carriers (``quotient_by_length_ideal`` for t,
+``sm_ideal_quotient`` for s) are product rules on word codes, so a wrapping
+map stores only the canonical forms of the pre-accurate words and one
+fallback word, never a table.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .approx import FiniteSubset, WrapMap
-from .constructors import quotient_by_length_ideal
-from .fsg import MulTable
+from .constructors import quotient_by_length_ideal, sm_ideal_quotient
 from .oracle import equal_to_any, sm_canonical, word_equal
 from .words import ALPHABETS, conserved_vector, e_reduced_length
 
@@ -163,16 +161,6 @@ def enumerate_preaccurate(preset: str, n: int,
                           words=words, indeterminate=tuple(indeterminate))
 
 
-def apriori_length_bound(n: int) -> int:
-    """Crude a priori cap on the length of pre-accurate words over a
-    six-letter alphabet, n * 2**(6**(n+1)).  Astronomical already at n = 1;
-    the builder measures the true maximum instead and certifies completeness
-    by enumerating past twice that length."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return n * 2 ** (6 ** (n + 1))
-
-
 def fallback_element(preset: str, bound: int) -> str:
     """First word of length bound+1 (alphabetically) that the conserved
     quantities separate from every word of length <= bound; its element is
@@ -187,64 +175,6 @@ def fallback_element(preset: str, bound: int) -> str:
             return w
     raise RuntimeError(f"no invariant-separated word of length {bound + 1} "
                        f"over preset {pid}")
-
-
-def sm_ideal_quotient(m: int, bound: int) -> tuple[MulTable, dict[str, int]]:
-    """Finite carrier over the five-letter alphabet with runs of e folded
-    modulo e**m = e: canonical words of e-reduced length at most bound, plus
-    a zero at index 0 absorbing every longer product.
-
-    Returns the table and the word-to-index map.
-
-    A canonical word of e-reduced length k alternates k + 1 runs of e,
-    each shorter than m, with the k letters of its skeleton from abcx (level
-    0 holds e .. e**(m-1)).  Its code reads these 2k + 1 digits in the mixed
-    radix m, 4, m, ..., m, so a product's code is index arithmetic: the left
-    factor's digits but its last run, the joined run, then the right
-    factor's digits but its first run.  Both factors are canonical, so only
-    the joined run can reach m, and a small table folds it.  Each (level,
-    level) block of the table is filled from these codes at once, through
-    the result level's code-to-index array.
-    """
-    if m < 2:
-        raise ValueError("the e-run modulus m must be at least 2")
-    if bound < 0:
-        raise ValueError("the e-reduced length bound must be nonnegative")
-    runs = ["e" * r for r in range(m)]
-    skeleton = sorted(set(ALPHABETS["s"]) - {"e"})
-    radix = m * len(skeleton)      # one letter and the run after it
-    words = ["0"]
-    by_level: list[range] = []
-    code_index: list[np.ndarray] = []   # per level: code -> table index
-    codes: list[np.ndarray] = []        # per level: each word's code, by index
-    for k in range(bound + 1):
-        # product counts in the mixed radix, so a word's position is its
-        # code; the empty word (code 0 of level 0) is no element
-        level = ["".join(p) for p in itertools.product(*[runs, skeleton] * k, runs)]
-        order = sorted(range(1 if k == 0 else 0, len(level)),
-                       key=lambda c: (len(level[c]), level[c]))
-        start = len(words)
-        words.extend(level[c] for c in order)
-        by_level.append(range(start, start + len(order)))
-        at = np.zeros(len(level), dtype=np.int64)
-        at[order] = np.arange(start, start + len(order))
-        code_index.append(at)
-        codes.append(np.array(order, dtype=np.int64))
-    index = {w: i for i, w in enumerate(words)}
-    total = len(words)
-    dtype = np.uint16 if total <= np.iinfo(np.uint16).max else np.uint32
-    table = np.zeros((total, total), dtype=dtype)
-    fold = np.array([len(sm_canonical("e" * r, m)) for r in range(2 * m - 1)])
-    for ki, rows in enumerate(by_level):
-        head, last_run = np.divmod(codes[ki], m)
-        for kj in range(bound + 1 - ki):
-            first_run, tail = np.divmod(codes[kj], radix ** kj)
-            code = ((head * m * radix ** kj)[:, None]
-                    + fold[last_run[:, None] + first_run[None, :]] * radix ** kj
-                    + tail[None, :])
-            cols = by_level[kj]
-            table[rows.start:rows.stop, cols.start:cols.stop] = code_index[ki + kj][code]
-    return MulTable(table, labels=tuple(words)), index
 
 
 def build_lwf_wrapping(preset: str, subset, n: int) -> WrapMap:
@@ -299,12 +229,9 @@ def _wrap_t(n: int) -> WrapMap:
         cap = 2 * pre.max_length + 2
     else:
         raise RuntimeError(f"pre-accurate words still appearing at length {cap}")
-    fallback = fallback_element("t", nn)
     D = quotient_by_length_ideal(ALPHABETS["t"], pre.max_length)
-    members = set(pre.words)
-    d = tuple(w if w in members else fallback
-              for w in (D.label(i) for i in range(D.order)))
-    return WrapMap(D=D, d=d)
+    return WrapMap(D=D, d={D.index(w): w for w in pre.words},
+                   fallback=fallback_element("t", nn))
 
 
 def _wrap_s(n: int) -> WrapMap:
@@ -337,8 +264,6 @@ def _wrap_s(n: int) -> WrapMap:
         rep[c] = head
 
     bound = max(e_reduced_length(c) for c in groups)
-    D, _ = sm_ideal_quotient(m, bound)
-    fallback = fallback_element("s", nn)
-    d = tuple(rep.get(w, fallback)
-              for w in (D.label(i) for i in range(D.order)))
-    return WrapMap(D=D, d=d)
+    D = sm_ideal_quotient(m, bound)
+    return WrapMap(D=D, d={D.index(c): w for c, w in rep.items()},
+                   fallback=fallback_element("s", nn))

@@ -115,32 +115,6 @@ def sm_canonical(word: str, m: int) -> str:
 # the relation graph
 
 
-def bounded_closure(relations, seeds, length_bound: int,
-                    node_bound: int = 1_000_000) -> tuple[set[str], bool]:
-    """Closure of the seed set under single relation applications, keeping
-    words of length <= length_bound.  The flag reports completeness: False as
-    soon as any successor was discarded for length or the node budget ran out,
-    in which case the set is a genuine subset of the congruence closure."""
-    seen = set(seeds)
-    frontier = list(seen)
-    complete = True
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for w2 in one_step_words(w, relations):
-                if w2 in seen:
-                    continue
-                if len(w2) > length_bound:
-                    complete = False
-                    continue
-                if len(seen) >= node_bound:
-                    return seen, False
-                seen.add(w2)
-                nxt.append(w2)
-        frontier = nxt
-    return seen, complete
-
-
 def _back_chain(parents: dict[str, str | None], w: str) -> list[str]:
     out = [w]
     while parents[out[-1]] is not None:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import random_rees_instance, random_semilattice_instance
+from conftest import random_rees_instance, random_semilattice_instance, wrap_from_pair
 
 from lef.approx import (
     INT_GROUP,
@@ -25,8 +25,8 @@ from lef.approx import (
     semilattice_subset,
     subset_from_table,
     subset_from_words,
-    wrap_from_pair,
 )
+from lef.constructors import quotient_by_length_ideal, sm_ideal_quotient
 from lef.fsg import is_clifford, is_group
 
 
@@ -146,12 +146,27 @@ def test_pair_json_round_trip():
 
 def test_wrap_json_round_trip():
     z3 = cyclic_table(3)
-    wrap = WrapMap(D=z3, d=("a", "b", "c"))
-    clone = WrapMap.from_json(wrap.as_json())
-    assert clone.d == ("a", "b", "c")
+    wrap = WrapMap(D=z3, d={0: "a", 1: "b"}, fallback="c")
+    data = wrap.as_json()
+    assert data["d_words"] == ["a", "b", "c"]
+    clone = WrapMap.from_json(data)
+    assert clone.d == {0: "a", 1: "b", 2: "c"} and clone.fallback is None
     assert clone.D.order == 3
     with pytest.raises(ValueError):
-        WrapMap(D=z3, d=("a", "b"))  # wrong length
+        WrapMap(D=z3, d={0: "a", 1: "b"})  # neither total nor a fallback
+    with pytest.raises(ValueError):
+        WrapMap(D=z3, d={3: "a"}, fallback="c")  # an entry outside D
+    # rule carriers write their parameters, the entries by carrier word and
+    # the fallback
+    for D in (sm_ideal_quotient(3, 2), quotient_by_length_ideal("ab", 2)):
+        wrap = WrapMap(D=D, d={D.index("a"): "ab", D.index("ba"): "b"},
+                       fallback="bb")
+        data = wrap.as_json()
+        assert data["d"] == {"a": "ab", "ba": "b"} and data["fallback"] == "bb"
+        clone = WrapMap.from_json(data)
+        assert clone.D.to_json() == D.to_json()
+        assert (clone.d, clone.fallback) == (wrap.d, wrap.fallback)
+        assert clone.images == {"ab", "b", "bb"}
 
 
 @pytest.mark.parametrize("cls, data, pointer", [
@@ -159,6 +174,8 @@ def test_wrap_json_round_trip():
      "/table/table/0/1: entry 5 outside 0..1"),
     (ApproxPair, {"table": cyclic_table(2).to_json(), "map": {"x": True}},
      "/map/x: index True outside 0..1"),
+    (ApproxPair, {"table": cyclic_table(2).to_json(), "map": {"1/2": 2}},
+     "/map/1~12: index 2 outside 0..1"),
     (WrapMap, {"table": cyclic_table(2).to_json(), "d_words": ["a"]},
      "/d_words: expected 2 entries"),
     (WrapMap, {"table": {"order": 1}, "d_words": ["a"]}, "/table/table: missing"),
@@ -188,10 +205,21 @@ def test_check_wrapping_coverage_failure():
     z4 = cyclic_table(4)
     H = subset_from_table(z4, [1, 2])
     # a wrapping whose image misses the member "2"
-    wrap = WrapMap(D=cyclic_table(2), d=("1", "1"))
+    wrap = WrapMap(D=cyclic_table(2), d={}, fallback="1")
     result = check_lwf_wrapping(H, wrap)
     assert not result.valid
     assert result.reason == "coverage"
+
+
+def test_check_wrapping_visits_every_index_when_the_fallback_lies_in_h():
+    z3 = cyclic_table(3)
+    H = subset_from_table(z3, ["0", "1"])
+    # the only entry, 0 -> "0", multiplies correctly with itself; the product
+    # failure d(1)d(1) = "2" against d(2) = "1" sits at two non-entry indices
+    wrap = WrapMap(D=z3, d={0: "0"}, fallback="1")
+    result = check_lwf_wrapping(H, wrap)
+    assert (result.valid, result.reason) == (False, "product")
+    assert result.counterexample == ("1", "1", "1", "2")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from lef.approx import cyclic_table
+from conftest import wrap_from_pair
+from lef.approx import ApproxPair, cyclic_table, subset_from_table
 from lef.cli import main
 from lef.fsg import MulTable
 from lef.rewrite import normal_form
@@ -288,8 +289,67 @@ def test_approx_integers_round_trip(capsys, tmp_path):
 
 
 def test_approx_check_wrap(capsys, tmp_path):
-    code, _, _ = run(capsys, "lwf", "build", "--preset", "t", "--n", "1")
+    out_path = tmp_path / "s.json"
+    code, _, _ = run(capsys, "lwf", "build", "--preset", "s", "--n", "1",
+                     "--out", str(out_path))
     assert code == 0
+    # the carrier is written as its parameters, not as 5,655^2 cells
+    assert out_path.stat().st_size < 100_000
+    assert json.loads(out_path.read_text())["carrier"] == {
+        "kind": "sm_ideal", "m": 3, "bound": 3}
+    code, out, _ = run(capsys, "approx", "check", "--wrap", str(out_path),
+                       "--host", "s", "--words", "a,b,c,e,x")
+    assert code == 0
+    assert "check: valid" in out
+    # a dense wrap file, one word per element of an explicit table
+    z4 = cyclic_table(4)
+    H = subset_from_table(z4, [1, 2])
+    wrap = wrap_from_pair(H, ApproxPair(F=z4, f={"1": 1, "2": 2}))
+    wrap_path, host_path = tmp_path / "dense.json", tmp_path / "z4.json"
+    wrap_path.write_text(json.dumps(wrap.as_json()))
+    host_path.write_text(json.dumps(z4.to_json()))
+    code, out, _ = run(capsys, "approx", "check", "--wrap", str(wrap_path),
+                       "--host-table", str(host_path), "--members", "1,2")
+    assert code == 0
+    assert "check: valid" in out
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"carrier": {"kind": "dense", "m": 3, "bound": 3}},
+     "/carrier/kind: expected 'length_ideal' or 'sm_ideal', got 'dense'"),
+    ({"carrier": {"kind": "sm_ideal", "m": 1, "bound": 3}},
+     "/carrier/m: expected an integer of at least 2, got 1"),
+    ({"carrier": {"kind": "sm_ideal", "m": 3, "bound": -1}},
+     "/carrier/bound: expected an integer of at least 0, got -1"),
+    ({"carrier": {"kind": "sm_ideal", "m": 3, "bound": 10 ** 6}},
+     "/carrier: the carrier would have more than 2**63 elements"),
+    ({"carrier": {"kind": "length_ideal", "alphabet": "aa", "max_len": 2}},
+     "/carrier: alphabet must be nonempty distinct letters"),
+    ({"carrier": {"kind": "length_ideal", "alphabet": "ab"}},
+     "/carrier/max_len: expected an integer of at least 1, got None"),
+    ({"carrier": [3, 3]}, "/carrier: expected an object with 'kind'"),
+    ({"d": {"eee": "e"}},
+     "/d/eee: 'eee' is not canonical: it holds a run of 3 e's"),
+    ({"d": {"aaaa": "a"}},
+     "/d/aaaa: 'aaaa' lies in the ideal: it has 4 letters from abcx, above 3"),
+    ({"d": {"ad": "a"}}, "/d/ad: 'ad' has a letter outside abcxe"),
+    ({"d": {"a/~": "a"}}, "/d/a~1~0: 'a/~' has a letter outside abcxe"),
+    ({"d": {"a": 1}}, "/d/a: expected a string"),
+    ({"d": ["a"]}, "/d: expected an object of carrier word -> host word"),
+    ({"fallback": None}, "/fallback: expected a string"),
+    ({"fallback": ...}, "/fallback: missing"),
+    ({"carrier": ...}, "/: expected an object with 'carrier', 'd' and "
+                       "'fallback', or with 'table' and 'd_words'"),
+])
+def test_malformed_wrap_files(capsys, tmp_path, change, message):
+    data = {"carrier": {"kind": "sm_ideal", "m": 3, "bound": 3},
+            "d": {"a": "a", "e": "e"}, "fallback": "aaa"}
+    data.update(change)
+    path = tmp_path / "wrap.json"
+    path.write_text(json.dumps({k: v for k, v in data.items() if v is not ...}))
+    code, out, err = run(capsys, "approx", "check", "--wrap", str(path),
+                         "--host", "s", "--words", "a,e")
+    assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
 
 
 def test_lwf_build_and_check(capsys, tmp_path):

@@ -4,6 +4,7 @@ the finite shadow semigroups F_n."""
 import numpy as np
 import pytest
 
+from conftest import bounded_closure, dense_length_ideal_quotient, quotient_word_map
 from lef.approx import cyclic_table, host_mul
 from lef.constructors import (
     FnHandle,
@@ -11,7 +12,6 @@ from lef.constructors import (
     SemilatticeSpec,
     build_fn,
     quotient_by_length_ideal,
-    quotient_word_map,
     rees_matrix,
     semilattice_semigroup,
 )
@@ -21,9 +21,7 @@ from lef.fsg import (
     is_clifford,
     is_completely_simple,
     is_group,
-    zero_element,
 )
-from lef.oracle import bounded_closure
 from lef.presets import build_fn_system
 from lef.rewrite import normal_form
 
@@ -165,33 +163,39 @@ def test_semilattice_rejects_non_semilattice_meet():
 
 def test_quotient_by_length_ideal_free():
     mt = quotient_by_length_ideal("ab", 2)
-    word_map = quotient_word_map("ab", 2)
     # words of length <= 2 plus a zero class
     assert mt.order == 7
-    zero = zero_element(mt)
-    assert zero == 0
-    assert word_map["a"] != word_map["b"]
-    assert mt.mul(word_map["a"], word_map["a"]) == word_map["aa"]
-    assert mt.mul(word_map["a"], word_map["aa"]) == zero  # length 3 -> ideal
+    assert mt.label(0) == "0" and mt.index("0") == 0
+    a, b, aa = mt.index("a"), mt.index("b"), mt.index("aa")
+    assert a != b
+    assert mt.mul(a, a) == aa
+    assert mt.mul(a, aa) == 0  # length 3 -> ideal
+    assert all(mt.mul(0, i) == mt.mul(i, 0) == 0 for i in range(mt.order))
 
 
 @pytest.mark.parametrize("alphabet, max_len", [("ab", 2), ("abcdex", 3)])
 def test_quotient_by_length_ideal_cells_are_concatenations(alphabet, max_len):
-    # every one of the n^2 cells, against the word map: ("abcdex", 3) is the
-    # carrier of the t wrapping at n = 1
+    # every one of the n^2 cells, against concatenation and, through labels,
+    # against the dense reference: ("abcdex", 3) is the carrier of the t
+    # wrapping at n = 1
     mt = quotient_by_length_ideal(alphabet, max_len)
-    word_map = quotient_word_map(alphabet, max_len)
-    expected = np.zeros_like(mt.table)
+    ref = dense_length_ideal_quotient(alphabet, max_len)
+    assert mt.order == ref.order == 1 + sum(len(alphabet) ** k
+                                            for k in range(1, max_len + 1))
+    at = [mt.index(ref.label(i)) for i in range(ref.order)]
+    assert sorted(at) == list(range(mt.order))
+    assert [mt.label(k) for k in at] == list(ref.labels)
+    for i in range(ref.order):
+        for j in range(ref.order):
+            assert mt.mul(at[i], at[j]) == at[ref.mul(i, j)]
     for i in range(1, mt.order):
         for j in range(1, mt.order):
             w = mt.label(i) + mt.label(j)
-            expected[i, j] = word_map[w] if len(w) <= max_len else 0
-    assert mt.order == 1 + sum(len(alphabet) ** k for k in range(1, max_len + 1))
-    assert np.array_equal(mt.table, expected)
+            assert mt.label(mt.mul(i, j)) == (w if len(w) <= max_len else "0")
 
 
 def test_quotient_by_length_ideal_with_relations():
-    mt = quotient_by_length_ideal("ab", 2, relations=(("ab", "ba"),))
+    mt = dense_length_ideal_quotient("ab", 2, relations=(("ab", "ba"),))
     word_map = quotient_word_map("ab", 2, relations=(("ab", "ba"),))
     assert mt.order == 6  # ab and ba merge
     assert word_map["ab"] == word_map["ba"]
@@ -215,10 +219,20 @@ def test_quotient_rejects_bad_input():
     with pytest.raises(ValueError):
         quotient_by_length_ideal("ab", 0)
     with pytest.raises(ValueError):
-        # length-changing relations would break the ideal structure
-        quotient_by_length_ideal("ab", 2, relations=(("ab", "a"),))
-    with pytest.raises(ValueError):
         quotient_by_length_ideal("a0", 2)
+    with pytest.raises(ValueError):
+        # length-changing relations would break the ideal structure
+        dense_length_ideal_quotient("ab", 2, relations=(("ab", "a"),))
+    with pytest.raises(ValueError, match="more than 2\\*\\*63 elements"):
+        quotient_by_length_ideal("ab", 10 ** 9)
+    with pytest.raises(ValueError, match="more than 2\\*\\*63 elements"):
+        quotient_by_length_ideal("a", 2 ** 64)
+    mt = quotient_by_length_ideal("ab", 2)
+    for word, message in (("", "the empty word names no element"),
+                          ("ac", "'ac' has a letter outside ab"),
+                          ("aba", "'aba' lies in the ideal")):
+        with pytest.raises(ValueError, match=message):
+            mt.index(word)
 
 
 # ---------------------------------------------------------------------------

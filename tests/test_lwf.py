@@ -1,16 +1,16 @@
 """Pre-accurate word enumeration and the wrapping constructions for S and T."""
 
+import random
+
 import numpy as np
 import pytest
 
-from conftest import all_words
+from conftest import all_words, sm_ideal_blocks
 
 import lef.lwf
 from lef.approx import check_lwf_wrapping, subset_from_words
-from lef.fsg import zero_element
 from lef.lwf import (
     PreAccurateSet,
-    apriori_length_bound,
     build_lwf_wrapping,
     enumerate_preaccurate,
     fallback_element,
@@ -137,11 +137,6 @@ def test_preaccurate_json():
     assert data["words"] == ["a", "b", "c", "d", "e", "x"]
 
 
-def test_apriori_length_bound():
-    assert apriori_length_bound(1) == 2 ** 36
-    assert apriori_length_bound(2) == 2 * 2 ** (6 ** 3)
-
-
 def test_fallback_element():
     w = fallback_element("t", 2)
     assert w == "aaa"
@@ -154,18 +149,28 @@ def test_fallback_element():
 
 
 def test_sm_ideal_quotient():
-    mt, word_map = sm_ideal_quotient(3, 1)
-    zero = zero_element(mt)
-    assert zero is not None
+    mt = sm_ideal_quotient(3, 1)
+    assert all(mt.mul(0, i) == mt.mul(i, 0) == 0 for i in range(mt.order))
     # e-run folding matches the canonical form
-    e = word_map["e"]
-    ee = word_map["ee"]
+    e = mt.index("e")
+    ee = mt.index("ee")
     assert mt.mul(e, ee) == e  # eee = e (m = 3)
     assert mt.mul(ee, ee) == ee  # e^4 ~ e^2
     assert sm_canonical("eeee", 3) == "ee"
     # words beyond the e-reduced length bound collapse to zero
-    a = word_map["a"]
-    assert mt.mul(a, a) == zero
+    a = mt.index("a")
+    assert mt.mul(a, a) == 0
+    for word, message in (("eee", "not canonical"), ("ad", "letter outside"),
+                          ("axe", "lies in the ideal"), ("", "empty word")):
+        with pytest.raises(ValueError, match=message):
+            mt.index(word)
+
+
+def _cells(order: int, limit: int, rng: random.Random):
+    """Every cell of an order x order table, or a seeded sample of limit."""
+    if order * order <= limit:
+        return [(i, j) for i in range(order) for j in range(order)]
+    return [(rng.randrange(order), rng.randrange(order)) for _ in range(limit)]
 
 
 @pytest.mark.parametrize("m, bound", [
@@ -174,23 +179,65 @@ def test_sm_ideal_quotient():
     # the 5,655-element carrier of the s wrapping at n = 1
     pytest.param(3, 3, id="3-3")])
 def test_sm_ideal_quotient_cells_are_canonical_products(m, bound):
-    mt, index = sm_ideal_quotient(m, bound)
+    # every cell whose product stays within the bound, plus every other cell
+    # of the small carriers and a seeded sample of the large ones
+    mt = sm_ideal_quotient(m, bound)
     by_reduced: dict[int, list[int]] = {}
     for i in range(1, mt.order):
         by_reduced.setdefault(e_reduced_length(mt.label(i)), []).append(i)
-    expected = np.zeros_like(mt.table)
     for ki, rows in by_reduced.items():
         for kj in range(bound + 1 - ki):
             for i in rows:
                 for j in by_reduced.get(kj, ()):
-                    expected[i, j] = index[sm_canonical(
-                        mt.label(i) + mt.label(j), m)]
-    assert np.array_equal(mt.table, expected)
+                    assert mt.label(mt.mul(i, j)) == sm_canonical(
+                        mt.label(i) + mt.label(j), m)
+    for i, j in _cells(mt.order, 40_000, random.Random(m * 10 + bound)):
+        w = mt.label(i) + mt.label(j)
+        if "0" in w or e_reduced_length(w) > bound:
+            assert mt.mul(i, j) == 0
+
+
+@pytest.mark.parametrize("m, bound", [
+    pytest.param(m, bound, id=f"{m}-{bound}")
+    for m in (2, 3, 4, 5) for bound in (0, 1, 2, 3)])
+def test_sm_ideal_quotient_matches_the_dense_reference(m, bound):
+    # through labels: at maps each reference index to the rule's index of its
+    # label.  Every non-zero reference cell is compared (a seeded sample of
+    # 60,000 where there are more: 240,009 at m = 4 and 746,816 at m = 5 for
+    # bound 3), then every cell of the carriers of order <= 158 and a seeded
+    # sample of 25,000 cells of the others, of which the zero cells are
+    # checked; a call per cell of all 1.8e9 cells at m = 5 takes about an hour
+    labels, blocks = sm_ideal_blocks(m, bound)
+    mt = sm_ideal_quotient(m, bound)
+    assert mt.order == len(labels)
+    at = np.array([mt.index(w) for w in labels])
+    assert np.array_equal(np.sort(at), np.arange(mt.order))
+    assert [mt.label(k) for k in at] == labels
+    rows, cols, products = (np.concatenate(parts) for parts in zip(*(
+        (np.repeat(np.arange(r, r + b.shape[0]), b.shape[1]),
+         np.tile(np.arange(c, c + b.shape[1]), b.shape[0]),
+         b.ravel()) for r, c, b in blocks)))
+    if m == 3 and bound == 3:
+        assert len(products) == 55_012   # 0.17% of the 31,979,025 cells
+    rng = np.random.default_rng(m * 10 + bound)
+    if len(products) > 60_000:
+        keep = rng.choice(len(products), 60_000, replace=False)
+        rows, cols, products = rows[keep], cols[keep], products[keep]
+    for i, j, k in zip(at[rows].tolist(), at[cols].tolist(), at[products].tolist()):
+        assert mt.mul(i, j) == k
+    level = np.array([0] + [e_reduced_length(w) for w in labels[1:]])
+    for i, j in _cells(mt.order, 25_000, random.Random(m * 10 + bound)):
+        if i == 0 or j == 0 or level[i] + level[j] > bound:
+            assert mt.mul(int(at[i]), int(at[j])) == 0
 
 
 def test_sm_ideal_quotient_rejects_bad_m():
     with pytest.raises(ValueError):
         sm_ideal_quotient(1, 1)
+    with pytest.raises(ValueError):
+        sm_ideal_quotient(3, -1)
+    with pytest.raises(ValueError, match="more than 2\\*\\*63 elements"):
+        sm_ideal_quotient(2, 10 ** 12)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +247,7 @@ def test_sm_ideal_quotient_rejects_bad_m():
 def test_wrap_t_n1(wrap_t_n1):
     wrap, words, elapsed = wrap_t_n1
     assert wrap.D.order == 259
-    assert len(set(wrap.d)) == 47
+    assert len(wrap.images) == 47
     H = subset_from_words("t", words)
     result = check_lwf_wrapping(H, wrap)
     assert result.valid, result.as_json()
@@ -210,7 +257,7 @@ def test_wrap_t_n1(wrap_t_n1):
 def test_wrap_s_n1(wrap_s_n1):
     wrap, words, elapsed = wrap_s_n1
     assert wrap.D.order == 5655
-    assert len(set(wrap.d)) == 41
+    assert len(wrap.images) == 41
     H = subset_from_words("s", words)
     result = check_lwf_wrapping(H, wrap)
     assert result.valid, result.as_json()

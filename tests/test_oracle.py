@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import bounded_closure
 from lef.oracle import (
-    bounded_closure,
     equal_to_any,
     one_step_words,
     replay_path,
