@@ -10,7 +10,15 @@ one-table predicates are the stack of one.  Enumeration, and the embedding
 search in ``search``, run one propagation engine on flat tables
 (``_TableSearch``), which indexes its cells by value and writes forced
 cells in place; enumeration up to isomorphism keeps the first table of each
-class in lexicographic order and skips the rest of its orbit.  Word
+class in lexicographic order and skips the rest of its orbit.  A search
+that runs to its end is kept for the rest of the process, keyed by (order,
+Latin pruning, pins): its completions as one read-only uint8 stack, the
+decision count at which each was found, the total, and the rows of the class
+representatives once asked for.  The memo holds at most SEARCH_MEMO_BYTES
+(16 MiB) and evicts the least recently used search; a search stopped early,
+or one whose completions pass the bound, is not kept.  So every class
+filter and every enumeration after the first reads the same search, with
+the same decision counts as searching again.  Word
 equations over a table are filtered on columns of assignments
 (``_assignment_columns``), one column per variable, for ``check_implication``
 and ``search.find_relational_assignments`` alike; the columns grow one
@@ -20,6 +28,7 @@ relation at a time from the rows the earlier relations kept.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,52 +195,6 @@ def associativity_failures(mt: MulTable, limit: int = 10) -> list[tuple[int, int
     return [tuple(map(int, t)) for t in bad[:limit]]
 
 
-def zero_element(mt: MulTable) -> int | None:
-    """The absorbing element, if the table has one."""
-    for z in range(mt.order):
-        if (mt.table[z] == z).all() and (mt.table[:, z] == z).all():
-            return z
-    return None
-
-
-def _fresh_label(mt: MulTable, base: str) -> str:
-    existing = set(mt.labels or ())
-    label = base
-    while label in existing:
-        label += "'"
-    return label
-
-
-def adjoin_identity(mt: MulTable) -> MulTable:
-    """The table with an identity appended; the input itself when it already
-    has one (so the operation is idempotent)."""
-    if mt.identity() is not None:
-        return mt
-    n = mt.order
-    T = np.full((n + 1, n + 1), n, dtype=np.int64)
-    T[:n, :n] = mt.table
-    T[n, :n] = np.arange(n)
-    T[:n, n] = np.arange(n)
-    labels = None
-    if mt.labels is not None:
-        labels = mt.labels + (_fresh_label(mt, "1"),)
-    return MulTable(T, labels)
-
-
-def adjoin_zero(mt: MulTable) -> MulTable:
-    """The table with an absorbing element appended; idempotent like
-    adjoin_identity."""
-    if zero_element(mt) is not None:
-        return mt
-    n = mt.order
-    T = np.full((n + 1, n + 1), n, dtype=np.int64)
-    T[:n, :n] = mt.table
-    labels = None
-    if mt.labels is not None:
-        labels = mt.labels + (_fresh_label(mt, "0"),)
-    return MulTable(T, labels)
-
-
 # ---------------------------------------------------------------------------
 # Green's relations
 
@@ -392,30 +355,6 @@ def is_j_trivial(mt: MulTable) -> bool:
     return _holds(j_trivial_mask, mt)
 
 
-def is_l_trivial(mt: MulTable) -> bool:
-    return _holds(l_trivial_mask, mt)
-
-
-def is_r_trivial(mt: MulTable) -> bool:
-    return _holds(r_trivial_mask, mt)
-
-
-def generate_subsemigroup(mt: MulTable, seeds) -> tuple[int, ...]:
-    """Indices of the subsemigroup generated by the seed indices, sorted."""
-    members = set(int(s) for s in seeds)
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(members):
-                for p in (mt.mul(x, y), mt.mul(y, x)):
-                    if p not in members:
-                        members.add(p)
-                        nxt.append(p)
-        frontier = nxt
-    return tuple(sorted(members))
-
-
 def direct_product(a: MulTable, b: MulTable) -> MulTable:
     """Componentwise product on pairs; pair (i, j) sits at index i*|b| + j."""
     na, nb = a.order, b.order
@@ -432,18 +371,6 @@ def direct_product(a: MulTable, b: MulTable) -> MulTable:
         labels = tuple(f"({a.label(i)},{b.label(j)})"
                        for i in range(na) for j in range(nb))
     return MulTable(T, labels)
-
-
-def idempotent_power(mt: MulTable, x: int) -> tuple[int, bool]:
-    """Smallest k >= 1 with x^k idempotent, and whether the power sequence has
-    stabilised there (x^k = x^{k+1}, the aperiodic case)."""
-    cur = x
-    # index + period of the power sequence are each at most the order
-    for k in range(1, 2 * mt.order + 2):
-        if mt.mul(cur, cur) == cur:
-            return k, mt.mul(cur, x) == cur
-        cur = mt.mul(cur, x)
-    raise ValueError("power sequence has no idempotent; table is not associative")
 
 
 def classify(mt: MulTable) -> dict:
@@ -477,13 +404,6 @@ def classify(mt: MulTable) -> dict:
 
 # ---------------------------------------------------------------------------
 # word equations: their values over every assignment of variables into a table
-
-
-def evaluate_word(mt: MulTable, word: str, assignment: dict[str, int]) -> int:
-    val = assignment[word[0]]
-    for ch in word[1:]:
-        val = int(mt.table[val, assignment[ch]])
-    return val
 
 
 def relation_variables(relations) -> tuple[str, ...]:
@@ -691,26 +611,139 @@ class _TableSearch:
                     yield T
 
 
-def _classes(search: _TableSearch):
-    """The first completion of each isomorphism class, with the keys
-    (``bytes`` of the flat table) of its relabellings by every permutation p
-    in itertools order, p relabelling T as p T(p^-1, p^-1).  The n!
-    relabellings are computed once per class, not per labeled table."""
-    n = search.n
+# ---------------------------------------------------------------------------
+# finished searches, kept for the life of the process
+
+SEARCH_MEMO_BYTES = 16 * 2**20   # about three times the order-5 search (5.3 MB)
+MAX_BATCH = 1024    # completions handed out, and checked by search, together
+
+
+class _Completions:
+    """The completions of ``_TableSearch(n, latin, pins)`` after its first
+    ``propagate``, in search order, from the memo (see ``_completions``) or
+    from a live search.  A live stream that runs to its end sets
+    ``decisions``, the search's decision count, and, unless its completions
+    pass SEARCH_MEMO_BYTES, ``tables`` (one read-only stack of shape
+    (k, n, n)) and ``found_at`` (the decision count at which each was
+    found), and goes into the memo; one its reader leaves early keeps
+    nothing.  ``classes`` holds the rows of the first completion of each
+    isomorphism class once an up-to-isomorphism reader has asked for them.
+    """
+
+    def __init__(self, n: int, latin: bool = False, pins=()):
+        self.n, self.latin, self.pins = n, latin, pins
+        self.key = (n, latin, tuple(sorted(pins)))
+        self.tables = self.found_at = self.decisions = self.classes = None
+
+    def stacks(self):
+        """(stack, found_at) pairs: a stack of shape (k, n, n) in the
+        smallest unsigned type that holds n - 1, and the decision count at
+        which each of its tables was found.  A live search hands them out k
+        = 1, 2, 4, ... up to MAX_BATCH at a time, so that a reader that stops
+        at an early completion has not paid for many more; the memo, MAX_BATCH
+        at a time."""
+        if self.tables is None:
+            yield from self._search()
+            return
+        for at in range(0, len(self.tables), MAX_BATCH):
+            yield self.tables[at:at + MAX_BATCH], self.found_at[at:at + MAX_BATCH]
+
+    def _search(self):
+        n = self.n
+        dtype = np.min_scalar_type(max(n - 1, 0))
+        search = _TableSearch(n, self.latin, self.pins)
+        completions = search.completions() if search.propagate() else iter(())
+        kept, nbytes, size = [], 0, 1
+        while True:
+            cells, found_at = [], []
+            for flat in itertools.islice(completions, size):
+                cells += flat
+                found_at.append(search.decisions)
+            if not found_at:
+                break
+            stack = np.array(cells, dtype=dtype).reshape(-1, n, n)
+            if nbytes <= SEARCH_MEMO_BYTES:     # past the bound, keep no more
+                kept.append((stack, found_at))
+                nbytes += stack.nbytes + 8 * len(found_at)
+            yield stack, found_at
+            size = min(2 * size, MAX_BATCH)
+        if nbytes <= SEARCH_MEMO_BYTES:
+            self.tables = np.concatenate([s for s, _ in kept] or [np.zeros((0, n, n), dtype)])
+            self.found_at = np.array([d for _, f in kept for d in f],
+                                     dtype=np.min_scalar_type(search.decisions))
+            self.tables.flags.writeable = self.found_at.flags.writeable = False
+            _keep(self)
+        self.decisions = search.decisions
+
+
+# key -> _Completions run to the end, least recently used first.  The key
+# sorts the pins: their fixpoint, hence every decision after it, does not
+# depend on their order.
+_search_memo: OrderedDict[tuple, _Completions] = OrderedDict()
+
+
+def _completions(n: int, latin: bool = False, pins=()) -> _Completions:
+    run = _Completions(n, latin, pins)
+    if run.key not in _search_memo:
+        return run
+    _search_memo.move_to_end(run.key)
+    return _search_memo[run.key]
+
+
+def _memo_bytes() -> int:
+    return sum(a.nbytes for run in _search_memo.values()
+               for a in (run.tables, run.found_at, run.classes) if a is not None)
+
+
+def _keep(run: _Completions) -> None:
+    """Store ``run`` as the most recent entry, then evict the least recently
+    used ones until the memo is within SEARCH_MEMO_BYTES."""
+    _search_memo[run.key] = run
+    _search_memo.move_to_end(run.key)
+    while _memo_bytes() > SEARCH_MEMO_BYTES:
+        _search_memo.popitem(last=False)
+
+
+def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation of range(n) in itertools order, and their inverses."""
     perms = np.array(list(itertools.permutations(range(n))))
-    inv = np.argsort(perms, axis=1)
+    return perms, np.argsort(perms, axis=1)
+
+
+def _orbit(T: np.ndarray, perms: np.ndarray, inv: np.ndarray) -> dict[bytes, None]:
+    """The keys (``bytes`` of the flat uint8 table) of T's relabellings by
+    every permutation p, in order, p relabelling T as p T(p^-1, p^-1)."""
+    n = len(T)
+    cells = T[inv[:, :, None], inv[:, None, :]].reshape(len(perms), n * n)
+    return dict.fromkeys(map(bytes, np.take_along_axis(perms, cells, 1).astype(np.uint8)))
+
+
+def _classes(run: _Completions) -> np.ndarray:
+    """The first completion of each isomorphism class, in search order.  The
+    n! relabellings are computed once per class, not per labeled table, and
+    the representatives' rows are kept on the memo entry, so a later reader
+    of the same search skips the orbits."""
+    if run.classes is not None:
+        return run.tables[run.classes]
+    n = run.n
+    perms, inv = _permutations(n)
     seen: set[bytes] = set()
-    for flat in search.completions():
-        if bytes(flat) not in seen:
-            T = np.array(flat).reshape(n, n)
-            cells = T[inv[:, :, None], inv[:, None, :]].reshape(len(perms), n * n)
-            orbit = dict.fromkeys(map(bytes, np.take_along_axis(perms, cells, 1)
-                                      .astype(np.uint8)))
-            seen.update(orbit)
-            yield flat, orbit
+    reps, rows, at = [], [], 0
+    for stack, _ in run.stacks():
+        for i, key in enumerate(map(bytes, stack.reshape(len(stack), n * n))):
+            if key not in seen:
+                seen.update(_orbit(stack[i], perms, inv))
+                reps.append(stack[i])
+                rows.append(at + i)
+        at += len(stack)
+    if run.tables is not None:
+        run.classes = np.array(rows, dtype=np.intp)
+        _keep(run)
+    return np.array(reps).reshape(-1, n, n)
 
 
 def _as_table(flat, n: int) -> MulTable:
+    """A MulTable on its own int64 array, whatever it was built from."""
     return MulTable(np.array(flat, dtype=np.int64).reshape(n, n))
 
 
@@ -736,11 +769,11 @@ def enumerate_semigroups(order: int, filter=None, up_to_iso: bool = True) -> lis
         raise ValueError(
             f"enumeration is bounded at order {bound}"
             f"{' with a filter' if filter is not None else ''}; got {order}")
-    search = _TableSearch(order)
-    found = (flat for flat, _ in _classes(search)) if up_to_iso else search.completions()
+    run = _completions(order)
+    found = _classes(run) if up_to_iso else (T for stack, _ in run.stacks() for T in stack)
     out = []
-    for flat in found:
-        mt = _as_table(flat, order)
+    for T in found:
+        mt = _as_table(T, order)
         if filter is None or filter(mt):
             out.append(mt)
     return out
@@ -755,9 +788,8 @@ def enumerate_groups(order: int, up_to_iso: bool = True) -> list[MulTable]:
     if order > MAX_GROUP_ORDER:
         raise ValueError(f"group enumeration is bounded at order {MAX_GROUP_ORDER}; got {order}")
     identity = [(i, i) for i in range(order)] + [(i * order, i) for i in range(1, order)]
-    search = _TableSearch(order, latin=True, pins=identity)   # 0's row and column
-    search.propagate()
+    reps = _classes(_completions(order, latin=True, pins=identity))   # 0's row and column
     if up_to_iso:
-        return [_as_table(flat, order) for flat, _ in _classes(search)]
-    return [_as_table(list(key), order)
-            for _, orbit in _classes(search) for key in orbit]
+        return [_as_table(T, order) for T in reps]
+    perms, inv = _permutations(order)
+    return [_as_table(list(key), order) for T in reps for key in _orbit(T, perms, inv)]

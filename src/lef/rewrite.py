@@ -533,14 +533,6 @@ class RewriteSystem:
         self._max_atoms = max((len(s.lhs) for s in self.schemas), default=1)
 
 
-def instantiate(schema: RuleSchema, assignment: dict[str, int], n: int | None = None) -> tuple[str, str]:
-    """Concrete (lhs, rhs) words for an assignment; raises on a violated condition."""
-    for cond in schema.conditions:
-        if not cond.holds(assignment, n):
-            raise ConditionError(f"{schema.id}: condition '{cond}' fails under {assignment}")
-    return _Matcher(schema, n).instance(assignment)
-
-
 def _match_at(m: _Matcher, w: str, pos: int):
     """Yield (assignment, consumed) for every match of m's lhs starting at
     w[pos], smallest assignment first; each assignment is a fresh dict."""
@@ -893,43 +885,3 @@ def check_local_confluence(system: RewriteSystem, exponent_bound: int,
         else:
             unresolved.append(cp)
     return ConfluenceReport(total=len(pairs), resolved=resolved, unresolved=unresolved)
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trip
-
-
-def system_to_json(system: RewriteSystem) -> dict:
-    return {
-        "name": system.name,
-        "alphabet": list(system.alphabet),
-        "order": list(system.order),
-        "parameter_n": system.parameter_n,
-        "schemas": [
-            {
-                "id": s.id,
-                "lhs": [{"letter": l, "exp": str(e)} for l, e in s.lhs],
-                "rhs": [{"letter": l, "exp": str(e)} for l, e in s.rhs],
-                "conditions": [str(c) for c in s.conditions],
-            }
-            for s in system.schemas
-        ],
-    }
-
-
-def system_from_json(data: dict) -> RewriteSystem:
-    schemas = []
-    for i, s in enumerate(data["schemas"]):
-        schemas.append(RuleSchema(
-            id=s.get("id", f"r{i}"),
-            lhs=tuple((a["letter"], parse_linexpr(str(a["exp"]))) for a in s["lhs"]),
-            rhs=tuple((a["letter"], parse_linexpr(str(a["exp"]))) for a in s["rhs"]),
-            conditions=tuple(parse_condition(c) for c in s.get("conditions", [])),
-        ))
-    return RewriteSystem(
-        name=data.get("name", "user"),
-        alphabet="".join(data["alphabet"]),
-        order="".join(data["order"]),
-        schemas=tuple(schemas),
-        parameter_n=data.get("parameter_n"),
-    )

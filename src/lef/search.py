@@ -14,7 +14,10 @@ instead of copying the table.  Forced products are forced in every
 completion, so exhaustion at the bound is a complete-search certificate.
 Finished tables are checked in stacks, with the class masks of ``fsg``; the
 witness and the decision count reported are those of the first completion
-that passes, as if each table were checked when found.
+that passes, as if each table were checked when found.  An order whose
+search ran to its end earlier, under any class filter, is read from
+``fsg``'s memo instead of searched again (``group`` searches, which the
+Latin pruning changes, are kept apart from the rest).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .fsg import (MulTable, PartialTable, _assignment_columns, _holds, _TableSearch,
+from .fsg import (MulTable, PartialTable, _assignment_columns, _completions, _holds,
                   _word_values, associative_mask, clifford_mask, completely_simple_mask,
                   group_mask, j_trivial_mask, l_trivial_mask, r_trivial_mask,
                   relation_variables)
@@ -34,7 +37,6 @@ __all__ = ["SearchResult", "embed_partial_table", "check_partial_associativity",
            "CLASS_FILTERS", "CLASS_MASKS", "MAX_ASSIGN_ORDER"]
 
 MAX_ASSIGN_ORDER = 8
-MAX_BATCH = 1024    # finished tables checked together by embed_partial_table
 ASSIGN_CHUNK = 4096  # assignment rows turned into Python values at a time
 
 # class name -> mask over a stack of tables (see fsg)
@@ -164,20 +166,17 @@ def _filler_labels(base: tuple[str, ...], n: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _batches(search: _TableSearch):
-    """The search's completions as stacks of shape (k, n, n), each with the
-    decision count at which each of its tables was found.  k doubles from 1
-    up to MAX_BATCH; the last stack holds whatever is left."""
-    n = search.n
-    size, cells, found_at = 1, [], []
-    for flat in search.completions():
-        cells += flat
-        found_at.append(search.decisions)
-        if len(found_at) == size:
-            yield np.array(cells).reshape(-1, n, n), found_at
-            size, cells, found_at = min(2 * size, MAX_BATCH), [], []
-    if found_at:
-        yield np.array(cells).reshape(-1, n, n), found_at
+def _check_witness(mt: MulTable, pt: PartialTable, at: dict[str, int],
+                   class_filter: str) -> None:
+    """Raise AssertionError unless the witness is associative, holds every
+    product of the partial table and lies in the class asked for."""
+    if not mt.is_associative():
+        raise AssertionError("the witness is not associative")
+    for (x, y), z in pt.products.items():
+        if mt.mul(at[x], at[y]) != at[z]:
+            raise AssertionError(f"the witness breaks the pinned product {x}*{y} = {z}")
+    if not CLASS_FILTERS[class_filter](mt):
+        raise AssertionError(f"the witness is not in the class {class_filter!r}")
 
 
 def embed_partial_table(pt: PartialTable, max_order: int,
@@ -192,18 +191,22 @@ def embed_partial_table(pt: PartialTable, max_order: int,
 
     Class filters are tested on finished tables only; the group filter
     additionally prunes row or column repeats eagerly.  Finished tables are
-    buffered and checked in stacks of 1, 2, 4, ... up to 1,024 tables, plus
-    what is left at the end of each order: the associativity guard and the
-    class mask each run once per stack.  The witness is the first completion
-    in search order that passes, and ``explored`` is the decision count at
-    which it was found, both as with checking each table when it is found;
-    a positive search finds at most about twice as many completions before
-    it stops.  R-, L- and J-related pairs witnessed by products already
-    defined (s = tu and t = sv for R, and the like) stay related in every
-    completion, so R/L/J-triviality could prune partial tables too; it does
-    not, so an exhausted search explores the same decisions under every
-    filter but ``group``.  When max_order is below the element count the
-    order range is empty and the negative certificate is vacuous.
+    checked in stacks of up to 1,024 (``fsg._Completions``): the
+    associativity guard and the class mask each run once per stack.  The
+    witness is the first completion in search order that passes, and
+    ``explored`` is the decision count at which it was found, both as with
+    checking each table when it is found.  R-, L- and J-related pairs
+    witnessed by products already defined (s = tu and t = sv for R, and the
+    like) stay related in every completion, so R/L/J-triviality could prune
+    partial tables too; it does not, so an exhausted search explores the
+    same decisions under every filter but ``group``.  Each order's search
+    that ran to its end earlier in the process is therefore read from
+    ``fsg``'s memo, and ``explored`` still counts the decisions of the
+    search tree, as a live search would.  The witness is checked again
+    before it is returned: associative, holding every product of the
+    partial table, and in the class; a failure raises AssertionError.  When
+    max_order is below the element count the order range is empty and the
+    negative certificate is vacuous.
     """
     if class_filter not in CLASS_MASKS:
         raise ValueError(f"unknown class filter {class_filter!r}; choose from "
@@ -215,18 +218,18 @@ def embed_partial_table(pt: PartialTable, max_order: int,
     explored = 0
     for n in range(k, max_order + 1):
         pins = [(at[x] * n + at[y], at[z]) for (x, y), z in pt.products.items()]
-        search = _TableSearch(n, latin=class_filter == "group", pins=pins)
-        if search.propagate():
-            for stack, found_at in _batches(search):
-                if not associative_mask(stack).all():
-                    raise AssertionError("propagation let an inassociative table through")
-                hits = np.flatnonzero(in_class(stack))
-                if hits.size:
-                    i = hits[0]
-                    mt = MulTable(stack[i].copy(), labels=_filler_labels(pt.elements, n))
-                    return SearchResult(status="embeddable", witness=(mt, dict(at)),
-                                        explored=explored + found_at[i],
-                                        bound=max_order)
-        explored += search.decisions
+        run = _completions(n, latin=class_filter == "group", pins=pins)
+        for stack, found_at in run.stacks():
+            if not associative_mask(stack).all():
+                raise AssertionError("propagation let an inassociative table through")
+            hits = np.flatnonzero(in_class(stack))
+            if hits.size:
+                i = hits[0]
+                mt = MulTable(stack[i].astype(np.int64), labels=_filler_labels(pt.elements, n))
+                _check_witness(mt, pt, at, class_filter)
+                return SearchResult(status="embeddable", witness=(mt, dict(at)),
+                                    explored=explored + int(found_at[i]),
+                                    bound=max_order)
+        explored += run.decisions
     return SearchResult(status="not_embeddable_up_to_bound", witness=None,
                         explored=explored, bound=max_order)

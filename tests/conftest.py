@@ -20,9 +20,11 @@ import pytest
 
 from lef.approx import INT_GROUP, ApproxPair, FiniteSubset, WrapMap, host_mul
 from lef.constructors import ReesSpec, SemilatticeSpec
-from lef.fsg import MulTable, generate_subsemigroup
+from lef.fsg import MulTable
 from lef.lwf import build_lwf_wrapping
 from lef.oracle import sm_canonical
+from lef.rewrite import (ConditionError, RewriteSystem, RuleSchema, _Matcher, parse_condition,
+                         parse_linexpr)
 from lef.words import ALPHABETS, one_step_words
 
 
@@ -56,6 +58,141 @@ def relation_grid(mt: MulTable, relation: tuple[str, str],
     """Where the relation's two words agree, over the grid of assignments."""
     u, v = relation
     return word_value_grid(mt, u, variables) == word_value_grid(mt, v, variables)
+
+
+# ---------------------------------------------------------------------------
+# table helpers that no library code calls: adjunctions, generated
+# subsemigroups, powers and word values, each checked by test_fsg
+
+
+def _fresh_label(mt: MulTable, base: str) -> str:
+    existing = set(mt.labels or ())
+    label = base
+    while label in existing:
+        label += "'"
+    return label
+
+
+def adjoin_identity(mt: MulTable) -> MulTable:
+    """The table with an identity appended; the input itself when it already
+    has one (so the operation is idempotent)."""
+    if mt.identity() is not None:
+        return mt
+    n = mt.order
+    T = np.full((n + 1, n + 1), n, dtype=np.int64)
+    T[:n, :n] = mt.table
+    T[n, :n] = np.arange(n)
+    T[:n, n] = np.arange(n)
+    labels = None
+    if mt.labels is not None:
+        labels = mt.labels + (_fresh_label(mt, "1"),)
+    return MulTable(T, labels)
+
+
+def zero_element(mt: MulTable) -> int | None:
+    """The absorbing element, if the table has one."""
+    for z in range(mt.order):
+        if (mt.table[z] == z).all() and (mt.table[:, z] == z).all():
+            return z
+    return None
+
+
+def adjoin_zero(mt: MulTable) -> MulTable:
+    """The table with an absorbing element appended; idempotent like
+    adjoin_identity."""
+    if zero_element(mt) is not None:
+        return mt
+    n = mt.order
+    T = np.full((n + 1, n + 1), n, dtype=np.int64)
+    T[:n, :n] = mt.table
+    labels = None
+    if mt.labels is not None:
+        labels = mt.labels + (_fresh_label(mt, "0"),)
+    return MulTable(T, labels)
+
+
+def generate_subsemigroup(mt: MulTable, seeds) -> tuple[int, ...]:
+    """Indices of the subsemigroup generated by the seed indices, sorted."""
+    members = set(int(s) for s in seeds)
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in list(members):
+                for p in (mt.mul(x, y), mt.mul(y, x)):
+                    if p not in members:
+                        members.add(p)
+                        nxt.append(p)
+        frontier = nxt
+    return tuple(sorted(members))
+
+
+def idempotent_power(mt: MulTable, x: int) -> tuple[int, bool]:
+    """Smallest k >= 1 with x^k idempotent, and whether the power sequence has
+    stabilised there (x^k = x^{k+1}, the aperiodic case)."""
+    cur = x
+    # index + period of the power sequence are each at most the order
+    for k in range(1, 2 * mt.order + 2):
+        if mt.mul(cur, cur) == cur:
+            return k, mt.mul(cur, x) == cur
+        cur = mt.mul(cur, x)
+    raise ValueError("power sequence has no idempotent; table is not associative")
+
+
+def evaluate_word(mt: MulTable, word: str, assignment: dict[str, int]) -> int:
+    val = assignment[word[0]]
+    for ch in word[1:]:
+        val = int(mt.table[val, assignment[ch]])
+    return val
+
+
+# ---------------------------------------------------------------------------
+# rewriting helpers that no library code calls: one schema instance, and a
+# system's JSON round trip, each checked by test_rewrite
+
+
+def instantiate(schema: RuleSchema, assignment: dict[str, int], n: int | None = None) -> tuple[str, str]:
+    """Concrete (lhs, rhs) words for an assignment; raises on a violated condition."""
+    for cond in schema.conditions:
+        if not cond.holds(assignment, n):
+            raise ConditionError(f"{schema.id}: condition '{cond}' fails under {assignment}")
+    return _Matcher(schema, n).instance(assignment)
+
+
+def system_to_json(system: RewriteSystem) -> dict:
+    return {
+        "name": system.name,
+        "alphabet": list(system.alphabet),
+        "order": list(system.order),
+        "parameter_n": system.parameter_n,
+        "schemas": [
+            {
+                "id": s.id,
+                "lhs": [{"letter": l, "exp": str(e)} for l, e in s.lhs],
+                "rhs": [{"letter": l, "exp": str(e)} for l, e in s.rhs],
+                "conditions": [str(c) for c in s.conditions],
+            }
+            for s in system.schemas
+        ],
+    }
+
+
+def system_from_json(data: dict) -> RewriteSystem:
+    schemas = []
+    for i, s in enumerate(data["schemas"]):
+        schemas.append(RuleSchema(
+            id=s.get("id", f"r{i}"),
+            lhs=tuple((a["letter"], parse_linexpr(str(a["exp"]))) for a in s["lhs"]),
+            rhs=tuple((a["letter"], parse_linexpr(str(a["exp"]))) for a in s["rhs"]),
+            conditions=tuple(parse_condition(c) for c in s.get("conditions", [])),
+        ))
+    return RewriteSystem(
+        name=data.get("name", "user"),
+        alphabet="".join(data["alphabet"]),
+        order="".join(data["order"]),
+        schemas=tuple(schemas),
+        parameter_n=data.get("parameter_n"),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lef import fsg
 from lef.approx import cyclic_table
 from lef.fsg import (
     MulTable,
-    adjoin_identity,
-    adjoin_zero,
+    PartialTable,
     associative_mask,
     associativity_failures,
     check_implication,
@@ -22,26 +22,21 @@ from lef.fsg import (
     direct_product,
     enumerate_groups,
     enumerate_semigroups,
-    evaluate_word,
-    generate_subsemigroup,
     green,
-    idempotent_power,
     is_clifford,
     is_completely_simple,
     is_group,
     is_j_trivial,
-    is_l_trivial,
-    is_r_trivial,
     j_trivial_mask,
     l_trivial_mask,
     r_trivial_mask,
     relation_variables,
-    zero_element,
 )
 from lef.presets import PRESENTATIONS
-from lef.search import CLASS_FILTERS, CLASS_MASKS
+from lef.search import CLASS_FILTERS, CLASS_MASKS, embed_partial_table
 
-from conftest import relation_grid, word_value_grid
+from conftest import (adjoin_identity, adjoin_zero, evaluate_word, generate_subsemigroup,
+                      idempotent_power, relation_grid, word_value_grid, zero_element)
 
 LEFT_ZERO_2 = MulTable(np.array([[0, 0], [1, 1]]), labels=("p", "q"))
 
@@ -118,8 +113,8 @@ def test_green_orders_match_principal_ideals(order):
             assert leq.tolist() == [[x in ideal(y) for y in elems] for x in elems]
         # the predicates read the orders; pin them to the class lists
         r, l, h, j = _naive_green(mt)
-        assert is_r_trivial(mt) == all(len(c) == 1 for c in r)
-        assert is_l_trivial(mt) == all(len(c) == 1 for c in l)
+        assert CLASS_FILTERS["r_trivial"](mt) == all(len(c) == 1 for c in r)
+        assert CLASS_FILTERS["l_trivial"](mt) == all(len(c) == 1 for c in l)
         assert is_j_trivial(mt) == all(len(c) == 1 for c in j)
         assert is_completely_simple(mt) == (len(j) == 1 and bool(mt.idempotents()))
         h_of = {x: c for c in h for x in c}
@@ -213,8 +208,8 @@ def test_masks_match_the_reference_on_labeled_order_4_semigroups():
     stack = np.array([mt.table for mt in tables])
     one_table = {"associative": MulTable.is_associative, "group": is_group,
                  "completely_simple": is_completely_simple, "clifford": is_clifford,
-                 "j_trivial": is_j_trivial, "l_trivial": is_l_trivial,
-                 "r_trivial": is_r_trivial}
+                 "j_trivial": is_j_trivial, "l_trivial": CLASS_FILTERS["l_trivial"],
+                 "r_trivial": CLASS_FILTERS["r_trivial"]}
     for name, (reference, mask) in REFERENCE.items():
         want = [reference(mt.table) for mt in tables]
         assert any(want), name
@@ -342,7 +337,7 @@ def test_is_group_predicates():
     assert not is_clifford(LEFT_ZERO_2)
     assert is_j_trivial(adjoin_zero(adjoin_identity(MulTable(np.array([[0]])))))
     assert not is_j_trivial(cyclic_table(2))
-    assert is_r_trivial(LEFT_ZERO_2) != is_l_trivial(LEFT_ZERO_2)
+    assert CLASS_FILTERS["r_trivial"](LEFT_ZERO_2) != CLASS_FILTERS["l_trivial"](LEFT_ZERO_2)
 
 
 def test_classify_group():
@@ -536,3 +531,25 @@ def test_order_5_filtered_enumeration():
     expected = [mt.table.tolist() for mt in everything if is_j_trivial(mt)]
     j_trivial = enumerate_semigroups(5, filter=is_j_trivial)
     assert [mt.table.tolist() for mt in j_trivial] == expected
+
+
+def test_q_relations_force_xax_xex_in_the_order_5_j_trivial_semigroups():
+    # acceptance criterion 7 one order up; the order-5 search is read from
+    # the memo when the test above ran first
+    q_relations = list(PRESENTATIONS["q"].relations)
+    tables = enumerate_semigroups(5, filter=is_j_trivial)
+    assert len(tables) == 593
+    assert [check_implication(mt, q_relations, [("xax", "xex")]) for mt in tables] \
+        == [None] * 593
+
+
+def test_memo_keeps_the_order_5_search_and_the_pq_embeds_within_its_bound():
+    pq = PartialTable(elements=("p", "q"), products={("p", "q"): "q", ("q", "p"): "p"})
+    assert len(enumerate_semigroups(5, filter=is_j_trivial)) == 593
+    for class_filter in ("j_trivial", "clifford"):
+        result = embed_partial_table(pq, 5, class_filter)
+        assert (result.status, result.explored) == ("not_embeddable_up_to_bound", 100_659)
+    pins = [tuple(sorted([(1, 1), (n, 0)])) for n in range(2, 6)]
+    assert {(5, False, ())} | {(n, False, p) for n, p in zip(range(2, 6), pins)} \
+        <= set(fsg._search_memo)
+    assert fsg._memo_bytes() <= fsg.SEARCH_MEMO_BYTES

@@ -23,7 +23,6 @@ from lef.rewrite import (
     conditions_hold,
     critical_pairs,
     enumerate_redexes,
-    instantiate,
     instantiate_all,
     leftmost_reductions,
     make_schema,
@@ -35,11 +34,9 @@ from lef.rewrite import (
     reduce_once,
     reduction_trace,
     render_atoms,
-    system_from_json,
-    system_to_json,
 )
 
-from conftest import all_words
+from conftest import all_words, instantiate, system_from_json, system_to_json
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from lef.approx import cyclic_table
-from lef.fsg import MulTable, PartialTable, _TableSearch, enumerate_semigroups, relation_variables
+from lef import fsg
+from lef.fsg import (MulTable, PartialTable, _TableSearch, enumerate_groups, enumerate_semigroups,
+                     relation_variables)
 import lef.search
 from lef.presets import PRESENTATIONS, bicyclic4_table
 from lef.search import (
@@ -331,6 +333,88 @@ def test_unknown_class_filter():
 
 def test_class_filter_inventory():
     assert {"any", "group", "j_trivial", "clifford"} <= set(CLASS_FILTERS)
+
+
+# ---------------------------------------------------------------------------
+# the memo of searches run to the end
+
+
+@pytest.fixture
+def empty_memo():
+    """The search memo, emptied for the test; the entries it held before are
+    put back after it, so later tests still find them."""
+    saved = dict(fsg._search_memo)
+    fsg._search_memo.clear()
+    yield fsg._search_memo
+    fsg._search_memo.clear()
+    fsg._search_memo.update(saved)
+
+
+@pytest.mark.parametrize("class_filter", sorted(CLASS_FILTERS))
+def test_memo_reads_match_cold_searches(class_filter, empty_memo, monkeypatch):
+    live = []
+    monkeypatch.setattr(fsg, "_TableSearch", lambda *args: live.append(args) or _TableSearch(*args))
+    for pt, max_order in [(pt, 4) for pt in _random_partial_tables(12) + [PQ]] \
+            + [(bicyclic4_table(), 5)]:
+        want = _one_by_one(pt, max_order, class_filter)
+        empty_memo.clear()
+        _same_result(embed_partial_table(pt, max_order, class_filter), want)
+        for other in CLASS_FILTERS:     # keeps every search that runs to its end
+            embed_partial_table(pt, max_order, other)
+        live.clear()
+        _same_result(embed_partial_table(pt, max_order, class_filter), want)
+        if want.status == "not_embeddable_up_to_bound":
+            assert not live     # every order read from the memo
+
+
+def test_writing_into_returned_tables_changes_no_later_result(empty_memo):
+    want = [mt.table.tolist() for mt in enumerate_semigroups(3)]
+    labeled = [mt.table.tolist() for mt in enumerate_groups(4, up_to_iso=False)]
+    for _ in range(2):      # the second round reads every search from the memo
+        for mt in (enumerate_semigroups(3) + enumerate_semigroups(3, up_to_iso=False)
+                   + enumerate_groups(4, up_to_iso=False)):
+            mt.table[...] = 0
+    assert [mt.table.tolist() for mt in enumerate_semigroups(3)] == want
+    assert [mt.table.tolist() for mt in enumerate_groups(4, up_to_iso=False)] == labeled
+    embed_partial_table(PQ, 4, "j_trivial")     # keeps orders 2-4
+    for _ in range(2):
+        embed_partial_table(PQ, 4).witness[0].table[...] = 0
+    _same_result(embed_partial_table(PQ, 4), _one_by_one(PQ, 4))
+
+
+def test_a_search_that_stops_early_keeps_nothing(empty_memo):
+    # {p,q} lies in the right-zero semigroup of order 2
+    assert embed_partial_table(PQ, 4).status == "embeddable"
+    assert not empty_memo
+    assert embed_partial_table(PQ, 3, "j_trivial").status == "not_embeddable_up_to_bound"
+    assert len(empty_memo) == 2
+
+
+def test_memo_evicts_the_least_recently_used_search(empty_memo, monkeypatch):
+    enumerate_semigroups(3)
+    enumerate_semigroups(2)
+    enumerate_semigroups(3)     # order 3 is now the most recently used
+    small = fsg._memo_bytes()
+    monkeypatch.setattr(fsg, "SEARCH_MEMO_BYTES", small)
+    enumerate_semigroups(1)
+    assert [key[0] for key in empty_memo] == [3, 1] and fsg._memo_bytes() <= small
+    empty_memo.clear()      # a search whose completions pass the bound is not kept
+    monkeypatch.setattr(fsg, "SEARCH_MEMO_BYTES", 100)
+    assert len(enumerate_semigroups(3, up_to_iso=False)) == 113
+    assert not empty_memo
+
+
+def test_a_corrupted_memo_entry_raises_instead_of_answering(empty_memo):
+    embed_partial_table(PQ, 2, "j_trivial")     # keeps the order-2 search
+    (run,) = empty_memo.values()
+    run.found_at = np.zeros(1, dtype=np.uint8)
+    # associative and in every class "any" admits, but pq = p
+    run.tables = np.zeros((1, 2, 2), dtype=np.uint8)
+    with pytest.raises(AssertionError, match="pinned product"):
+        embed_partial_table(PQ, 2)
+    run.tables = np.array([[[1, 0], [0, 0]]], dtype=np.uint8)   # (00)1 = 0 but 0(01) = 1
+    with pytest.raises(AssertionError, match="inassociative"):
+        embed_partial_table(PQ, 2)
 
 
 # ---------------------------------------------------------------------------
