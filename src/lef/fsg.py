@@ -113,14 +113,24 @@ class MulTable:
         rows = data["table"]
         if not isinstance(rows, list) or len(rows) != order:
             raise ValueError(f"{where}/table: expected {order} rows")
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != order:
-                raise ValueError(f"{where}/table/{i}: expected {order} entries")
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool) \
-                        or not 0 <= v < order:
-                    raise ValueError(f"{where}/table/{i}/{j}: entry {v!r} "
-                                     f"outside 0..{order - 1}")
+        # shapes and types in one pass in C, the range in numpy; the walk names the bad cell
+        table = None
+        if all(type(row) is list and len(row) == order for row in rows) \
+                and set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+            try:
+                table = np.array(rows, dtype=np.int64).reshape(order, order)
+            except OverflowError:
+                pass
+        if table is None or table.size and not 0 <= table.min() <= table.max() < order:
+            for i, row in enumerate(rows):
+                if not isinstance(row, list) or len(row) != order:
+                    raise ValueError(f"{where}/table/{i}: expected {order} entries")
+                for j, v in enumerate(row):
+                    if not isinstance(v, int) or isinstance(v, bool) \
+                            or not 0 <= v < order:
+                        raise ValueError(f"{where}/table/{i}/{j}: entry {v!r} "
+                                         f"outside 0..{order - 1}")
+            table = np.array(rows, dtype=np.int64).reshape(order, order)
         labels = data.get("labels")
         if labels is not None:
             if not isinstance(labels, list) or len(labels) != order:
@@ -130,8 +140,7 @@ class MulTable:
                     raise ValueError(f"{where}/labels/{i}: expected a string")
             if len(set(labels)) != order:
                 raise ValueError(f"{where}/labels: labels must be distinct")
-        return cls(table=np.array(rows, dtype=np.int64).reshape(order, order),
-                   labels=tuple(labels) if labels else None)
+        return cls(table=table, labels=tuple(labels) if labels else None)
 
 
 @dataclass

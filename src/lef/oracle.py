@@ -20,6 +20,7 @@ and then so does their union (side 1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -43,13 +44,15 @@ class EqualityVerdict:
 
 
 _CONFLUENCE_SANITY_BOUND = 2
-_confluence_checked: set[str] = set()
+# (name, parameter_n, schemas) of checked systems; a list, as hashing rules is slow
+_confluence_checked: list[tuple] = []
 
 
 def _ensure_locally_confluent(system) -> None:
     """One cheap local-confluence pass per system per process.  The heavyweight
     campaigns at higher exponent bounds belong to the verification suite."""
-    if system.name in _confluence_checked:
+    key = (system.name, system.parameter_n, system.schemas)
+    if key in _confluence_checked:
         return
     report = check_local_confluence(system, exponent_bound=_CONFLUENCE_SANITY_BOUND)
     if report.unresolved:
@@ -57,7 +60,7 @@ def _ensure_locally_confluent(system) -> None:
         raise RuntimeError(
             f"system {system.name} is not locally confluent: "
             f"{pair.joint!r} splits to {pair.left_result!r} / {pair.right_result!r}")
-    _confluence_checked.add(system.name)
+    _confluence_checked.append(key)
 
 
 def _check_nonempty(u: str, v: str) -> None:
@@ -185,7 +188,7 @@ def _bidirectional_search(relations, u: str, targets, length_bound: int,
 
 DEFAULT_NODE_BOUND = 1_000_000
 
-_verdict_memo: dict[tuple, EqualityVerdict] = {}
+_VERDICT_MEMO_SIZE = 4096  # verdicts kept; the least recently used goes first
 
 
 def _search_verdict(pid: str, u: str, targets, length_bound: int,
@@ -201,6 +204,16 @@ def _search_verdict(pid: str, u: str, targets, length_bound: int,
     return EqualityVerdict(
         "unknown", {"kind": "bound", "length_bound": length_bound,
                     "node_bound": node_bound, "explored": nodes})
+
+
+@functools.lru_cache(maxsize=_VERDICT_MEMO_SIZE)
+def _verdict_memo(pid: str, a: str, b: str, length_bound: int,
+                  node_bound: int) -> EqualityVerdict:
+    """The verdict on a <= b, by an invariant or else by a search."""
+    name = separating_quantity(a, b, pid)
+    if name is not None:
+        return EqualityVerdict("distinct", {"kind": "invariant", "name": name})
+    return _search_verdict(pid, a, (b,), length_bound, node_bound)
 
 
 def _flip_path(verdict: EqualityVerdict) -> EqualityVerdict:
@@ -237,17 +250,7 @@ def word_equal_bfs(preset: str, u: str, v: str, length_bound: int | None = None,
         length_bound = len(u) + len(v) + 4
 
     a, b = sorted((u, v))
-    key = (pid, a, b, length_bound, node_bound)
-    if key in _verdict_memo:
-        cached = _verdict_memo[key]
-        return cached if (a, b) == (u, v) else _flip_path(cached)
-
-    name = separating_quantity(a, b, pid)
-    if name is not None:
-        verdict = EqualityVerdict("distinct", {"kind": "invariant", "name": name})
-    else:
-        verdict = _search_verdict(pid, a, (b,), length_bound, node_bound)
-    _verdict_memo[key] = verdict
+    verdict = _verdict_memo(pid, a, b, length_bound, node_bound)
     return verdict if (a, b) == (u, v) else _flip_path(verdict)
 
 

@@ -8,69 +8,47 @@ variable.  A variable atom consumes the whole maximal run of its letter, except
 in the last position where shorter matches are also tried.  That is exactly the
 shape of all built-in rule schemas.
 
-Each ``RewriteSystem`` compiles its schemas once, with its parameter n fixed,
-and keeps the result on itself:
+Each ``RewriteSystem`` compiles its schemas once, with n fixed: a matcher per
+schema (``_Matcher``), the rank table of its letter order, and a table from
+the window ``w[pos:pos + 2]`` (one letter at the end of the word) to the
+matchers that can match at pos, in schema order.  The table follows from the
+atoms' ranges and the fact that an atom other than the last consumes its
+whole run, so the letter after it is not its own: q4, ``a^alpha c^beta
+e^gamma x`` with ``0<alpha``, is filed only under windows that start with
+``a``.  A letter outside the alphabet ends every run, like the end of the
+word, so a window whose second letter is foreign falls back to its first
+letter alone, and a foreign first letter to the matchers whose lhs can match
+the empty word.
 
-* per schema a matcher whose lhs atoms are ``(letter, variable or None, lo,
-  hi)``.  A side condition on one variable (``0<alpha``, ``gamma<=2n``) is
-  folded into that atom's range, so a run of the wrong length ends the attempt
-  as soon as it is read.  The other conditions stay integer checks
-  ``c + sum(k_i * var_i) >= 0`` (or ``== 0``), and the rhs is a precomputed
-  atom renderer;
-* a table from the window ``w[pos:pos + 2]`` (one letter at the end of the
-  word) to the matchers that can match at pos, in schema order.  It is derived
-  from the atoms' ranges and the fact that an atom other than the last
-  consumes its whole run, so the letter after it is not its own: q4,
-  ``a^alpha c^beta e^gamma x`` with ``0<alpha``, is filed only under windows
-  that start with ``a``.  A letter outside the alphabet ends every run, like
-  the end of the word, so a window whose second letter is foreign falls back
-  to its first letter alone, and a foreign first letter to the matchers whose
-  lhs can match the empty word;
-* the rank table of its letter order.
+One matcher, ``_match_at``, reads a schema's lhs at a position.
+``_first_match`` scans the positions and the window table for the first
+match, ``_matches`` for all of them (``enumerate_redexes``,
+``_rule_results``).  Leftmost reduction is one walk, ``_steps``, of first
+matches: ``normal_form`` reads only its words, and ``leftmost_reductions``
+(``reduce_once``, ``reduction_trace``, ``lef rewrite``) makes ``Reduction``s
+of its steps.  After a step it resumes near the edit, not at 0.  A match
+attempt reads at most ``max_lhs_atoms`` runs of the word plus one look-ahead
+letter, so after a step at ``pos`` (no earlier position matched) every
+attempt starting ``max_lhs_atoms`` or more runs before the run holding
+``pos - 1`` reads only unchanged letters and still fails; the window table
+leaves out only matchers that cannot match, so this holds with it too.
 
-``_matches`` is the one scan over positions and the window table:
-``reduce_once`` takes its first match, ``enumerate_redexes`` all of them.
-Leftmost reduction is one walk, ``leftmost_reductions``, of ``reduce_once``
-steps; ``normal_form``, ``reduction_trace`` and ``lef rewrite --max-steps``
-step through it.  After a step it resumes near the edit, not at 0.  A
-match attempt reads at most ``max_lhs_atoms`` runs of the word plus one
-look-ahead letter, so after a step at ``pos`` (no earlier position matched)
-every attempt starting ``max_lhs_atoms`` or more runs before the run holding
-``pos - 1`` reads only unchanged letters and still fails.  The window table
-only leaves out matchers that cannot match at a position, so every position
-has the same matches as when every schema is tried there, and the argument
-holds unchanged.
+With ``assert_decrease`` each step must decrease shortlex, which is checked
+on the rewritten segment alone: the two words share prefix and suffix, so the
+new one is smaller iff the rhs is shorter than the match, or as long and
+lexicographically smaller.  The first step ranks every letter of the word and
+later ones the rhs, so a letter outside the alphabet is still a ValueError.
 
 ``normal_form`` takes an optional memo from words to their leftmost normal
 forms, which the verify campaigns (``check_local_confluence`` and
-``appendix.verify_appendix``) share across all their words.  Leftmost
-reduction is deterministic, so every word on a chain w -> w1 -> ... -> v has
-v as its leftmost normal form, confluent system or not: the walk stops at the
-first word of the chain that is in the memo and records the result for every
-word it stepped through, so each word is reduced once per campaign.  The step
-limit (``_step_limit``) bounds the steps of one call, so a call that meets the
-memo early takes fewer.
-
-Bounded instantiation (``instantiate_all``, and ``appendix.check_row``) is
-``bounded_assignments``: each variable's one-variable conditions narrow its
-range as they narrow a matcher's atom, the product of those ranges is walked,
-and only the other conditions are checked on each assignment.  The
-assignments and their order are those of the full 0..bound product.
-
-``critical_pairs`` finds overlaps through an index from every substring of
-every lhs instance to its (instance, start) entries.  Placing l2 at ``shift``
-letters right of l1's start, the overlaps with shift >= 0 are an l2 inside l1
-(l2's own entries in l1) or a prefix of l2 equal to a suffix of l1 (start-0
-entries under l1's suffixes); those with shift < 0 are an l2 containing l1
-(l1's entries at a start above 0) or a suffix of l2 equal to a prefix of l1.
-A pair and its mirror (l2, l1, -shift) share the joint word and the two
-placed instances, so only the first of them in the order of l1, l2, shift is
-kept; the pairs are read in that order without trying each shift of each
-ordered pair of instances.
+``appendix.verify_appendix``) share.  Leftmost reduction is deterministic, so
+every word on a chain w -> w1 -> ... -> v has v as its leftmost normal form,
+confluent system or not, and each word is reduced once per campaign.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -80,6 +58,7 @@ from dataclasses import dataclass, field
 
 DEFAULT_STEP_LIMIT = 100_000
 _UNBOUNDED = sys.maxsize  # upper end of a variable's range when no condition caps it
+_PARSE_CACHE_SIZE = 1024  # distinct exponent texts kept parsed (the appendix has 73)
 
 
 class StepLimitError(RuntimeError):
@@ -139,8 +118,10 @@ class LinExpr:
         return out
 
 
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_linexpr(text: str) -> LinExpr:
-    """Parse expressions like '1', '2n+1', 'alpha-beta', '2n+beta-alpha'."""
+    """Parse expressions like '1', '2n+1', 'alpha-beta', '2n+beta-alpha';
+    each text once per process (a ``LinExpr`` is frozen, so it is shared)."""
     s = text.replace(" ", "").replace("{", "").replace("}", "")
     if not s:
         raise ValueError("empty exponent expression")
@@ -413,8 +394,10 @@ class _Matcher:
     ``head`` holds every atom but the last, each consuming its whole run;
     ``last`` may match a prefix of its run.  Only the checks with more than
     one variable are left: those not mentioning the last variable are in
-    ``fixed`` and run once per attempt, the rest, in ``flex``, once per
-    candidate value of the last variable.
+    ``fixed`` and run once per attempt; the rest are in ``flex`` as ``(const,
+    other (var, coeff) pairs, coefficient of the last variable, _GE or _NZ)``,
+    an ``==`` check as two ``>=`` ones, and narrow the last atom's range
+    once the head is read (``_match_at``).
     """
 
     __slots__ = ("schema", "head", "last", "fixed", "flex", "lhs", "rhs")
@@ -436,9 +419,16 @@ class _Matcher:
         self.head, self.last = tuple(atoms[:-1]), atoms[-1]
         flex_var = self.last[1]
         fixed, flex = [], []
-        for check in checks:
-            mentions = any(name == flex_var for name, _ in check[1])
-            (flex if mentions else fixed).append(check)
+        for const, var_coeffs, kind in checks:
+            k = dict(var_coeffs).get(flex_var, 0)
+            others = tuple((name, c) for name, c in var_coeffs if name != flex_var)
+            if not k:
+                fixed.append((const, var_coeffs, kind))
+            elif kind == _EQ:  # == 0 is >= 0 both ways
+                flex += [(const, others, k, _GE),
+                         (-const, tuple((v, -c) for v, c in others), -k, _GE)]
+            else:
+                flex.append((const, others, k, kind))
         self.fixed, self.flex = tuple(fixed), tuple(flex)
         self.lhs = compile_atoms(schema.lhs, n)
         self.rhs = compile_atoms(schema.rhs, n)
@@ -534,8 +524,10 @@ class RewriteSystem:
 
 
 def _match_at(m: _Matcher, w: str, pos: int):
-    """Yield (assignment, consumed) for every match of m's lhs starting at
-    w[pos], smallest assignment first; each assignment is a fresh dict."""
+    """(assignment, consumed, longest) of m's lhs at w[pos]: the shortest
+    match, its assignment a fresh dict, and the consumed length of the
+    longest; or None.  Once the head is read, each ``flex`` check bounds the
+    last variable from one side, so every length in between matches."""
     size = len(w)
     assignment: dict[str, int] = {}
     cur = pos
@@ -544,7 +536,7 @@ def _match_at(m: _Matcher, w: str, pos: int):
         while end < size and w[end] == letter:
             end += 1
         if not lo <= end - cur <= hi:
-            return
+            return None
         if name is not None:
             assignment[name] = end - cur
         cur = end
@@ -552,17 +544,24 @@ def _match_at(m: _Matcher, w: str, pos: int):
     end = cur
     while end < size and w[end] == letter:
         end += 1
-    top = end - cur
-    if top > hi:
-        top = hi
-    if top < lo or (m.fixed and not conditions_hold(m.fixed, assignment)):
-        return
-    flex = m.flex
-    for val in range(lo, top + 1):
-        if name is not None:
-            assignment[name] = val
-        if not flex or conditions_hold(flex, assignment):
-            yield dict(assignment), cur + val - pos
+    if end - cur < hi:
+        hi = end - cur
+    if hi < lo or (m.fixed and not conditions_hold(m.fixed, assignment)):
+        return None
+    for const, others, k, kind in m.flex:  # const + others + k * last >= 0, or != 0
+        for var, coeff in others:
+            const += coeff * assignment[var]
+        if kind == _NZ:
+            lo = lo if const else max(lo, 1)
+        elif k > 0:
+            lo = max(lo, -(const // k))
+        else:
+            hi = min(hi, const // -k)
+    if hi < lo:
+        return None
+    if name is not None:
+        assignment[name] = lo
+    return assignment, cur + lo - pos, cur + hi - pos
 
 
 @dataclass(frozen=True)
@@ -575,19 +574,6 @@ class Reduction:
     replacement: str = ""
 
 
-def _apply(m: _Matcher, w: str, pos: int, assignment: dict[str, int],
-           consumed: int) -> Reduction:
-    rhs = m.render(m.rhs, assignment)
-    return Reduction(
-        word=w[:pos] + rhs + w[pos + consumed:],
-        position=pos,
-        rule_id=m.schema.id,
-        assignment=assignment,
-        matched=w[pos:pos + consumed],
-        replacement=rhs,
-    )
-
-
 def _lex_key(w: str, rank: dict[str, int]) -> tuple:
     try:
         return tuple(map(rank.__getitem__, w))
@@ -596,37 +582,48 @@ def _lex_key(w: str, rank: dict[str, int]) -> tuple:
                          f"{''.join(rank)!r}") from None
 
 
-def _matches(system: RewriteSystem, w: str, rule_id: str | None = None, start: int = 0):
-    """Yield (matcher, position, assignment, consumed) for every match in w at
-    a position >= start, by position, then schema, then assignment; with
-    ``rule_id``, only the matches of that rule's matchers.  Each position tries
-    the matchers the window table files under it."""
+def _first_match(system: RewriteSystem, w: str, start: int):
+    """(matcher, position, assignment, consumed) of the first match from start, or None."""
     table = system._table
     for pos in range(start, len(w)):
         ms = table.get(w[pos:pos + 2])
         if ms is None:  # a letter outside the alphabet, which ends every run
             ms = table.get(w[pos], table[""])
         for m in ms:
-            if rule_id is None or m.schema.id == rule_id:
-                for assignment, consumed in _match_at(m, w, pos):
-                    yield m, pos, assignment, consumed
-
-
-def reduce_once(system: RewriteSystem, w: str, *, _start: int = 0) -> Reduction | None:
-    """One step under the deterministic strategy: leftmost position, lowest
-    schema index, smallest assignment.  None iff w is irreducible.
-
-    ``_start`` skips positions known not to match (``leftmost_reductions``).
-    """
-    for m, pos, assignment, consumed in _matches(system, w, start=_start):
-        red = _apply(m, w, pos, assignment, consumed)
-        if system.assert_decrease:
-            rank = system._rank
-            if not (len(red.word), _lex_key(red.word, rank)) < (len(w), _lex_key(w, rank)):
-                raise AssertionError(
-                    f"non-decreasing step {m.schema.id} on {w!r} -> {red.word!r}")
-        return red
+            if (found := _match_at(m, w, pos)) is not None:
+                return m, pos, found[0], found[1]
     return None
+
+
+def _matches(system: RewriteSystem, w: str, rule_id: str | None = None):
+    """Yield (matcher, position, assignment, consumed) for every match in w,
+    by position, then schema, then assignment; with ``rule_id``, only the
+    matches of that rule's matchers."""
+    table = system._table
+    for pos in range(len(w)):
+        ms = table.get(w[pos:pos + 2])
+        if ms is None:
+            ms = table.get(w[pos], table[""])
+        for m in ms:
+            if (rule_id is None or m.schema.id == rule_id) and \
+                    (found := _match_at(m, w, pos)) is not None:
+                assignment, consumed, longest = found
+                yield m, pos, assignment, consumed
+                name = m.last[1]
+                for k in range(1, longest - consumed + 1):
+                    yield m, pos, {**assignment, name: assignment[name] + k}, consumed + k
+
+
+def _apply(m: _Matcher, w: str, pos: int, assignment: dict, consumed: int) -> Reduction:
+    rhs = m.render(m.rhs, assignment)
+    return Reduction(w[:pos] + rhs + w[pos + consumed:], pos, m.schema.id, assignment,
+                     w[pos:pos + consumed], rhs)
+
+
+def reduce_once(system: RewriteSystem, w: str) -> Reduction | None:
+    """One step under the deterministic strategy: leftmost position, lowest
+    schema index, smallest assignment.  None iff w is irreducible."""
+    return next(leftmost_reductions(system, w, 1), None)
 
 
 def enumerate_redexes(system: RewriteSystem, w: str) -> list[Reduction]:
@@ -681,40 +678,55 @@ def _limit_error(system: RewriteSystem, limit: int, w: str) -> StepLimitError:
                           f"(system {system.name}, stuck at {w[:80]!r})")
 
 
-def leftmost_reductions(system: RewriteSystem, w: str, step_limit: int | None = None):
-    """Yield the ``reduce_once`` steps from w until the word is irreducible,
-    each search after the first from ``_resume_point``.  A step is searched
-    only when asked for, so a caller may stop between steps; StepLimitError
-    is raised when a step past the limit (``_step_limit``) is due."""
-    limit = _step_limit(step_limit)
+def _steps(system: RewriteSystem, w: str, limit: int):
+    """Yield (rewritten word, (matcher, position, assignment, consumed)) for
+    each leftmost step from w, searched when asked for (after the first, from
+    ``_resume_point``) and checked as the module docstring says."""
+    rank = system._rank if system.assert_decrease else None
     start = steps = 0
-    while (red := reduce_once(system, w, _start=start)) is not None:
+    while (match := _first_match(system, w, start)) is not None:
+        m, pos, assignment, consumed = match
+        rhs = m.render(m.rhs, assignment)
+        new = w[:pos] + rhs + w[pos + consumed:]
+        if rank is not None:
+            key = _lex_key(rhs, rank) if steps else _lex_key(new, rank)[pos:pos + len(rhs)]
+            if not (len(rhs) < consumed or len(rhs) == consumed
+                    and key < _lex_key(w[pos:pos + consumed], rank)):
+                raise AssertionError(f"non-decreasing step {m.schema.id} on {w!r} -> {new!r}")
         steps += 1
         if steps > limit:
-            raise _limit_error(system, limit, red.word)
-        yield red
-        w = red.word
-        start = _resume_point(w, red.position, system._max_atoms)
+            raise _limit_error(system, limit, new)
+        yield new, match
+        w = new
+        start = _resume_point(w, pos, system._max_atoms)
+
+
+def leftmost_reductions(system: RewriteSystem, w: str, step_limit: int | None = None):
+    """Yield the ``Reduction`` of each step of ``_steps`` from w under the
+    step limit (``_step_limit``); a caller may stop between steps."""
+    for new, (m, pos, assignment, consumed) in _steps(system, w, _step_limit(step_limit)):
+        yield _apply(m, w, pos, assignment, consumed)
+        w = new
 
 
 def normal_form(system: RewriteSystem, w: str, step_limit: int | None = None,
                 memo: dict[str, str] | None = None) -> str:
-    """The end of w's chain of ``leftmost_reductions``.  With ``memo`` (words
-    to their leftmost normal forms) the walk stops at the first word that is a
-    key and maps every word it stepped through, and the irreducible word it
-    reached, to the result; nothing is recorded when the step limit is hit."""
-    walk = leftmost_reductions(system, w, _step_limit(step_limit))
+    """The end of w's chain of ``_steps``.  With ``memo`` (words to their leftmost
+    normal forms) the walk stops at the first word that is a key, so the step
+    limit counts only the steps taken, and maps every word it stepped through and
+    the word it reached to the result; nothing is recorded past the step limit."""
+    walk = _steps(system, w, _step_limit(step_limit))
     if memo is None:
-        for red in walk:
-            w = red.word
+        for w, _ in walk:
+            pass
         return w
     chain: list[str] = []  # the words stepped through
     while w not in memo:
-        red = next(walk, None)
-        if red is None:
+        step = next(walk, None)
+        if step is None:
             break
         chain.append(w)
-        w = red.word
+        w = step[0]
     result = memo.setdefault(w, w)  # w is a key, or the irreducible end
     memo.update(dict.fromkeys(chain, result))
     return result
@@ -811,7 +823,11 @@ def critical_pairs(system: RewriteSystem, exponent_bound: int) -> list[CriticalP
     i) and l2 (number j) with l2 placed ``shift`` letters right of l1's start
     (left of it when shift < 0), and the pairs come in the order of i, then j,
     then shift.  The overlaps are read off an index from every substring of
-    every lhs to its (instance, start) entries (see the module docstring).
+    every lhs to its (instance, start) entries: with shift >= 0, an l2 inside
+    l1 (l2's own entries in l1) or a prefix of l2 equal to a suffix of l1
+    (start-0 entries under l1's suffixes); with shift < 0, an l2 containing
+    l1 (l1's entries at a start above 0) or a suffix of l2 equal to a prefix
+    of l1.
     Of a pair and its mirror (j, i, -shift), which has the same joint word and
     the same two placed instances, only the first in that order is kept: the
     one with j > i, or with j == i and shift < 0.  The instance against itself

@@ -179,6 +179,14 @@ def test_wrap_json_round_trip():
     (WrapMap, {"table": {"order": 1}, "d_words": ["a"]}, "/table/table: missing"),
     (ApproxPair, {"table": cyclic_table(2).to_json(), "map": {"1/2": 2}},
      "/map/1~12: index 2 outside 0..1"),
+    (ApproxPair, {"table": {"order": 2, "table": [[0, True], [0, 0]]}, "map": {}},
+     "/table/table/0/1: entry True outside 0..1"),
+    (ApproxPair, {"table": {"order": 2, "table": [[0, 0], [1.0, 0]]}, "map": {}},
+     "/table/table/1/0: entry 1.0 outside 0..1"),
+    (ApproxPair, {"table": {"order": 2, "table": [[0, 0], [0, 2 ** 70]]}, "map": {}},
+     f"/table/table/1/1: entry {2 ** 70} outside 0..1"),
+    (ApproxPair, {"table": {"order": 2, "table": [[0, -1], [0]]}, "map": {}},
+     "/table/table/0/1: entry -1 outside 0..1"),
 ])
 def test_artifact_json_errors_carry_pointers(cls, data, pointer):
     with pytest.raises(ValueError) as info:

@@ -1,11 +1,16 @@
 """Word-equality oracles: normal forms, invariant separation, bidirectional
 search, closure exhaustion, and path replay."""
 
+import functools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lef.constructors
+import lef.oracle
 from conftest import bounded_closure
+from lef.constructors import build_fn
 from lef.oracle import (
     equal_to_any,
     one_step_words,
@@ -15,7 +20,8 @@ from lef.oracle import (
     word_equal_bfs,
     word_equal_nf,
 )
-from lef.presets import PRESENTATIONS
+from lef.presets import PRESENTATIONS, Q_SYSTEM
+from lef.rewrite import RewriteSystem, make_schema
 from lef.words import ALPHABETS, separating_quantity
 
 
@@ -154,6 +160,48 @@ def test_bfs_unknown_under_tiny_bounds():
 def test_bfs_identical_words():
     verdict = word_equal_bfs("s", "ax", "ax")
     assert verdict.status == "equal"
+
+
+def test_a_bounded_verdict_memo_evicts_and_gives_the_same_verdicts(monkeypatch):
+    queries = [("t", "xcd", "xe"), ("q", "a", "b"), ("c", "ax", "cx"), ("c", "ax", "by"),
+               ("t", "xe", "xcd")]
+    memo = lef.oracle._verdict_memo
+    assert memo.cache_info().maxsize == lef.oracle._VERDICT_MEMO_SIZE
+    monkeypatch.setattr(lef.oracle, "_verdict_memo",
+                        functools.lru_cache(maxsize=None)(memo.__wrapped__))
+    expected = [word_equal_bfs(*query) for query in queries]
+    small = functools.lru_cache(maxsize=2)(memo.__wrapped__)
+    monkeypatch.setattr(lef.oracle, "_verdict_memo", small)
+    for _ in range(2):
+        assert [word_equal_bfs(*query) for query in queries] == expected
+        assert small.cache_info().currsize == 2
+    # ("c", "ax", "by") and ("t", "xcd", "xe") are kept, the latter the most recent
+    hits = small.cache_info().hits
+    word_equal_bfs("c", "ax", "by")  # a hit, now the most recent
+    word_equal_bfs("q", "a", "b")    # so this evicts ("t", "xcd", "xe")
+    word_equal_bfs("c", "ax", "by")
+    assert small.cache_info().hits == hits + 2
+    word_equal_bfs("t", "xe", "xcd")
+    assert small.cache_info().hits == hits + 2
+
+
+def test_a_rebuilt_system_under_a_checked_name_gets_its_own_confluence_check(monkeypatch):
+    checked = []
+    monkeypatch.setattr(lef.oracle, "_confluence_checked", checked)
+    lef.oracle._ensure_locally_confluent(Q_SYSTEM)
+    assert len(checked) == 1
+    lef.oracle._ensure_locally_confluent(Q_SYSTEM)
+    assert len(checked) == 1
+    # "ab" reduces to "a" by r1 and to "ac" by r2, and both are irreducible
+    diverging = RewriteSystem(name=Q_SYSTEM.name, alphabet="abc", order="abc",
+                              schemas=(make_schema("r1", "ab", "a"), make_schema("r2", "b", "c")))
+    with pytest.raises(RuntimeError, match="is not locally confluent: 'ab' splits"):
+        lef.oracle._ensure_locally_confluent(diverging)
+    assert len(checked) == 1
+
+
+def test_build_fn_keeps_a_bounded_number_of_systems():
+    assert build_fn.cache_info().maxsize == lef.constructors._FN_CACHE_SIZE
 
 
 def test_bfs_rejects_unknown_preset():

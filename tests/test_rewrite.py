@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,40 @@ def test_step_limit_raises_on_loops():
     assert len(list(itertools.islice(leftmost_reductions(looping, "a", 10), 10))) == 10
 
 
+# checked systems over a < b < c: "c" -> "a" decreases, and so does "b a" ->
+# "a b"; "a b" -> "b a" (equal length, larger) and "b" -> "aa" (longer) do not
+def _checked(*rules):
+    return RewriteSystem(name="checked", alphabet="abc", order="abc", assert_decrease=True,
+                         schemas=tuple(make_schema(*rule) for rule in rules))
+
+
+@pytest.mark.parametrize("rule, word, message", [
+    (("up", "a b", "b a"), "ab", "up on 'ab' -> 'ba'"),
+    (("up", "a b", "b a"), "cb", "up on 'ab' -> 'ba'"),
+    (("grow", "b", "aa"), "b", "grow on 'b' -> 'aa'"),
+    (("grow", "b", "aa"), "cab", "grow on 'aab' -> 'aaaa'"),
+    (("same", "b", "b"), "cb", "same on 'ab' -> 'ab'"),
+], ids=["larger-first", "larger-later", "longer-first", "longer-later", "equal"])
+def test_a_non_decreasing_step_is_rejected(rule, word, message):
+    system = _checked(("down", "c", "a"), rule)
+    pattern = f"^non-decreasing step {re.escape(message)}$"
+    calls = [lambda: normal_form(system, word), lambda: normal_form(system, word, memo={}),
+             lambda: reduction_trace(system, word)]
+    if word in ("ab", "b"):
+        calls.append(lambda: reduce_once(system, word))
+    for call in calls:
+        with pytest.raises(AssertionError, match=pattern):
+            call()
+
+
+def test_an_equal_length_smaller_step_passes_the_check():
+    system = _checked(("down", "c", "a"), ("swap", "b a", "a b"))
+    final, trace = reduction_trace(system, "bcba")
+    assert final == normal_form(system, "bcba") == normal_form(system, "bcba", memo={})
+    assert (final, [r.rule_id for r in trace]) == ("aabb", ["down", "swap", "swap", "swap"])
+    assert reduce_once(system, "ba").word == "ab"
+
+
 def test_step_limit_env_override(monkeypatch):
     monkeypatch.setenv("LEF_STEP_LIMIT", "3")
     looping = RewriteSystem(
@@ -213,26 +248,27 @@ def _full_rescan(system, w):
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS) + ["edge"])
 def test_resuming_normal_form_matches_full_rescan(name, monkeypatch):
-    """leftmost_reductions, and normal_form through it, resume near each edit;
-    the reference rescans from 0.  The step count of normal_form is read off
-    its reduce_once calls."""
-    calls = 0
-    original = lef.rewrite.reduce_once
+    """leftmost_reductions, and normal_form, walk the steps of ``_steps``,
+    which resumes near each edit; the reference rescans from 0.  The step
+    count of normal_form is the number of steps its walk yields."""
+    steps = 0
+    original = lef.rewrite._steps
 
     def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
+        nonlocal steps
+        for step in original(*args, **kwargs):
+            steps += 1
+            yield step
 
-    monkeypatch.setattr(lef.rewrite, "reduce_once", counting)
+    monkeypatch.setattr(lef.rewrite, "_steps", counting)
     system = SYSTEMS.get(name, EDGE)
     words = all_words(system.alphabet, 5) + [w for key, w in _long_words() if key == name]
     for word in words:
         final, chain = _full_rescan(system, word)
         assert list(leftmost_reductions(system, word)) == chain, word
-        before = calls
+        before = steps
         assert normal_form(system, word) == final, word
-        assert calls - before - 1 == len(chain), word
+        assert steps - before == len(chain), word
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
@@ -345,8 +381,13 @@ ONE_START = RewriteSystem(name="one-start", alphabet="abc", order="abc", schemas
 CONSTANT = RewriteSystem(name="constant", alphabet="abc", order="abc", schemas=(
     make_schema("k1", "a^3", "a"), make_schema("k2", "b c^4", "c"),
     make_schema("k3", "c^beta a^4", "b", ["beta<3"])))
+# checks that bound the last variable by an equation or not_both_zero
+LAST_BOUND = RewriteSystem(name="last-bound", alphabet="abc", order="abc", schemas=(
+    make_schema("e1", "a^alpha b^beta", "c", ["alpha=beta", "0<beta"]),
+    make_schema("e2", "b^beta c^gamma", "a", ["not_both_zero(beta,gamma)"]),
+    make_schema("e3", "c^gamma a^alpha", "b", ["2alpha=gamma+1"])))
 DISPATCH = {**SYSTEMS, "edge": EDGE, "zero-start": ZERO_START,
-            "one-start": ONE_START, "constant": CONSTANT}
+            "one-start": ONE_START, "constant": CONSTANT, "last-bound": LAST_BOUND}
 
 
 def _dispatch_words(name):
@@ -354,14 +395,29 @@ def _dispatch_words(name):
     return all_words(system.alphabet, 5) + [w for key, w in _long_words() if key == name]
 
 
-def _reference_matches(system, w):
+_COMPILED: dict[int, tuple] = {}  # id -> (system, its schemas with compiled conditions)
+
+
+def _compiled_conditions(system):
+    known, compiled = _COMPILED.get(id(system), (None, None))
+    if known is not system:  # the entry holds its system, so the id is not reused
+        compiled = [(s, compile_conditions(s.conditions, system.parameter_n))
+                    for s in system.schemas]
+        _COMPILED[id(system)] = (system, compiled)
+    return compiled
+
+
+def _reference_matches(system, w, first=False):
     """Every (position, rule id, assignment, consumed) by trying every schema
     at every position, each atom but the last taking its whole run, against
-    all the schema's compiled conditions."""
+    all the schema's compiled conditions; with ``first``, only the matches at
+    the first position that has one."""
     n = system.parameter_n
-    schemas = [(s, compile_conditions(s.conditions, n)) for s in system.schemas]
+    schemas = _compiled_conditions(system)
     out = []
     for pos in range(len(w)):
+        if first and out:
+            break
         for schema, checks in schemas:
             assignment, cur, options = {}, pos, []
             for i, (letter, expr) in enumerate(schema.lhs):
@@ -407,6 +463,32 @@ def test_dispatch_matches_the_unfiltered_reference(name):
         assert first == (expected[0] if expected else None), w
 
 
+def _reference_chain(system, w):
+    """The leftmost chain of w as (word, position, rule id, assignment,
+    matched, replacement) tuples, each step the first of _reference_matches."""
+    rhs = {s.id: compile_atoms(s.rhs, system.parameter_n) for s in system.schemas}
+    chain = []
+    while found := _reference_matches(system, w, first=True):
+        pos, rule_id, assignment, consumed = found[0]
+        replacement = render_atoms(rhs[rule_id], assignment)
+        matched = w[pos:pos + consumed]
+        w = w[:pos] + replacement + w[pos + consumed:]
+        chain.append((w, pos, rule_id, assignment, matched, replacement))
+    return chain
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS) + ["edge"])
+def test_leftmost_walk_matches_the_reference_chain(name):
+    system = DISPATCH[name]
+    words = all_words(system.alphabet, 5) + [w for key, w in _long_words() if key == name]
+    for w in words:
+        chain = _reference_chain(system, w)
+        final, trace = reduction_trace(system, w)
+        assert [(r.word, r.position, r.rule_id, r.assignment, r.matched, r.replacement)
+                for r in trace] == chain, w
+        assert final == normal_form(system, w) == (chain[-1][0] if chain else w), w
+
+
 @pytest.mark.parametrize("system", [Q_SYSTEM, build_fn_system(2)], ids=["q", "fn:2"])
 def test_a_checked_step_names_a_foreign_letter(system):
     # systems that check each step's decrease rank every letter of the
@@ -426,7 +508,7 @@ def test_every_match_is_filed_under_its_window(name):
         for pos in range(len(w)):
             listed = system._table[w[pos:pos + 2]]
             for m in system._matchers:
-                if next(lef.rewrite._match_at(m, w, pos), None) is not None:
+                if lef.rewrite._match_at(m, w, pos) is not None:
                     assert m in listed, (w, pos, m.schema.id)
 
 
@@ -460,7 +542,8 @@ def test_q_matching_tries_few_schemas(monkeypatch):
     for word in all_words(Q_SYSTEM.alphabet, 5):
         normal_form(Q_SYSTEM, word)
         reduction_trace(Q_SYSTEM, word)
-    assert calls < 162_672 // 2
+    # a stepping path that bypassed the counted matcher would count nothing
+    assert 0 < calls < 162_672 // 2
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
