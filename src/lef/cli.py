@@ -23,15 +23,15 @@ from .approx import (ApproxPair, FiniteSubset, WrapMap, approx_integers,
 from .fsg import (MulTable, PartialTable, classify, enumerate_groups,
                   enumerate_semigroups, green)
 from .lwf import build_lwf_wrapping, enumerate_preaccurate
-from .oracle import has_normal_forms, replay_path, word_equal_bfs, word_equal_nf
-from .presets import (PRESET_IDS, PRESENTATIONS, Presentation, bicyclic4_table,
-                      preset_presentation, preset_system, sm_presentation)
+from .oracle import DEFAULT_NODE_BOUND, replay_path, word_equal_bfs, word_equal_nf
+from .presets import (PRESENTATIONS, bicyclic4_table, has_normal_forms, preset_letters,
+                      preset_presentation, preset_system)
 from .rewrite import (check_local_confluence, check_termination_order,
                       leftmost_reductions, normal_form, random_normal_form,
                       reduce_once)
 from .search import (CLASS_FILTERS, embed_partial_table, malcev_witness_table,
                      relational_assignments)
-from .words import ALPHABETS, check_letters
+from .words import check_letters
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,7 +46,7 @@ class CliError(Exception):
 
 def _step_count(text: str) -> int:
     """argparse type of the count flags (--max-steps, --step-limit, --limit,
-    --length-bound, --node-bound): an integer >= 0."""
+    --length-bound, --node-bound, --max-order, --failure-cap): an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -407,10 +407,7 @@ def _cmd_assign(args) -> int:
     mt = _load_table(args.table)
     relations = [_parse_relation(r) for r in args.relation or []]
     if args.preset:
-        pres = preset_presentation(args.preset)
-        if not isinstance(pres, Presentation):
-            raise CliError(f"preset {args.preset!r} has no defining relations")
-        relations.extend(pres.relations)
+        relations.extend(preset_presentation(args.preset).relations)
     if not relations:
         raise CliError("no relations given; use --relation u=v or --preset")
     distinct = [_parse_distinct(d) for d in args.distinct or []]
@@ -520,9 +517,7 @@ def _cmd_lwf_build(args) -> int:
     if args.subset:
         members = _split_words(args.subset, "--subset")
     else:
-        letters = sorted(ALPHABETS.get(pid.split(":")[0], ""))
-        if not letters:
-            raise CliError(f"no word alphabet for preset {args.preset!r}")
+        letters = sorted(preset_letters(pid))
         members = ["".join(t) for ell in range(1, args.n + 1)
                    for t in itertools.product(letters, repeat=ell)]
     wrap = build_lwf_wrapping(pid, members, args.n)
@@ -661,27 +656,14 @@ def _cmd_verify_appendix(args) -> int:
 
 
 def _preset_rows() -> list[dict]:
-    rows = []
-    for pid, pres in PRESENTATIONS.items():
-        rows.append({
-            "id": pid,
-            "kind": "presentation",
-            "generators": list(pres.generators),
-            "relations": [[u, v] for u, v in pres.relations],
-        })
-    sm = sm_presentation(2)
-    rows.append({
-        "id": "sm:<m>",
-        "kind": "family",
-        "generators": list(sm.generators),
-        "relations": [["e^m", "e"]],
-    })
-    rows.append({
-        "id": "fn:<n>",
-        "kind": "family",
-        "generators": list("acebx"),
-        "relations": [],
-    })
+    rows = [{"id": pid, "kind": "presentation", **pres.as_json()}
+            for pid, pres in PRESENTATIONS.items()]
+    # a family's letters are those of each member
+    for family, member, relations in (("sm:<m>", "sm:2", [["e^m", "e"]]),
+                                      ("fn:<n>", "fn:1", [])):
+        rows.append({"id": family, "kind": "family",
+                     "generators": list(preset_letters(member)),
+                     "relations": relations})
     pt = bicyclic4_table()
     rows.append({
         "id": "bicyclic4",
@@ -707,7 +689,8 @@ def _cmd_presets(args) -> int:
                          f"(m >= 2)")
         elif row["id"].startswith("fn"):
             lines.append(f"{row['id']:<10} finite quotient family (n >= 1); "
-                         f"convergent rewriting system over acebx")
+                         f"convergent rewriting system over "
+                         f"{''.join(row['generators'])}")
         else:
             lines.append(f"{row['id']:<10} partial table on "
                          f"{','.join(row['elements'])} "
@@ -804,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bounded embedding search for a partial table")
     p.add_argument("--partial", required=True,
                    help="preset name (bicyclic4, malcev) or JSON file")
-    p.add_argument("--max-order", type=int, required=True)
+    p.add_argument("--max-order", type=_step_count, required=True)
     p.add_argument("--class", dest="class_filter", default="any",
                    help="restrict hosts: any, group, j-trivial, l-trivial, "
                         "r-trivial, completely-simple, clifford")
@@ -883,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", required=True)
     p.add_argument("--method", choices=("auto", "nf", "bfs"), default="auto")
     p.add_argument("--length-bound", type=_step_count, default=None)
-    p.add_argument("--node-bound", type=_step_count, default=1_000_000)
+    p.add_argument("--node-bound", type=_step_count, default=DEFAULT_NODE_BOUND)
     p.set_defaults(handler=_cmd_eq)
 
     p = sub.add_parser("replay", parents=[common],
@@ -901,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None,
                    help="family parameter (table B only)")
     p.add_argument("--max-exp", type=int, default=4)
-    p.add_argument("--failure-cap", type=int, default=5)
+    p.add_argument("--failure-cap", type=_step_count, default=5)
     p.set_defaults(handler=_cmd_verify_appendix)
 
     p = sub.add_parser("presets", parents=[common],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fsg import MulTable, is_completely_simple, is_group
-from .presets import build_fn_system, preset_presentation  # noqa: F401  (re-export)
+from .presets import build_fn_system
 from .rewrite import RewriteSystem, normal_form
 from .words import block_count_s
 

@@ -25,16 +25,8 @@ from dataclasses import dataclass
 from .approx import FiniteSubset, WrapMap
 from .constructors import quotient_by_length_ideal, sm_ideal_quotient
 from .oracle import equal_to_any, sm_canonical, word_equal
-from .words import ALPHABETS, conserved_vector, e_reduced_length
-
-_WORD_HOSTS = ("q", "s", "t", "c")
-
-
-def _alphabet(preset: str) -> str:
-    key = preset.split(":")[0]
-    if key not in ALPHABETS:
-        raise ValueError(f"no word alphabet for preset {preset!r}")
-    return ALPHABETS[key]
+from .presets import PRESENTATIONS, preset_letters
+from .words import conserved_vector, e_reduced_length
 
 
 def _quantity_key(w: str, preset: str) -> tuple:
@@ -102,7 +94,7 @@ def enumerate_preaccurate(preset: str, n: int,
     Raises when the base words themselves cannot be partitioned.
     """
     pid = preset.lower()
-    if pid not in _WORD_HOSTS:
+    if pid not in PRESENTATIONS:
         raise ValueError("pre-accurate enumeration covers the word presets "
                          "q, s, t and c")
     if n < 1:
@@ -110,7 +102,7 @@ def enumerate_preaccurate(preset: str, n: int,
     cap = 2 * n + 4 if length_cap is None else length_cap
     if cap < n:
         raise ValueError(f"length cap {cap} falls below the subset bound {n}")
-    letters = sorted(_alphabet(pid))
+    letters = sorted(preset_letters(pid))
     base_words = tuple("".join(t) for ell in range(1, n + 1)
                        for t in itertools.product(letters, repeat=ell))
 
@@ -166,7 +158,7 @@ def fallback_element(preset: str, bound: int) -> str:
     quantities separate from every word of length <= bound; its element is
     guaranteed to lie outside the length-bound subset."""
     pid = preset.lower()
-    letters = sorted(_alphabet(pid))
+    letters = sorted(preset_letters(pid))
     shorter = {_quantity_key("".join(t), pid) for ell in range(1, bound + 1)
                for t in itertools.product(letters, repeat=ell)}
     for t in itertools.product(letters, repeat=bound + 1):
@@ -201,7 +193,7 @@ def build_lwf_wrapping(preset: str, subset, n: int) -> WrapMap:
         members = tuple(str(w) for w in subset)
     if not members:
         raise ValueError("the subset must be nonempty")
-    alphabet = set(_alphabet(pid))
+    alphabet = set(preset_letters(pid))
     for w in members:
         if not w or set(w) - alphabet:
             raise ValueError(f"{w!r} is not a word over the {pid} alphabet")
@@ -229,7 +221,7 @@ def _wrap_t(n: int) -> WrapMap:
         cap = 2 * pre.max_length + 2
     else:
         raise RuntimeError(f"pre-accurate words still appearing at length {cap}")
-    D = quotient_by_length_ideal(ALPHABETS["t"], pre.max_length)
+    D = quotient_by_length_ideal(preset_letters("t"), pre.max_length)
     return WrapMap(D=D, d={D.index(w): w for w in pre.words},
                    fallback=fallback_element("t", nn))
 

@@ -3,7 +3,11 @@
 Exact answers come from confluent rewriting (q, fn:<n>) or canonical forms
 (sm:<m>); everywhere else the oracle combines conserved-quantity separation
 with bounded bidirectional closure of the single-relation-application graph,
-and says so when the bounds ran out.
+and says so when the bounds ran out.  Four entry points are public:
+``word_equal`` dispatches to ``word_equal_nf`` (normal forms) or
+``word_equal_bfs`` (the bounded oracle), and ``equal_to_any`` compares one
+word with several.  Each checks its words once against the preset's letters,
+which ``presets`` resolves from the id.
 
 ``equal_to_any`` asks whether a word equals one of several targets with one
 search: side 1 starts from every target at once, and the root of the back
@@ -25,9 +29,10 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .constructors import build_fn
-from .presets import Q_SYSTEM, Presentation, family_parameter, preset_presentation
+from .presets import (PRESENTATIONS, Q_SYSTEM, family_parameter, has_normal_forms,
+                      preset_letters, preset_presentation)
 from .rewrite import check_local_confluence, normal_form
-from .words import ALPHABETS, check_letters, one_step_words, separating_quantity
+from .words import check_letters, one_step_words, separating_quantity
 
 
 @dataclass(frozen=True)
@@ -63,36 +68,33 @@ def _ensure_locally_confluent(system) -> None:
     _confluence_checked.append(key)
 
 
-def _check_nonempty(u: str, v: str) -> None:
-    if not u or not v:
-        raise ValueError("the empty word names no element")
+def _check_words(pid: str, words) -> None:
+    """Every word names an element of the preset: it is nonempty and spelled
+    in the preset's letters."""
+    letters = preset_letters(pid)
+    for w in words:
+        if not w:
+            raise ValueError("the empty word names no element")
+        check_letters(w, letters, pid)
 
 
 def _normal_forms(pid: str):
     """The map from a word to its normal form, for q and fn:<n>."""
     if pid == "q":
         _ensure_locally_confluent(Q_SYSTEM)
-
-        def form(w: str) -> str:
-            check_letters(w, ALPHABETS["q"], pid)
-            return normal_form(Q_SYSTEM, w)
-        return form
+        return functools.partial(normal_form, Q_SYSTEM)
     handle = build_fn(family_parameter(pid))
     _ensure_locally_confluent(handle.system)
-
-    def form(w: str) -> str:
-        check_letters(w, ALPHABETS["fn"], pid)
-        return handle.element(w)
-    return form
+    return handle.element
 
 
 def word_equal_nf(preset: str, u: str, v: str) -> EqualityVerdict:
     """Equality by normal form; presets q and fn:<n> only, never unknown."""
-    _check_nonempty(u, v)
     pid = preset.lower()
     if not has_normal_forms(pid):
         raise ValueError(f"no confluent system for preset {preset!r}; "
                          "use word_equal_bfs")
+    _check_words(pid, (u, v))
     form = _normal_forms(pid)
     nu, nv = form(u), form(v)
     evidence = {"kind": "normal_form", "left": nu, "right": nv}
@@ -101,10 +103,8 @@ def word_equal_nf(preset: str, u: str, v: str) -> EqualityVerdict:
 
 def sm_canonical(word: str, m: int) -> str:
     """Canonical form in Sm: each maximal run of m or more e's drops down to
-    its residue ((k-1) mod (m-1)) + 1, other letters untouched."""
-    if m < 2:
-        raise ValueError("sm needs m >= 2")
-    check_letters(word, ALPHABETS["sm"], f"sm:{m}")
+    its residue ((k-1) mod (m-1)) + 1, other letters untouched; m >= 2."""
+    check_letters(word, preset_letters(f"sm:{m}"), f"sm:{m}")
     out = []
     for ch, run in groupby(word):
         k = sum(1 for _ in run)
@@ -234,29 +234,21 @@ def word_equal_bfs(preset: str, u: str, v: str, length_bound: int | None = None,
     path; a side whose entire congruence class fit under the bounds settles
     distinctness by exhaustion.  Anything else is unknown.
     """
-    _check_nonempty(u, v)
     pid = preset.lower()
+    if pid not in PRESENTATIONS and not pid.startswith("sm:"):
+        raise ValueError(f"word_equal_bfs does not know preset {preset!r}")
+    _check_words(pid, (u, v))
     if pid.startswith("sm:"):
         m = family_parameter(pid)
         cu, cv = sm_canonical(u, m), sm_canonical(v, m)
         return EqualityVerdict("equal" if cu == cv else "distinct",
                                {"kind": "normal_form", "left": cu, "right": cv})
-    if pid not in ("q", "s", "t", "c"):
-        raise ValueError(f"word_equal_bfs does not know preset {preset!r}")
-    alphabet = ALPHABETS[pid]
-    check_letters(u, alphabet, pid)
-    check_letters(v, alphabet, pid)
     if length_bound is None:
         length_bound = len(u) + len(v) + 4
 
     a, b = sorted((u, v))
     verdict = _verdict_memo(pid, a, b, length_bound, node_bound)
     return verdict if (a, b) == (u, v) else _flip_path(verdict)
-
-
-def has_normal_forms(preset: str) -> bool:
-    """Whether ``word_equal_nf`` decides the preset: q and fn:<n>."""
-    return preset.lower() == "q" or preset.lower().startswith("fn:")
 
 
 def word_equal(preset: str, u: str, v: str) -> EqualityVerdict:
@@ -284,10 +276,12 @@ def equal_to_any(preset: str, w: str, targets) -> EqualityVerdict:
     targets = tuple(targets)
     if not targets:
         raise ValueError("equal_to_any needs at least one target")
-    if not w or not all(targets):
-        raise ValueError("the empty word names no element")
     pid = preset.lower()
-    if has_normal_forms(pid):
+    normal_forms = has_normal_forms(pid)
+    if not normal_forms and pid not in PRESENTATIONS:
+        raise ValueError(f"equal_to_any does not know preset {preset!r}")
+    _check_words(pid, (w, *targets))
+    if normal_forms:
         form = _normal_forms(pid)
         fw = form(w)
         for r in targets:
@@ -295,10 +289,6 @@ def equal_to_any(preset: str, w: str, targets) -> EqualityVerdict:
                 return EqualityVerdict("equal", {"kind": "normal_form", "left": fw,
                                                  "right": fw, "target": r})
         return EqualityVerdict("distinct", {"kind": "normal_form", "left": fw})
-    if pid not in ("s", "t", "c"):
-        raise ValueError(f"equal_to_any does not know preset {preset!r}")
-    for x in (w, *targets):
-        check_letters(x, ALPHABETS[pid], pid)
     length_bound = len(w) + max(map(len, targets)) + 4
     verdict = _search_verdict(pid, w, targets, length_bound, DEFAULT_NODE_BOUND)
     if verdict.status != "equal":
@@ -309,13 +299,10 @@ def equal_to_any(preset: str, w: str, targets) -> EqualityVerdict:
 
 def replay_path(preset: str, path) -> bool:
     """Check that consecutive path entries differ by one relation application."""
-    pres = preset_presentation(preset.lower())
-    if not isinstance(pres, Presentation):
-        raise ValueError(f"preset {preset!r} has no defining relations")
+    relations = preset_presentation(preset).relations
     path = list(path)
     if not path:
         return False
-    relations = pres.relations
     for cur, nxt in zip(path, path[1:]):
         if nxt not in one_step_words(cur, relations):
             return False

@@ -1,10 +1,16 @@
-"""Built-in presentations, rewriting systems, and partial tables.
+"""Built-in presentations, rewriting systems, and partial tables, and the one
+place a preset id is resolved.
 
 Preset ids: 'q', 's', 't', 'c', 'sm:<m>' are finitely presented semigroups;
 'fn:<n>' is the parametric family of finite quotients (as a rewriting system
 with a zero adjoined implicitly: words with too many mixed blocks collapse);
 'bicyclic4' is a four-element fragment of the bicyclic monoid given as a
 partial multiplication table.
+
+What an id has is read from here: ``preset_presentation`` (defining
+relations), ``preset_letters`` (the letters of its words), ``preset_system``
+and ``has_normal_forms`` (a confluent system).  The other modules keep no id
+lists or alphabets of their own.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from dataclasses import dataclass
 from .fsg import PartialTable
 from .rewrite import RewriteSystem, make_schema
 
-# termination order for the rewriting presets, smallest first
+# termination order for the rewriting presets, smallest first; its letters
+# are their alphabet
 REWRITE_ORDER = "acebx"
 
 
@@ -80,7 +87,7 @@ def sm_presentation(m: int) -> Presentation:
 
 Q_SYSTEM = RewriteSystem(
     name="q",
-    alphabet="acebx",
+    alphabet=REWRITE_ORDER,
     order=REWRITE_ORDER,
     assert_decrease=True,
     schemas=(
@@ -169,7 +176,7 @@ def build_fn_system(n: int) -> RewriteSystem:
     )
     return RewriteSystem(
         name=f"fn:{n}",
-        alphabet="acebx",
+        alphabet=REWRITE_ORDER,
         order=REWRITE_ORDER,
         parameter_n=n,
         assert_decrease=True,
@@ -199,9 +206,6 @@ def bicyclic4_table() -> PartialTable:
     return PartialTable(elements=tuple(forms), products=products)
 
 
-_PARTIAL_TABLES = {"bicyclic4": bicyclic4_table}
-
-
 def family_parameter(preset_id: str) -> int:
     """n of 'fn:<n>', m of 'sm:<m>'; a ValueError names the id and its form."""
     family, _, value = preset_id.partition(":")
@@ -213,16 +217,26 @@ def family_parameter(preset_id: str) -> int:
                          f"{family}:<{letter}> with an integer {letter}") from None
 
 
-def preset_presentation(preset_id: str) -> Presentation | PartialTable:
-    """Look up a preset by id; sm presets take the exponent after a colon."""
+def preset_presentation(preset_id: str) -> Presentation:
+    """Look up a preset's presentation by id; sm presets take the exponent
+    after a colon.  fn:<n> (a rewriting system) and bicyclic4 (a partial
+    table) have no defining relations."""
     key = preset_id.lower()
     if key in PRESENTATIONS:
         return PRESENTATIONS[key]
-    if key in _PARTIAL_TABLES:
-        return _PARTIAL_TABLES[key]()
     if key.startswith("sm:"):
         return sm_presentation(family_parameter(key))
+    if key.startswith("fn:") or key == "bicyclic4":
+        raise ValueError(f"preset {preset_id!r} has no defining relations")
     raise KeyError(f"unknown preset {preset_id!r}")
+
+
+def preset_letters(preset_id: str) -> str:
+    """The letters of a word preset: its presentation's generators, and for
+    fn:<n> its system's alphabet."""
+    if preset_id.lower().startswith("fn:"):
+        return REWRITE_ORDER
+    return "".join(preset_presentation(preset_id).generators)
 
 
 def preset_system(preset_id: str) -> RewriteSystem:
@@ -235,4 +249,10 @@ def preset_system(preset_id: str) -> RewriteSystem:
     raise KeyError(f"no rewriting system for preset {preset_id!r}")
 
 
-PRESET_IDS = ("q", "s", "t", "c", "sm:<m>", "fn:<n>", "bicyclic4")
+def has_normal_forms(preset_id: str) -> bool:
+    """Whether the preset has a confluent system: q and fn:<n>."""
+    key = preset_id.lower()
+    return key == "q" or key.startswith("fn:")
+
+
+PRESET_IDS = (*PRESENTATIONS, "sm:<m>", "fn:<n>", "bicyclic4")

@@ -1,21 +1,12 @@
-"""Words over small fixed alphabets: single applications of defining
-relations, the block count and e-reduced length that size the finite
-carriers, and the conserved quantities that no relation step of a preset
-changes (and that therefore tell elements apart), read from one table of
-letter groups per preset."""
+"""Words over a preset's letters (``presets.preset_letters``): single
+applications of defining relations, the block count and e-reduced length that
+size the finite carriers, and the conserved quantities that no relation step
+of a preset changes (and that therefore tell elements apart), read from one
+table of letter groups per preset."""
 
 from __future__ import annotations
 
-# Alphabets of the built-in presentations.  Order matters for q/fn: it is the
-# termination order a < c < e < b < x used by the rewriting systems.
-ALPHABETS = {
-    "q": "acebx",
-    "s": "acebx",
-    "fn": "acebx",
-    "sm": "acebx",
-    "t": "abcdex",
-    "c": "abcdxyuv",
-}
+from .presets import preset_letters
 
 
 def check_letters(word: str, alphabet: str, preset: str) -> None:
@@ -87,6 +78,8 @@ _LETTER_GROUPS = {
           ("suffix_ade_count", "ade")),
     "c": None,
 }
+# the letters each of these presets' words may use, as sets built once
+_LETTERS = {p: frozenset(preset_letters(p)) for p in _LETTER_GROUPS}
 
 
 def conserved_vector(w: str, preset: str) -> dict[str, int]:
@@ -101,9 +94,9 @@ def conserved_vector(w: str, preset: str) -> dict[str, int]:
     key = preset.lower()
     if key not in _LETTER_GROUPS:
         raise ValueError(f"no conserved-quantity registry for preset {preset!r}")
-    alphabet = ALPHABETS[key]
-    if not set(w).issubset(alphabet):
-        raise ValueError(f"word {w!r} not over the {preset} alphabet {alphabet!r}")
+    if not _LETTERS[key].issuperset(w):
+        raise ValueError(f"word {w!r} not over the {preset} alphabet "
+                         f"{preset_letters(key)!r}")
     groups = _LETTER_GROUPS[key]
     if groups is None:
         return {"length": len(w)}

@@ -25,7 +25,11 @@ from lef.lwf import build_lwf_wrapping
 from lef.oracle import sm_canonical
 from lef.rewrite import (ConditionError, RewriteSystem, RuleSchema, _Matcher, parse_condition,
                          parse_linexpr)
-from lef.words import ALPHABETS, one_step_words
+from lef.words import one_step_words
+
+# each word preset's letters in the order the tests draw words from them;
+# test_alphabets checks them against lef.presets.preset_letters
+WORD_LETTERS = {"q": "acebx", "s": "acebx", "t": "abcdex", "c": "abcdxyuv"}
 
 
 def all_words(alphabet: str, max_len: int, min_len: int = 1) -> list[str]:
@@ -244,7 +248,7 @@ def sm_ideal_blocks(m: int, bound: int) -> tuple[list[str], list[tuple]]:
     m, through the result level's code-to-index array.
     """
     runs = ["e" * r for r in range(m)]
-    skeleton = sorted(set(ALPHABETS["s"]) - {"e"})
+    skeleton = sorted(set(WORD_LETTERS["s"]) - {"e"})
     radix = m * len(skeleton)      # one letter and the run after it
     words = ["0"]
     by_level: list[range] = []

@@ -12,7 +12,8 @@ from lef.approx import ApproxPair, cyclic_table, subset_from_table
 from lef.cli import main
 from lef.fsg import MulTable
 from lef.rewrite import normal_form
-from lef.presets import PRESENTATIONS, Q_SYSTEM
+from lef.oracle import word_equal
+from lef.presets import PRESENTATIONS, PRESET_IDS, Q_SYSTEM, preset_letters, preset_presentation
 from lef.search import find_relational_assignments
 
 
@@ -412,6 +413,26 @@ def test_replay_on_a_preset_without_relations_is_a_data_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("listed", PRESET_IDS)
+def test_every_listed_preset_resolves(capsys, z3_file, listed):
+    # the families are tried at one member each
+    preset = {"sm:<m>": "sm:3", "fn:<n>": "fn:2"}.get(listed, listed)
+    if preset != "bicyclic4":
+        word = preset_letters(preset)
+        assert word_equal(preset, word, word).status == "equal"
+        with pytest.raises(ValueError, match="outside"):
+            word_equal(preset, word + "z", word)
+    if preset not in ("fn:2", "bicyclic4"):
+        assert preset_presentation(preset).relations
+        return
+    message = f"preset '{preset}' has no defining relations"
+    with pytest.raises(ValueError, match=message):
+        preset_presentation(preset)
+    for argv in (("replay", "--preset", preset, "--words", "a,a"),
+                 ("assign", "--table", z3_file, "--preset", preset)):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
+
+
 # ---------------------------------------------------------------------------
 # presets listing
 
@@ -523,7 +544,9 @@ def test_negative_step_counts_are_usage_errors(capsys, monkeypatch, z3_file):
             (("confluence", "--system", "q", "--step-limit", "x"), "--step-limit", "'x'"),
             (("assign", "--table", z3_file, "--relation", "xy=yx", "--limit", "-1"), "--limit", "-1"),
             (eq + ("--length-bound", "-1"), "--length-bound", "-1"),
-            (eq + ("--node-bound", "-2"), "--node-bound", "-2")):
+            (eq + ("--node-bound", "-2"), "--node-bound", "-2"),
+            (("embed", "--partial", "bicyclic4", "--max-order", "-1"), "--max-order", "-1"),
+            (("verify-appendix", "--which", "A", "--failure-cap", "-1"), "--failure-cap", "-1")):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert out == ""

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import all_words, sm_ideal_blocks
+from conftest import WORD_LETTERS, all_words, sm_ideal_blocks
 
 import lef.lwf
 from lef.approx import check_lwf_wrapping, subset_from_words
@@ -17,7 +17,7 @@ from lef.lwf import (
     sm_ideal_quotient,
 )
 from lef.oracle import equal_to_any, sm_canonical, word_equal
-from lef.words import ALPHABETS, e_reduced_length
+from lef.words import e_reduced_length
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ def test_preaccurate_s_is_truncated():
 def _reference_preaccurate(preset: str, n: int, cap: int) -> PreAccurateSet:
     """enumerate_preaccurate with every word compared against every base
     representative through the oracle, no bucketing."""
-    base_words = tuple(all_words(ALPHABETS[preset], n))
+    base_words = tuple(all_words(WORD_LETTERS[preset], n))
     reps: list[str] = []
     for w in base_words:
         statuses = [word_equal(preset, w, r).status for r in reps]
@@ -66,7 +66,7 @@ def _reference_preaccurate(preset: str, n: int, cap: int) -> PreAccurateSet:
             return True
         return None if "unknown" in statuses else False
 
-    by_length = {ell: all_words(ALPHABETS[preset], ell, ell)
+    by_length = {ell: all_words(WORD_LETTERS[preset], ell, ell)
                  for ell in range(1, n + 1)}
     indeterminate = []
     for ell in range(n + 1, cap + 1):

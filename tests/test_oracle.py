@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import lef.constructors
 import lef.oracle
-from conftest import bounded_closure
+from conftest import WORD_LETTERS, bounded_closure
 from lef.constructors import build_fn
 from lef.oracle import (
     equal_to_any,
@@ -22,7 +22,7 @@ from lef.oracle import (
 )
 from lef.presets import PRESENTATIONS, Q_SYSTEM
 from lef.rewrite import RewriteSystem, make_schema
-from lef.words import ALPHABETS, separating_quantity
+from lef.words import separating_quantity
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ _PAIR_NODES = 20_000
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(preset=st.sampled_from(["t", "s", "c"]), data=st.data())
 def test_equal_to_any_agrees_with_every_decided_pair(preset, data):
-    alphabet = ALPHABETS[preset]
+    alphabet = WORD_LETTERS[preset]
     relations = PRESENTATIONS[preset].relations
     w = data.draw(st.text(alphabet, min_size=2, max_size=5), label="w")
     pool = data.draw(st.lists(st.permutations(w).map("".join)
@@ -330,11 +330,11 @@ def test_equal_to_any_agrees_with_every_decided_pair(preset, data):
 @given(data=st.data())
 def test_bfs_never_contradicts_the_normal_forms_on_q(data):
     relations = PRESENTATIONS["q"].relations
-    u = data.draw(st.text(ALPHABETS["q"], min_size=1, max_size=5), label="u")
+    u = data.draw(st.text(WORD_LETTERS["q"], min_size=1, max_size=5), label="u")
     v = data.draw(st.one_of(
         st.lists(st.integers(0, 99), max_size=4).map(lambda p: _walk(u, relations, p)),
         st.permutations(u).map("".join),
-        st.text(ALPHABETS["q"], min_size=1, max_size=5)), label="v")
+        st.text(WORD_LETTERS["q"], min_size=1, max_size=5)), label="v")
     bfs = word_equal_bfs("q", u, v, node_bound=_PAIR_NODES)
     if bfs.status != "unknown":
         assert bfs.status == word_equal_nf("q", u, v).status

@@ -9,6 +9,7 @@ from lef.presets import (
     REWRITE_ORDER,
     bicyclic4_table,
     build_fn_system,
+    preset_letters,
     preset_presentation,
     preset_system,
     sm_presentation,
@@ -90,11 +91,17 @@ def test_bicyclic4_table():
 
 def test_preset_lookup():
     assert preset_presentation("q") is PRESENTATIONS["q"]
+    assert preset_presentation("T") is PRESENTATIONS["t"]
     assert preset_presentation("sm:4").relations == (("eeee", "e"),)
-    table = preset_presentation("bicyclic4")
-    assert table.elements == ("1", "a", "b", "ba")
-    with pytest.raises(KeyError):
-        preset_presentation("nope")
+    for preset in ("bicyclic4", "fn:2"):
+        with pytest.raises(ValueError,
+                           match=f"preset '{preset}' has no defining relations"):
+            preset_presentation(preset)
+    with pytest.raises(ValueError, match="no defining relations"):
+        preset_letters("bicyclic4")
+    for lookup in (preset_presentation, preset_letters):
+        with pytest.raises(KeyError, match="unknown preset 'nope'"):
+            lookup("nope")
 
 
 def test_preset_system():

@@ -3,11 +3,10 @@
 import itertools
 
 import pytest
-from conftest import all_words
+from conftest import WORD_LETTERS, all_words
 
-from lef.presets import PRESENTATIONS
+from lef.presets import PRESENTATIONS, preset_letters
 from lef.words import (
-    ALPHABETS,
     block_count_s,
     conserved_vector,
     e_reduced_length,
@@ -40,9 +39,16 @@ def test_e_reduced_length():
 
 
 def test_alphabets():
-    assert ALPHABETS["q"] == "acebx"
-    assert ALPHABETS["t"] == "abcdex"
-    assert set(ALPHABETS["c"]) == set("abcdxyuv")
+    # a preset's letters are its generators in order; fn:<n> spells its words
+    # in the letters of the rewriting order
+    assert preset_letters("q") == preset_letters("s") == "abcex"
+    assert preset_letters("t") == "abcdex"
+    assert preset_letters("c") == "abcdxyuv"
+    assert preset_letters("sm:3") == "abcex"
+    assert preset_letters("fn:2") == "acebx"
+    # the tests draw from the same letters, in their own order
+    for preset, letters in WORD_LETTERS.items():
+        assert sorted(letters) == sorted(preset_letters(preset)), preset
 
 
 def test_conserved_vector_q():
@@ -77,7 +83,7 @@ def test_conserved_vector_rejects_foreign_letters_and_presets():
 def test_relation_steps_conserve_every_quantity(preset, max_len, edges):
     relations = PRESENTATIONS[preset].relations
     seen = 0
-    for w in all_words(ALPHABETS[preset], max_len):
+    for w in all_words(WORD_LETTERS[preset], max_len):
         quantities = conserved_vector(w, preset)
         for v in one_step_words(w, relations):
             seen += 1
@@ -90,7 +96,7 @@ def test_separating_quantity_is_none_exactly_on_equal_vectors(preset):
     # lwf buckets words by their conserved vectors and compares a word only
     # with its own bucket; that is sound because a separating quantity
     # exists exactly when the vectors differ
-    words = all_words(ALPHABETS[preset], 3)
+    words = all_words(WORD_LETTERS[preset], 3)
     vectors = {w: conserved_vector(w, preset) for w in words}
     for u, v in itertools.product(words, repeat=2):
         assert ((separating_quantity(u, v, preset) is None)
