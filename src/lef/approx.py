@@ -24,7 +24,7 @@ import numpy as np
 
 from .constructors import IdealQuotient, ReesSpec, SemilatticeSpec, mul_in, \
     rees_matrix, semilattice_semigroup
-from .fsg import MulTable, direct_product
+from .fsg import MulTable, associativity_failures, direct_product
 from . import oracle
 
 
@@ -189,7 +189,8 @@ def _handle_key(handle) -> str:
 @dataclass(frozen=True)
 class CheckResult:
     valid: bool
-    reason: str | None = None         # injectivity | product | coverage
+    # associativity | injectivity | product | coverage
+    reason: str | None = None
     counterexample: tuple | None = None
 
     def as_json(self) -> dict:
@@ -288,11 +289,28 @@ def semilattice_subset(spec: SemilatticeSpec, pairs) -> FiniteSubset:
 # checkers
 
 
+def _associativity(*tables) -> CheckResult | None:
+    """The failure of the first explicit table among them that is not
+    associative, named by a triple of its labels.  IdealQuotient carriers
+    are Rees quotients of a free semigroup, associative by construction, and
+    other hosts multiply by a rule; neither is checked."""
+    for mt in tables:
+        if isinstance(mt, MulTable):
+            for triple in associativity_failures(mt, limit=1):
+                return CheckResult(False, "associativity",
+                                   tuple(mt.label(i) for i in triple))
+    return None
+
+
 def check_approximating_pair(H: FiniteSubset, pair: ApproxPair) -> CheckResult:
-    """Valid iff f is injective on H and respects every defined product."""
+    """Valid iff an explicit host table and F are associative, and f is
+    injective on H and respects every defined product."""
     for x in H.elements:
         if x not in pair.f:
             raise ValueError(f"f is not total on the subset: {x!r} missing")
+    failure = _associativity(H.host, pair.F)
+    if failure:
+        return failure
     seen: dict[int, object] = {}
     for x in H.elements:
         v = pair.f[x]
@@ -306,11 +324,15 @@ def check_approximating_pair(H: FiniteSubset, pair: ApproxPair) -> CheckResult:
 
 
 def check_lwf_wrapping(H: FiniteSubset, wrap: WrapMap) -> CheckResult:
-    """Valid iff d's image covers H and d(x'y') = d(x')d(y') whenever both
-    d-values lie in H (regardless of where the product lands).
+    """Valid iff an explicit host table and D are associative, d's image
+    covers H and d(x'y') = d(x')d(y') whenever both d-values lie in H
+    (regardless of where the product lands).
 
     The factors are read off d's entries; the other indices of D join them
     only when the fallback itself lies in H."""
+    failure = _associativity(H.host, wrap.D)
+    if failure:
+        return failure
     host = H.host
     images = sorted(wrap.images, key=_handle_key)
     in_h = {val: any(host_equal(host, val, h) for h in H.elements)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fsg import MulTable, is_completely_simple, is_group
-from .presets import build_fn_system
+from .presets import build_fn_system, preset_letters
 from .rewrite import RewriteSystem, normal_form
 from .words import block_count_s
 
@@ -213,7 +213,7 @@ def semilattice_semigroup(spec: SemilatticeSpec) -> MulTable:
 # Rees quotients of a free semigroup by the ideal of long words
 
 
-_SM_LETTERS = "abcx"   # the s alphabet without e
+_SM_LETTERS = "".join(sorted(set(preset_letters("s")) - {"e"}))   # abcx
 
 
 class IdealQuotient:

@@ -198,10 +198,19 @@ class PartialTable:
 
 
 def associativity_failures(mt: MulTable, limit: int = 10) -> list[tuple[int, int, int]]:
-    """Triples (p, q, r) with (pq)r != p(qr), at most `limit` of them."""
+    """Triples (p, q, r) with (pq)r != p(qr), at most `limit` of them, in
+    order.  The rows p are compared a block at a time, about 2**22 triples,
+    so a large table costs time but not order**3 memory."""
     T = mt.table
-    bad = np.argwhere(T[T] != T[:, T])
-    return [tuple(map(int, t)) for t in bad[:limit]]
+    step = max(1, (1 << 22) // max(1, mt.order ** 2))
+    out: list[tuple[int, int, int]] = []
+    for start in range(0, mt.order, step):
+        rows = T[start:start + step]
+        bad = np.argwhere(T[rows] != rows[:, T])[:limit - len(out)]
+        out += [(start + int(p), int(q), int(r)) for p, q, r in bad]
+        if len(out) == limit:
+            break
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,15 @@ by plain length for the t host, and by e-reduced length with runs of e folded
 below a fixed modulus for the s host, whose pre-accurate words pump
 arbitrarily long runs of e.
 
-Membership of a candidate word costs one oracle call, ``equal_to_any``
-against the representatives sharing its conserved quantities, whatever
-their number.  Both carriers (``quotient_by_length_ideal`` for t,
-``sm_ideal_quotient`` for s) are product rules on word codes, so a wrapping
-map stores only the canonical forms of the pre-accurate words and one
-fallback word, never a table.
+Membership of a candidate word is mostly a lookup: the class of each base
+representative is walked once (``oracle.congruence_class``), and a word of
+a class that closed under the length bound is in the subset exactly when
+the lookup finds it.  Only a word sharing its conserved quantities with a
+class that stays open costs an oracle call, ``equal_to_any`` against the
+representatives with those quantities.  Both carriers
+(``quotient_by_length_ideal`` for t, ``sm_ideal_quotient`` for s) are
+product rules on word codes, so a wrapping map stores only the canonical
+forms of the pre-accurate words and one fallback word, never a table.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 
 from .approx import FiniteSubset, WrapMap
 from .constructors import quotient_by_length_ideal, sm_ideal_quotient
-from .oracle import equal_to_any, sm_canonical, word_equal
-from .presets import PRESENTATIONS, preset_letters
+from .oracle import congruence_class, equal_to_any, sm_canonical, word_equal
+from .presets import PRESENTATIONS, has_normal_forms, preset_letters
 from .words import conserved_vector, e_reduced_length
 
 
@@ -86,12 +89,23 @@ def enumerate_preaccurate(preset: str, n: int,
     Every word of length <= n is pre-accurate outright.  A longer word
     qualifies when it concatenates two pre-accurate words and equals some
     defining word in the host, so candidates at each length come from joining
-    shorter pre-accurate words, and membership is settled by the word oracle
-    against the base representatives.  A word is compared only with the
-    representatives that share its conserved quantities (every other
-    representative is distinct from it by invariant), all at once through
-    one ``equal_to_any`` call; the base words are partitioned the same way.
-    Raises when the base words themselves cannot be partitioned.
+    shorter pre-accurate words, and membership is settled against the base
+    representatives, the base words being partitioned the same way.
+
+    For s, t and c the class of each new representative is walked once up to
+    length cap + 4.  A class that closes is exact (a congruence class is a
+    connected component of the one-step graph), so a word in it is in the
+    subset, and a word outside every closed class is not, unless it shares
+    its conserved quantities with a class that stayed open (s: the class of
+    ax, which pumps a e^k x).  Such a word, and every word for q, whose
+    normal forms decide, goes through one ``equal_to_any`` call against the
+    representatives sharing its quantities, whose length bound is the word's
+    length plus the longest representative's plus 4.  For a word shorter
+    than cap - n that bound is below the walk's, so the lookup settles a
+    word whose path to its representative, or whose separating closure,
+    passes the shorter bound: a search per candidate would have left it
+    open.  Quantities are computed only once a class stays open.  Raises
+    when the base words themselves cannot be partitioned.
     """
     pid = preset.lower()
     if pid not in PRESENTATIONS:
@@ -106,28 +120,52 @@ def enumerate_preaccurate(preset: str, n: int,
     base_words = tuple("".join(t) for ell in range(1, n + 1)
                        for t in itertools.product(letters, repeat=ell))
 
+    normal_forms = has_normal_forms(pid)
     reps: list[str] = []
-    buckets: dict[tuple, list[str]] = {}
+    closed: set[str] = set()              # every word of a class that closed
+    buckets: dict[tuple, list[str]] = {}  # reps by key, once a class is open
+    open_keys: set[tuple] = set()         # keys whose bucket holds an open class
+
+    def open_bucket(w: str) -> list[str] | None:
+        if not open_keys:
+            return None
+        key = _quantity_key(w, pid)
+        return buckets[key] if key in open_keys else None
+
+    def in_subset(w: str) -> bool | None:
+        if w in closed:
+            return True
+        bucket = open_bucket(w)
+        if bucket is None:
+            return False
+        status = equal_to_any(pid, w, bucket).status
+        return None if status == "unknown" else status == "equal"
+
     for w in base_words:
-        bucket = buckets.setdefault(_quantity_key(w, pid), [])
-        status = equal_to_any(pid, w, bucket).status if bucket else "distinct"
-        if status == "unknown":
+        verdict = in_subset(w)
+        if verdict is None:
             # name the pairs left open, as the pairwise oracle sees them
+            bucket = open_bucket(w)
             open_pairs = [r for r in bucket
                           if word_equal(pid, w, r).status == "unknown"] or bucket
             raise RuntimeError(
                 f"cannot partition the defining words: {w!r} vs "
                 f"{', '.join(map(repr, open_pairs))} is undecided")
-        if status == "distinct":
-            reps.append(w)
-            bucket.append(w)
-
-    def in_subset(w: str) -> bool | None:
-        bucket = buckets.get(_quantity_key(w, pid))
-        if not bucket:
-            return False
-        status = equal_to_any(pid, w, bucket).status
-        return None if status == "unknown" else status == "equal"
+        if verdict:
+            continue
+        members = None if normal_forms else congruence_class(pid, w, cap + 4)
+        if members is not None:
+            closed |= members
+        elif not open_keys:
+            # the first open class: from here on every rep is keyed
+            for r in reps:
+                buckets.setdefault(_quantity_key(r, pid), []).append(r)
+        reps.append(w)
+        if open_keys or members is None:
+            key = _quantity_key(w, pid)
+            buckets.setdefault(key, []).append(w)
+            if members is None:
+                open_keys.add(key)
 
     by_length: dict[int, list[str]] = {
         ell: ["".join(t) for t in itertools.product(letters, repeat=ell)]

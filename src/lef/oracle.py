@@ -3,10 +3,11 @@
 Exact answers come from confluent rewriting (q, fn:<n>) or canonical forms
 (sm:<m>); everywhere else the oracle combines conserved-quantity separation
 with bounded bidirectional closure of the single-relation-application graph,
-and says so when the bounds ran out.  Four entry points are public:
+and says so when the bounds ran out.  Five entry points are public:
 ``word_equal`` dispatches to ``word_equal_nf`` (normal forms) or
-``word_equal_bfs`` (the bounded oracle), and ``equal_to_any`` compares one
-word with several.  Each checks its words once against the preset's letters,
+``word_equal_bfs`` (the bounded oracle), ``equal_to_any`` compares one
+word with several, and ``congruence_class`` lists a word's whole class when
+it stays under a length bound.  Each checks its words once against the preset's letters,
 which ``presets`` resolves from the id.
 
 ``equal_to_any`` asks whether a word equals one of several targets with one
@@ -295,6 +296,32 @@ def equal_to_any(preset: str, w: str, targets) -> EqualityVerdict:
         return verdict
     return EqualityVerdict("equal", {**verdict.evidence,
                                      "target": verdict.evidence["path"][-1]})
+
+
+def congruence_class(preset: str, w: str, length_bound: int) -> frozenset[str] | None:
+    """Every word equal to w in a preset with defining relations, when the
+    class lies within the length bound; None as soon as a word passes the
+    bound or the walk passes DEFAULT_NODE_BOUND words.
+
+    A class of the congruence a presentation defines is a connected component
+    of the one-step graph (Book & Otto, String-Rewriting Systems, 1993), and
+    ``one_step_words`` applies every relation in both directions at every
+    position, so a walk that runs out of new words without dropping one has
+    found the whole class.
+    """
+    pid = preset.lower()
+    _check_words(pid, (w,))
+    relations = preset_presentation(pid).relations
+    seen = {w}
+    stack = [w]
+    while stack:
+        for v in one_step_words(stack.pop(), relations):
+            if v not in seen:
+                if len(v) > length_bound or len(seen) >= DEFAULT_NODE_BOUND:
+                    return None
+                seen.add(v)
+                stack.append(v)
+    return frozenset(seen)
 
 
 def replay_path(preset: str, path) -> bool:

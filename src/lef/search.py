@@ -204,9 +204,10 @@ def embed_partial_table(pt: PartialTable, max_order: int,
     ``fsg``'s memo, and ``explored`` still counts the decisions of the
     search tree, as a live search would.  The witness is checked again
     before it is returned: associative, holding every product of the
-    partial table, and in the class; a failure raises AssertionError.  When
-    max_order is below the element count the order range is empty and the
-    negative certificate is vacuous.
+    partial table, and in the class; a failure raises AssertionError.  A
+    max_order below the element count leaves no order to search: the result
+    is an exhausted search with nothing explored, which certifies nothing,
+    and ``lef embed`` refuses such an order.
     """
     if class_filter not in CLASS_MASKS:
         raise ValueError(f"unknown class filter {class_filter!r}; choose from "

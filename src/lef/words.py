@@ -41,11 +41,11 @@ def block_count_s(w: str) -> int:
     """Number of maximal subwords of the form x, b^q or xb^q.
 
     Within a maximal run over {x,b} every x starts a new block, plus one block
-    for a leading b-run.  Defined only over the alphabet {a,b,c,e,x}.
+    for a leading b-run.  Defined only over the s letters.
     """
-    bad = set(w) - set("abcex")
-    if bad:
-        raise ValueError(f"block_count_s needs alphabet abcex, got letter(s) {sorted(bad)}")
+    if not _LETTERS["s"].issuperset(w):
+        raise ValueError(f"block_count_s needs alphabet {''.join(sorted(_LETTERS['s']))}, "
+                         f"got letter(s) {sorted(set(w) - _LETTERS['s'])}")
     blocks = 0
     prev = None  # previous character inside the current {x,b} run, else None
     for ch in w:

@@ -2,6 +2,7 @@
 and the constructive approximations for integers, Rees matrix semigroups, and
 strong semilattices of groups."""
 
+import itertools
 import random
 
 import pytest
@@ -26,8 +27,11 @@ from lef.approx import (
     subset_from_table,
     subset_from_words,
 )
+import lef.approx
 from lef.constructors import quotient_by_length_ideal, sm_ideal_quotient
-from lef.fsg import is_clifford, is_group
+from lef.fsg import MulTable, is_clifford, is_group
+from lef.lwf import build_lwf_wrapping
+from lef.words import e_reduced_length
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +196,77 @@ def test_artifact_json_errors_carry_pointers(cls, data, pointer):
     with pytest.raises(ValueError) as info:
         cls.from_json(data)
     assert str(info.value) == pointer
+
+
+# ---------------------------------------------------------------------------
+# associativity of explicit tables
+
+
+def _pair_of(constructor: str):
+    """A subset and the pair one of the approx constructors builds for it."""
+    if constructor == "integers":
+        return _int_subset([0, 1, 5]), approx_integers([0, 1, 5])
+    if constructor == "rees":
+        spec, triples = random_rees_instance(random.Random(5))
+        H = rees_subset(spec, triples)
+        return H, approx_rees(spec, H)
+    spec, pairs = random_semilattice_instance(random.Random(6))
+    H = semilattice_subset(spec, pairs)
+    return H, approx_semilattice(spec, H)
+
+
+def _corrupt_one_cell(mt: MulTable, keep) -> MulTable:
+    """mt with the first cell outside keep that can break associativity
+    changed so that it does."""
+    labels = tuple(mt.label(k) for k in range(mt.order))
+    for i, j in itertools.product(range(mt.order), repeat=2):
+        for v in range(mt.order):
+            if (i, j) not in keep and v != mt.table[i, j]:
+                table = mt.table.copy()
+                table[i, j] = v
+                if not MulTable(table, labels).is_associative():
+                    return MulTable(table, labels)
+    raise AssertionError("no single cell breaks associativity")
+
+
+@pytest.mark.parametrize("constructor", ["integers", "rees", "semilattice"])
+def test_checkers_fail_a_table_that_is_not_associative(constructor):
+    H, pair = _pair_of(constructor)
+    assert check_approximating_pair(H, pair).valid
+    # the changed cell lies outside every mapped product, so only the
+    # associativity check can see it
+    F = pair.F
+    bad = _corrupt_one_cell(F, {(pair.f[x], pair.f[y]) for x, y, _ in H.defined_products})
+    one = {F.label(0): 0}
+    identity = {k: F.label(k) for k in range(F.order)}
+    assert check_lwf_wrapping(subset_from_table(F, [0]), WrapMap(D=F, d=identity)).valid
+    for result in (
+            check_approximating_pair(H, ApproxPair(F=bad, f=pair.f)),     # carrier
+            check_approximating_pair(subset_from_table(bad, [0]),          # host
+                                     ApproxPair(F=cyclic_table(1), f=one)),
+            check_lwf_wrapping(subset_from_table(F, [0]), WrapMap(D=bad, d=identity)),
+            check_lwf_wrapping(subset_from_table(bad, [0]), WrapMap(D=F, d=identity))):
+        assert (result.valid, result.reason) == (False, "associativity")
+        p, q, r = map(bad.index, result.counterexample)
+        assert bad.mul(bad.mul(p, q), r) != bad.mul(p, bad.mul(q, r))
+
+
+def test_rule_carriers_are_not_checked_as_tables(monkeypatch):
+    # Rees quotients of a free semigroup are associative by construction; a
+    # seeded sample of short triples, whose products stay off the zero, agrees
+    rng = random.Random(7)
+    for D, size in ((quotient_by_length_ideal("abcdex", 3), len),
+                    (sm_ideal_quotient(3, 3), e_reduced_length)):
+        short = [i for i in range(1, D.order) if size(D.label(i)) <= 1]
+        for _ in range(2000):
+            p, q, r = (rng.choice(short) for _ in range(3))
+            assert D.mul(D.mul(p, q), r) == D.mul(p, D.mul(q, r)) != 0
+    tables = []
+    monkeypatch.setattr(lef.approx, "associativity_failures",
+                        lambda mt, limit: tables.append(mt) or [])
+    assert check_lwf_wrapping(subset_from_words("t", ["a"]),
+                              build_lwf_wrapping("t", ["a"], 1)).valid
+    assert tables == []
 
 
 # ---------------------------------------------------------------------------

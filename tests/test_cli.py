@@ -273,6 +273,16 @@ def test_embed_class_filter(capsys, tmp_path):
     assert code == 3
 
 
+def test_embed_rejects_a_max_order_below_the_element_count(capsys):
+    # no host of fewer than four elements holds bicyclic4, so no negative
+    # certificate is given for one
+    for order in ("0", "3"):
+        code, out, err = run(capsys, "embed", "--partial", "bicyclic4", "--max-order", order)
+        assert (code, out) == (1, "")
+        assert err == (f"error: --max-order {order} is below the 4 elements "
+                       f"of the partial table\n")
+
+
 # ---------------------------------------------------------------------------
 # approximation verbs
 

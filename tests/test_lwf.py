@@ -16,7 +16,7 @@ from lef.lwf import (
     fallback_element,
     sm_ideal_quotient,
 )
-from lef.oracle import equal_to_any, sm_canonical, word_equal
+from lef.oracle import congruence_class, equal_to_any, sm_canonical, word_equal
 from lef.words import e_reduced_length
 
 
@@ -86,16 +86,17 @@ def _reference_preaccurate(preset: str, n: int, cap: int) -> PreAccurateSet:
 
 @pytest.mark.parametrize("preset, n, cap", [("t", 2, 8), ("s", 2, 10),
                                             ("c", 1, 6), ("q", 2, 8),
-                                            ("t", 2, 12), ("s", 2, 12)])
+                                            ("t", 2, 12), ("s", 2, 12),
+                                            ("c", 2, 8)])
 def test_preaccurate_matches_the_unbucketed_reference(preset, n, cap):
     assert (enumerate_preaccurate(preset, n, cap)
             == _reference_preaccurate(preset, n, cap))
 
 
-def test_preaccurate_t_n2_asks_few_oracle_calls(monkeypatch):
-    # comparing each candidate with every representative took about 73k
-    # oracle calls here, and one call per bucketed pair a few thousand; one
-    # multi-target call per word leaves at most one per base or candidate word
+def test_preaccurate_asks_the_oracle_only_in_open_buckets(monkeypatch):
+    # each base class is walked once and candidates are looked up in it; only
+    # a word sharing its conserved quantities with a class that stays open
+    # (s: the class of ax, which pumps a e^k x) still asks equal_to_any, once
     asked = []
 
     def counting(preset, w, targets):
@@ -103,15 +104,14 @@ def test_preaccurate_t_n2_asks_few_oracle_calls(monkeypatch):
         return equal_to_any(preset, w, targets)
 
     monkeypatch.setattr(lef.lwf, "equal_to_any", counting)
-    pre = enumerate_preaccurate("t", 2)
-    by_length: dict[int, list[str]] = {}
-    for w in pre.words:
-        by_length.setdefault(len(w), []).append(w)
-    candidates = {u + v for ell in range(pre.n + 1, pre.length_cap + 1)
-                  for j in range(1, ell)
-                  for u in by_length.get(j, ()) for v in by_length.get(ell - j, ())}
+    enumerate_preaccurate("t", 2)
+    assert asked == []
+    pre = enumerate_preaccurate("s", 2, length_cap=10)
+    open_reps = [r for r in pre.base_elements
+                 if congruence_class("s", r, pre.length_cap + 4) is None]
+    assert open_reps == ["ax"]
     assert asked and len(asked) == len(set(asked))
-    assert set(asked) <= set(pre.base_words) | candidates
+    assert {lef.lwf._quantity_key(w, "s") for w in asked} == {lef.lwf._quantity_key("ax", "s")}
 
 
 def test_preaccurate_rejects_bad_arguments():

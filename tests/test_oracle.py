@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import lef.constructors
 import lef.oracle
-from conftest import WORD_LETTERS, bounded_closure
+from conftest import WORD_LETTERS, all_words, bounded_closure
 from lef.constructors import build_fn
 from lef.oracle import (
+    congruence_class,
     equal_to_any,
     one_step_words,
     replay_path,
@@ -105,6 +106,23 @@ def test_bounded_closure_node_bound():
     )
     assert not complete
     assert len(closure) >= 10
+
+
+def test_congruence_class_is_the_component_reached_from_each_member(monkeypatch):
+    # the t base classes of the pre-accurate words at n = 2, cap 8
+    relations = PRESENTATIONS["t"].relations
+    classes = {w: congruence_class("t", w, 12) for w in all_words(WORD_LETTERS["t"], 2)}
+    for w, members in classes.items():
+        assert (members, True) == bounded_closure(relations, [w], 12)
+        for u in members:
+            assert congruence_class("t", u, 12) == members
+            assert set(one_step_words(u, relations)) <= members
+    # a e^k x pumps e's past any bound
+    assert congruence_class("s", "ax", 14) is None
+    assert not bounded_closure(PRESENTATIONS["s"].relations, ["ax"], 14)[1]
+    largest = max(classes.values(), key=len)
+    monkeypatch.setattr(lef.oracle, "DEFAULT_NODE_BOUND", len(largest) - 1)
+    assert congruence_class("t", min(largest), 12) is None
 
 
 # ---------------------------------------------------------------------------
