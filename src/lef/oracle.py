@@ -7,8 +7,8 @@ and says so when the bounds ran out.  Five entry points are public:
 ``word_equal`` dispatches to ``word_equal_nf`` (normal forms) or
 ``word_equal_bfs`` (the bounded oracle), ``equal_to_any`` compares one
 word with several, and ``congruence_class`` lists a word's whole class when
-it stays under a length bound.  Each checks its words once against the preset's letters,
-which ``presets`` resolves from the id.
+it stays under a length bound.  Each checks its words once against the
+preset's letters, which ``presets`` resolves from the id.
 
 ``equal_to_any`` asks whether a word equals one of several targets with one
 search: side 1 starts from every target at once, and the root of the back

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_rees_instance, random_semilattice_instance, wrap_from_pair
 
+import lef.approx
 from lef.approx import (
     INT_GROUP,
     ApproxPair,
@@ -27,7 +28,6 @@ from lef.approx import (
     subset_from_table,
     subset_from_words,
 )
-import lef.approx
 from lef.constructors import quotient_by_length_ideal, sm_ideal_quotient
 from lef.fsg import MulTable, is_clifford, is_group
 from lef.lwf import build_lwf_wrapping
@@ -224,8 +224,9 @@ def _corrupt_one_cell(mt: MulTable, keep) -> MulTable:
             if (i, j) not in keep and v != mt.table[i, j]:
                 table = mt.table.copy()
                 table[i, j] = v
-                if not MulTable(table, labels).is_associative():
-                    return MulTable(table, labels)
+                bad = MulTable(table, labels)
+                if not bad.is_associative():
+                    return bad
     raise AssertionError("no single cell breaks associativity")
 
 
