@@ -6,8 +6,9 @@ copy of it that preserves every defined product.  The four-element fragment
 {1, a, b, ba} of the bicyclic monoid (ab = 1) is the canonical example of a
 partial table with NO such finite host; the backtracking search certifies this
 up to a stated order bound by exhausting every choice.  A Malcev-style witness
-shows the same search restricted to groups: the premise products force
-cu = dv in any group, so a table declaring them distinct cannot embed.
+forces cu = dv in any group, so a table declaring them distinct embeds in no
+group, yet it embeds in a semigroup of its own order.  A bound below a
+table's element count is refused: no host that small holds the table.
 """
 
 from lef.fsg import PartialTable
@@ -45,8 +46,16 @@ def main() -> None:
     show("period-3 table vs J-trivial semigroups only",
          embed_partial_table(cycle, 4, class_filter="j_trivial"))
 
-    show("Malcev witness vs groups of order <= 4 (vacuous: 13 elements)",
-         embed_partial_table(malcev_witness_table(), 4, class_filter="group"))
+    # a bound below the element count leaves nothing to search, so the
+    # search refuses it rather than certify a vacuous negative
+    malcev = malcev_witness_table()
+    print("\n== Malcev witness vs groups of order <= 4 ==")
+    try:
+        embed_partial_table(malcev, 4, class_filter="group")
+    except ValueError as exc:
+        print(f"  refused: {exc}")
+    show("Malcev witness vs all semigroups of order <= 13",
+         embed_partial_table(malcev, 13))
 
 
 if __name__ == "__main__":

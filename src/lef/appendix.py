@@ -37,8 +37,6 @@ __all__ = [
     "AppendixReport",
     "A_ROWS",
     "B_ROWS",
-    "get_row",
-    "render_pattern",
     "verify_appendix",
 ]
 
@@ -72,11 +70,6 @@ class JointRow:
                  for name in expr.variables]
         names += [name for cond in conditions for name in cond.variables]
         return tuple(dict.fromkeys(names))
-
-
-def render_pattern(text: str, assignment: dict[str, int], n: int | None) -> str:
-    """Concrete word for a pattern like 'x a^alpha c^beta+1 x' under an assignment."""
-    return render_atoms(compile_atoms(parse_pattern(text), n), assignment)
 
 
 def _rows(table: str, data: list[tuple]) -> tuple[JointRow, ...]:
@@ -609,18 +602,6 @@ B_ROWS = _rows("B", [
      "x a^alphap c^beta e^gamma x", "x a^alphap c^beta x",
      "x a^2n-beta+alphap x", "x a^2n-beta+alphap x"),
 ])
-
-
-_TABLES = {"A": A_ROWS, "B": B_ROWS}
-
-
-def get_row(label: str) -> JointRow:
-    """Look up a row by its label, e.g. 'A3' or 'B79'."""
-    table, index = label[0].upper(), int(label[1:])
-    for row in _TABLES[table]:
-        if row.index == index:
-            return row
-    raise KeyError(label)
 
 
 # --------------------------------------------------------------------------

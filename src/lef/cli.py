@@ -376,10 +376,6 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_embed(args) -> int:
     name, pt = _load_partial(args.partial)
-    if args.max_order < len(pt.elements):
-        # no smaller host holds the table; an empty search would certify nothing
-        raise CliError(f"--max-order {args.max_order} is below the "
-                       f"{len(pt.elements)} elements of the partial table")
     class_filter = _normalize_class(args.class_filter)
     result = embed_partial_table(pt, max_order=args.max_order,
                                  class_filter=class_filter)

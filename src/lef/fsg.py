@@ -21,7 +21,7 @@ filter and every enumeration after the first reads the same search, with
 the same decision counts as searching again.  Word
 equations over a table are filtered on columns of assignments
 (``_assignment_columns``), one column per variable, for ``check_implication``
-and ``search.find_relational_assignments`` alike; the columns grow one
+and ``search.relational_assignments`` alike; the columns grow one
 relation at a time from the rows the earlier relations kept.
 """
 
@@ -71,7 +71,8 @@ class MulTable:
         return int(self.table[i, j])
 
     def is_associative(self) -> bool:
-        return _holds(associative_mask, self)
+        """One blocked scan for a failing triple, not order^3 arrays."""
+        return not associativity_failures(self, limit=1)
 
     def idempotents(self) -> list[int]:
         return [i for i in range(self.order) if self.table[i, i] == i]
@@ -393,15 +394,15 @@ def direct_product(a: MulTable, b: MulTable) -> MulTable:
 
 def classify(mt: MulTable) -> dict:
     """Structural summary used by the command-line `classify` verb."""
-    assoc = mt.is_associative()
+    failures = associativity_failures(mt)
     out = {
         "order": mt.order,
-        "associative": assoc,
+        "associative": not failures,
         "commutative": mt.is_commutative(),
         "idempotents": len(mt.idempotents()),
     }
-    if not assoc:
-        out["associativity_failures"] = associativity_failures(mt)
+    if failures:
+        out["associativity_failures"] = failures
         return out
     g = green(mt)
     out.update({

@@ -12,12 +12,13 @@ arbitrarily long runs of e.
 Membership of a candidate word is mostly a lookup: the class of each base
 representative is walked once (``oracle.congruence_class``), and a word of
 a class that closed under the length bound is in the subset exactly when
-the lookup finds it.  Only a word sharing its conserved quantities with a
-class that stays open costs an oracle call, ``equal_to_any`` against the
-representatives with those quantities.  Both carriers
-(``quotient_by_length_ideal`` for t, ``sm_ideal_quotient`` for s) are
-product rules on word codes, so a wrapping map stores only the canonical
-forms of the pre-accurate words and one fallback word, never a table.
+the lookup finds it; for q the lookup is by normal form.  Only a word
+sharing its conserved quantities with a class that stays open costs an
+oracle call, ``equal_to_any`` against the representatives of the open
+classes.  Both carriers (``quotient_by_length_ideal`` for t,
+``sm_ideal_quotient`` for s) are product rules on word codes, so a wrapping
+map stores only the canonical forms of the pre-accurate words and one
+fallback word, never a table.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 
 from .approx import FiniteSubset, WrapMap
 from .constructors import quotient_by_length_ideal, sm_ideal_quotient
-from .oracle import congruence_class, equal_to_any, sm_canonical, word_equal
+from .oracle import (congruence_class, equal_to_any, normal_form_map, sm_canonical,
+                     word_equal)
 from .presets import PRESENTATIONS, has_normal_forms, preset_letters
 from .words import conserved_vector, e_reduced_length
 
@@ -97,15 +99,17 @@ def enumerate_preaccurate(preset: str, n: int,
     connected component of the one-step graph), so a word in it is in the
     subset, and a word outside every closed class is not, unless it shares
     its conserved quantities with a class that stayed open (s: the class of
-    ax, which pumps a e^k x).  Such a word, and every word for q, whose
-    normal forms decide, goes through one ``equal_to_any`` call against the
-    representatives sharing its quantities, whose length bound is the word's
-    length plus the longest representative's plus 4.  For a word shorter
-    than cap - n that bound is below the walk's, so the lookup settles a
-    word whose path to its representative, or whose separating closure,
-    passes the shorter bound: a search per candidate would have left it
-    open.  Quantities are computed only once a class stays open.  Raises
-    when the base words themselves cannot be partitioned.
+    ax, which pumps a e^k x).  Such a word goes through one ``equal_to_any``
+    call against the open classes' representatives, whose length bound is
+    the word's length plus the longest of those sharing its quantities plus
+    4.  No closed class can hold the word, so its representative would add
+    nothing to the search.  For a word shorter than cap - n that bound is
+    below the walk's, so the lookup settles a word whose path to its
+    representative, or whose separating closure, passes the shorter bound:
+    a search per candidate would have left it open.  For q each class is
+    its representative's normal form, so no oracle call is made.
+    Quantities are computed only once a class stays open.  Raises when the
+    base words themselves cannot be partitioned.
     """
     pid = preset.lower()
     if pid not in PRESENTATIONS:
@@ -120,52 +124,42 @@ def enumerate_preaccurate(preset: str, n: int,
     base_words = tuple("".join(t) for ell in range(1, n + 1)
                        for t in itertools.product(letters, repeat=ell))
 
-    normal_forms = has_normal_forms(pid)
+    # q: the normal forms decide, so the closed set holds the reps' forms
+    form = normal_form_map(pid) if has_normal_forms(pid) else None
     reps: list[str] = []
-    closed: set[str] = set()              # every word of a class that closed
-    buckets: dict[tuple, list[str]] = {}  # reps by key, once a class is open
-    open_keys: set[tuple] = set()         # keys whose bucket holds an open class
-
-    def open_bucket(w: str) -> list[str] | None:
-        if not open_keys:
-            return None
-        key = _quantity_key(w, pid)
-        return buckets[key] if key in open_keys else None
+    closed: set[str] = set()    # every word of a class that closed
+    open_reps: list[str] = []   # reps whose class stays open
+    open_keys: set[tuple] = set()
 
     def in_subset(w: str) -> bool | None:
-        if w in closed:
+        if (form(w) if form else w) in closed:
             return True
-        bucket = open_bucket(w)
-        if bucket is None:
+        if not open_keys or _quantity_key(w, pid) not in open_keys:
             return False
-        status = equal_to_any(pid, w, bucket).status
+        status = equal_to_any(pid, w, open_reps).status
         return None if status == "unknown" else status == "equal"
 
     for w in base_words:
         verdict = in_subset(w)
         if verdict is None:
             # name the pairs left open, as the pairwise oracle sees them
-            bucket = open_bucket(w)
-            open_pairs = [r for r in bucket
-                          if word_equal(pid, w, r).status == "unknown"] or bucket
+            open_pairs = [r for r in open_reps
+                          if word_equal(pid, w, r).status == "unknown"] or open_reps
             raise RuntimeError(
                 f"cannot partition the defining words: {w!r} vs "
                 f"{', '.join(map(repr, open_pairs))} is undecided")
         if verdict:
             continue
-        members = None if normal_forms else congruence_class(pid, w, cap + 4)
+        reps.append(w)
+        if form:
+            closed.add(form(w))
+            continue
+        members = congruence_class(pid, w, cap + 4)
         if members is not None:
             closed |= members
-        elif not open_keys:
-            # the first open class: from here on every rep is keyed
-            for r in reps:
-                buckets.setdefault(_quantity_key(r, pid), []).append(r)
-        reps.append(w)
-        if open_keys or members is None:
-            key = _quantity_key(w, pid)
-            buckets.setdefault(key, []).append(w)
-            if members is None:
-                open_keys.add(key)
+        else:
+            open_reps.append(w)
+            open_keys.add(_quantity_key(w, pid))
 
     by_length: dict[int, list[str]] = {
         ell: ["".join(t) for t in itertools.product(letters, repeat=ell)]

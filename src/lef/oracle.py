@@ -1,26 +1,30 @@
 """Word-problem oracles for the preset presentations.
 
-Exact answers come from confluent rewriting (q, fn:<n>) or canonical forms
-(sm:<m>); everywhere else the oracle combines conserved-quantity separation
-with bounded bidirectional closure of the single-relation-application graph,
-and says so when the bounds ran out.  Five entry points are public:
-``word_equal`` dispatches to ``word_equal_nf`` (normal forms) or
-``word_equal_bfs`` (the bounded oracle), ``equal_to_any`` compares one
-word with several, and ``congruence_class`` lists a word's whole class when
-it stays under a length bound.  Each checks its words once against the
+Exact answers come from confluent rewriting (q, fn:<n>, through
+``normal_form_map``) or canonical forms (sm:<m>).  Everywhere else the
+bounded oracle decides in tiers, all in ``_search_verdict``: a target that a
+conserved quantity separates from the word is distinct from it; the others
+meet the word in a bounded bidirectional closure of the
+single-relation-application graph, or one side's closure completes without
+meeting, or the oracle says that the bounds ran out.  ``word_equal``
+dispatches to ``word_equal_nf`` (normal forms) or ``word_equal_bfs`` (the
+bounded oracle, one target), ``equal_to_any`` runs the bounded oracle
+against several targets, and ``congruence_class`` lists a word's whole class
+when it stays under a length bound.  Each checks its words once against the
 preset's letters, which ``presets`` resolves from the id.
 
 ``equal_to_any`` asks whether a word equals one of several targets with one
-search: side 1 starts from every target at once, and the root of the back
-chain through the meeting word names the target met.  When every pairwise
-``word_equal_bfs`` call on targets sharing the word's conserved quantities
-is decided, this one search decides the same way, node budget permitting.
-Its length bound is at least each pair's bound, and a larger bound loses
-nothing: a path within a pair's bound stays within it, and a class that
-closed under a pair's bound lies wholly below it and closes again.  So a
-target equal to the word is met, and if every pair was settled distinct,
-either the word's own class closes (side 0) or every target's class does,
-and then so does their union (side 1).
+search: side 1 starts from every target that no quantity separates from the
+word, and the root of the back chain through the meeting word names the
+target met.  When every pairwise ``word_equal_bfs`` call is decided, this one
+search decides the same way, node budget permitting.  A pair that a quantity
+settles is settled the same way here.  For the rest, the length bound is at
+least each pair's bound, and a larger bound loses nothing: a path within a
+pair's bound stays within it, and a class that closed under a pair's bound
+lies wholly below it and closes again.  So a target equal to the word is met,
+and if every pair was settled distinct, either the word's own class closes
+(side 0) or every searched target's class does, and then so does their union
+(side 1).
 """
 
 from __future__ import annotations
@@ -79,8 +83,13 @@ def _check_words(pid: str, words) -> None:
         check_letters(w, letters, pid)
 
 
-def _normal_forms(pid: str):
-    """The map from a word to its normal form, for q and fn:<n>."""
+def normal_form_map(preset: str):
+    """The map from a word to its normal form, for q and fn:<n>, after one
+    cheap local-confluence pass over the system per process."""
+    pid = preset.lower()
+    if not has_normal_forms(pid):
+        raise ValueError(f"no confluent system for preset {preset!r}; "
+                         "use word_equal_bfs")
     if pid == "q":
         _ensure_locally_confluent(Q_SYSTEM)
         return functools.partial(normal_form, Q_SYSTEM)
@@ -92,11 +101,8 @@ def _normal_forms(pid: str):
 def word_equal_nf(preset: str, u: str, v: str) -> EqualityVerdict:
     """Equality by normal form; presets q and fn:<n> only, never unknown."""
     pid = preset.lower()
-    if not has_normal_forms(pid):
-        raise ValueError(f"no confluent system for preset {preset!r}; "
-                         "use word_equal_bfs")
+    form = normal_form_map(pid)
     _check_words(pid, (u, v))
-    form = _normal_forms(pid)
     nu, nv = form(u), form(v)
     evidence = {"kind": "normal_form", "left": nu, "right": nv}
     return EqualityVerdict("equal" if nu == nv else "distinct", evidence)
@@ -192,11 +198,24 @@ DEFAULT_NODE_BOUND = 1_000_000
 _VERDICT_MEMO_SIZE = 4096  # verdicts kept; the least recently used goes first
 
 
-def _search_verdict(pid: str, u: str, targets, length_bound: int,
+def _search_verdict(pid: str, u: str, targets, length_bound: int | None,
                     node_bound: int) -> EqualityVerdict:
-    """The verdict of one bidirectional search from u against the targets."""
+    """The verdict on u against the targets, in the oracle's tiers.
+
+    A target that a conserved quantity separates from u is distinct from it,
+    so it drops out; when none is left the answer is distinct by the
+    quantity separating u from the first target.  Otherwise one
+    bidirectional search runs from u against the targets left, with length
+    bound len(u) + the longest of them + 4 unless one is given.
+    """
+    names = [separating_quantity(u, r, pid) for r in targets]
+    kept = tuple(r for r, name in zip(targets, names) if name is None)
+    if not kept:
+        return EqualityVerdict("distinct", {"kind": "invariant", "name": names[0]})
+    if length_bound is None:
+        length_bound = len(u) + max(map(len, kept)) + 4
     path, closure, nodes = _bidirectional_search(
-        preset_presentation(pid).relations, u, targets, length_bound, node_bound)
+        preset_presentation(pid).relations, u, kept, length_bound, node_bound)
     if path is not None:
         return EqualityVerdict("equal", {"kind": "path", "path": path})
     if closure is not None:
@@ -208,12 +227,9 @@ def _search_verdict(pid: str, u: str, targets, length_bound: int,
 
 
 @functools.lru_cache(maxsize=_VERDICT_MEMO_SIZE)
-def _verdict_memo(pid: str, a: str, b: str, length_bound: int,
+def _verdict_memo(pid: str, a: str, b: str, length_bound: int | None,
                   node_bound: int) -> EqualityVerdict:
-    """The verdict on a <= b, by an invariant or else by a search."""
-    name = separating_quantity(a, b, pid)
-    if name is not None:
-        return EqualityVerdict("distinct", {"kind": "invariant", "name": name})
+    """The verdict on a <= b."""
     return _search_verdict(pid, a, (b,), length_bound, node_bound)
 
 
@@ -244,9 +260,6 @@ def word_equal_bfs(preset: str, u: str, v: str, length_bound: int | None = None,
         cu, cv = sm_canonical(u, m), sm_canonical(v, m)
         return EqualityVerdict("equal" if cu == cv else "distinct",
                                {"kind": "normal_form", "left": cu, "right": cv})
-    if length_bound is None:
-        length_bound = len(u) + len(v) + 4
-
     a, b = sorted((u, v))
     verdict = _verdict_memo(pid, a, b, length_bound, node_bound)
     return verdict if (a, b) == (u, v) else _flip_path(verdict)
@@ -261,15 +274,12 @@ def word_equal(preset: str, u: str, v: str) -> EqualityVerdict:
 
 def equal_to_any(preset: str, w: str, targets) -> EqualityVerdict:
     """Whether w equals one of the targets, settled at once rather than one
-    pair at a time.
+    pair at a time, by the bounded oracle of ``word_equal_bfs`` (q, s, t, c).
 
-    q and fn:<n> compare w's normal form with the targets' normal forms.
-    s, t and c run one search from w against all targets, with length bound
-    len(w) + the longest target + 4 and the default node bound; see the
-    module docstring for why it decides whenever every pairwise search
-    would.  No conserved quantity is consulted: pass the targets that share
-    w's quantities, since the others are distinct by invariant and their
-    balls would only widen the search.
+    Targets that a conserved quantity separates from w drop out; the others
+    take part in one search from w, with length bound len(w) + the longest
+    of them + 4 and the default node bound.  See the module docstring for
+    why it decides whenever every pairwise ``word_equal_bfs`` would.
 
     An equal verdict names the target under "target" (a path ends there);
     distinct means distinct from every target.
@@ -278,20 +288,11 @@ def equal_to_any(preset: str, w: str, targets) -> EqualityVerdict:
     if not targets:
         raise ValueError("equal_to_any needs at least one target")
     pid = preset.lower()
-    normal_forms = has_normal_forms(pid)
-    if not normal_forms and pid not in PRESENTATIONS:
-        raise ValueError(f"equal_to_any does not know preset {preset!r}")
+    if pid not in PRESENTATIONS:
+        raise ValueError(f"equal_to_any covers the presets with defining "
+                         f"relations, not {preset!r}")
     _check_words(pid, (w, *targets))
-    if normal_forms:
-        form = _normal_forms(pid)
-        fw = form(w)
-        for r in targets:
-            if form(r) == fw:
-                return EqualityVerdict("equal", {"kind": "normal_form", "left": fw,
-                                                 "right": fw, "target": r})
-        return EqualityVerdict("distinct", {"kind": "normal_form", "left": fw})
-    length_bound = len(w) + max(map(len, targets)) + 4
-    verdict = _search_verdict(pid, w, targets, length_bound, DEFAULT_NODE_BOUND)
+    verdict = _search_verdict(pid, w, targets, None, DEFAULT_NODE_BOUND)
     if verdict.status != "equal":
         return verdict
     return EqualityVerdict("equal", {**verdict.evidence,

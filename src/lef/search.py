@@ -1,8 +1,8 @@
 """Bounded exhaustive searches: embed a partial multiplication table into a
 finite semigroup of bounded order (optionally restricted to a class), and
 stream relation-satisfying assignments inside a given table, filtered on
-columns of assignments by ``fsg._assignment_columns`` (and counted without
-streaming them, by ``relational_assignments``).
+columns of assignments by ``fsg._assignment_columns`` and counted without
+streaming them (``relational_assignments``).
 
 The embedding search runs the table engine of ``fsg`` (also behind
 enumeration).  It fixes the injection onto the first indices of a flat
@@ -33,7 +33,7 @@ from .fsg import (MulTable, PartialTable, _assignment_columns, _completions, _ho
                   relation_variables)
 
 __all__ = ["SearchResult", "embed_partial_table", "check_partial_associativity",
-           "malcev_witness_table", "find_relational_assignments", "relational_assignments",
+           "malcev_witness_table", "relational_assignments",
            "CLASS_FILTERS", "CLASS_MASKS", "MAX_ASSIGN_ORDER"]
 
 MAX_ASSIGN_ORDER = 8
@@ -113,9 +113,19 @@ def malcev_witness_table() -> PartialTable:
 
 
 def relational_assignments(mt: MulTable, relations, distinctness=()):
-    """(count, rows): the rows of ``find_relational_assignments`` as a
-    generator, and their count, read off the filtered columns, so a caller
-    that lists only the first rows turns no others into Python values."""
+    """(count, rows): every mapping of the relations' variables into the
+    table under which all relation equalities hold, as a generator of
+    (assignment, violations) rows, and their count, read off the filtered
+    columns, so a caller that lists only the first rows turns no others into
+    Python values.
+
+    violations lists the distinctness pairs whose two sides nevertheless
+    evaluate to the same element.  Such assignments are reported rather than
+    suppressed: a forced collapse is usually the interesting output.
+    Assignments come in C order of the grid of assignments, from the column
+    filter of ``fsg`` that ``check_implication`` uses; the distinctness pairs
+    are evaluated on the columns that are left, ``ASSIGN_CHUNK`` rows at a time.
+    """
     relations = [tuple(r) for r in relations]
     distinctness = [tuple(d) for d in distinctness]
     variables = relation_variables(relations + distinctness)
@@ -138,20 +148,6 @@ def relational_assignments(mt: MulTable, relations, distinctness=()):
             for row, *hits in zip(values, *(c[chunk].tolist() for c in collapsed)):
                 yield dict(zip(variables, row)), [d for d, hit in zip(distinctness, hits) if hit]
     return count, rows()
-
-
-def find_relational_assignments(mt: MulTable, relations, distinctness=()):
-    """Yield (assignment, violations) for every mapping of the relations'
-    variables into the table under which all relation equalities hold.
-
-    violations lists the distinctness pairs whose two sides nevertheless
-    evaluate to the same element.  Such assignments are reported rather than
-    suppressed: a forced collapse is usually the interesting output.
-    Assignments come in C order of the grid of assignments, from the column
-    filter of ``fsg`` that ``check_implication`` uses; the distinctness pairs
-    are evaluated on the columns that are left, ``ASSIGN_CHUNK`` rows at a time.
-    """
-    yield from relational_assignments(mt, relations, distinctness)[1]
 
 
 def _filler_labels(base: tuple[str, ...], n: int) -> tuple[str, ...]:
@@ -205,16 +201,18 @@ def embed_partial_table(pt: PartialTable, max_order: int,
     search tree, as a live search would.  The witness is checked again
     before it is returned: associative, holding every product of the
     partial table, and in the class; a failure raises AssertionError.  A
-    max_order below the element count leaves no order to search: the result
-    is an exhausted search with nothing explored, which certifies nothing,
-    and ``lef embed`` refuses such an order.
+    max_order below the element count raises ValueError: it leaves no order
+    to search, and an empty search would certify nothing.
     """
     if class_filter not in CLASS_MASKS:
         raise ValueError(f"unknown class filter {class_filter!r}; choose from "
                          f"{sorted(CLASS_MASKS)}")
+    k = len(pt.elements)
+    if max_order < k:
+        raise ValueError(f"max order {max_order} is below the {k} elements "
+                         f"of the partial table")
     check_partial_associativity(pt)
     in_class = CLASS_MASKS[class_filter]
-    k = len(pt.elements)
     at = {label: i for i, label in enumerate(pt.elements)}
     explored = 0
     for n in range(k, max_order + 1):

@@ -18,13 +18,15 @@ import time
 import numpy as np
 import pytest
 
+from lef.appendix import A_ROWS, B_ROWS, JointRow
 from lef.approx import INT_GROUP, ApproxPair, FiniteSubset, WrapMap, host_mul
 from lef.constructors import ReesSpec, SemilatticeSpec
 from lef.fsg import MulTable
 from lef.lwf import build_lwf_wrapping
 from lef.oracle import sm_canonical
-from lef.rewrite import (ConditionError, RewriteSystem, RuleSchema, _Matcher, parse_condition,
-                         parse_linexpr)
+from lef.rewrite import (ConditionError, RewriteSystem, RuleSchema, _Matcher, compile_atoms,
+                         parse_condition, parse_linexpr, parse_pattern, render_atoms)
+from lef.search import relational_assignments
 from lef.words import one_step_words
 
 # each word preset's letters in the order the tests draw words from them;
@@ -62,6 +64,12 @@ def relation_grid(mt: MulTable, relation: tuple[str, str],
     """Where the relation's two words agree, over the grid of assignments."""
     u, v = relation
     return word_value_grid(mt, u, variables) == word_value_grid(mt, v, variables)
+
+
+def find_relational_assignments(mt: MulTable, relations, distinctness=()):
+    """The (assignment, violations) rows of ``search.relational_assignments``
+    alone, as a generator."""
+    yield from relational_assignments(mt, relations, distinctness)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +159,9 @@ def evaluate_word(mt: MulTable, word: str, assignment: dict[str, int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rewriting helpers that no library code calls: one schema instance, and a
-# system's JSON round trip, each checked by test_rewrite
+# rewriting helpers that no library code calls: one schema instance, one
+# appendix pattern rendered, an appendix row by label (test_appendix), and a
+# system's JSON round trip (test_rewrite)
 
 
 def instantiate(schema: RuleSchema, assignment: dict[str, int], n: int | None = None) -> tuple[str, str]:
@@ -161,6 +170,20 @@ def instantiate(schema: RuleSchema, assignment: dict[str, int], n: int | None = 
         if not cond.holds(assignment, n):
             raise ConditionError(f"{schema.id}: condition '{cond}' fails under {assignment}")
     return _Matcher(schema, n).instance(assignment)
+
+
+def render_pattern(text: str, assignment: dict[str, int], n: int | None) -> str:
+    """Concrete word for a pattern like 'x a^alpha c^beta+1 x' under an assignment."""
+    return render_atoms(compile_atoms(parse_pattern(text), n), assignment)
+
+
+def get_row(label: str) -> JointRow:
+    """Look up an appendix row by its label, e.g. 'A3' or 'B79'."""
+    table, index = label[0].upper(), int(label[1:])
+    for row in {"A": A_ROWS, "B": B_ROWS}[table]:
+        if row.index == index:
+            return row
+    raise KeyError(label)
 
 
 def system_to_json(system: RewriteSystem) -> dict:

@@ -15,10 +15,9 @@ from lef.appendix import (
     B_ROWS,
     AppendixReport,
     check_row,
-    get_row,
-    render_pattern,
     verify_appendix,
 )
+from conftest import get_row, render_pattern
 from lef.presets import Q_SYSTEM, build_fn_system
 from lef.rewrite import (_UNBOUNDED, bounded_assignments, compile_conditions,
                          conditions_hold, enumerate_redexes, parse_condition)

@@ -7,14 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import wrap_from_pair
+import lef.fsg
+from conftest import find_relational_assignments, wrap_from_pair
 from lef.approx import ApproxPair, cyclic_table, subset_from_table
 from lef.cli import main
 from lef.fsg import MulTable
 from lef.rewrite import normal_form
 from lef.oracle import word_equal
 from lef.presets import PRESENTATIONS, PRESET_IDS, Q_SYSTEM, preset_letters, preset_presentation
-from lef.search import find_relational_assignments
 
 
 def run(capsys, *argv):
@@ -172,6 +172,23 @@ def test_green_eggbox_text(capsys, z3_file):
     assert "egg-box" in out
 
 
+def test_green_needs_no_order_cubed_arrays(capsys, tmp_path, monkeypatch):
+    # associativity is one blocked scan for a failing triple, so a table too
+    # large for associative_mask's order^3 arrays still gets its classes
+    def refuse(S):
+        raise AssertionError("associative_mask is for stacks of small tables")
+
+    monkeypatch.setattr(lef.fsg, "associative_mask", refuse)
+    mt = cyclic_table(40)
+    assert mt.is_associative()
+    assert not MulTable(np.array([[1, 0], [0, 0]])).is_associative()
+    path = tmp_path / "z40.json"
+    path.write_text(json.dumps(mt.to_json()))
+    code, data, _ = run_json(capsys, "green", "--table", str(path), "--json")
+    assert code == 0
+    assert len(data["h_classes"]) == 1 and data["order"] == 40
+
+
 def test_green_rejects_nonassociative(capsys, tmp_path):
     bad = MulTable(np.array([[1, 0], [0, 0]]))
     path = tmp_path / "bad.json"
@@ -279,7 +296,7 @@ def test_embed_rejects_a_max_order_below_the_element_count(capsys):
     for order in ("0", "3"):
         code, out, err = run(capsys, "embed", "--partial", "bicyclic4", "--max-order", order)
         assert (code, out) == (1, "")
-        assert err == (f"error: --max-order {order} is below the 4 elements "
+        assert err == (f"error: max order {order} is below the 4 elements "
                        f"of the partial table\n")
 
 

@@ -262,6 +262,22 @@ def test_multable_labels_and_index():
     assert unlabeled.index(unlabeled.label(1)) == 1
 
 
+def test_is_associative_agrees_with_the_mask():
+    # every labelled order-3 table, then seeded magmas of orders 2-6 with
+    # associative tables among them: cyclic groups with one cell changed
+    magmas = np.array(list(itertools.product(range(3), repeat=9))).reshape(-1, 3, 3)
+    assert [MulTable(T).is_associative() for T in magmas] == associative_mask(magmas).tolist()
+    rng = np.random.default_rng(7)
+    for n in range(2, 7):
+        stack = rng.integers(0, n, size=(40, n, n))
+        stack[:20] = cyclic_table(n).table
+        stack[np.arange(10), rng.integers(0, n, 10), rng.integers(0, n, 10)] = \
+            rng.integers(0, n, 10)
+        want = associative_mask(stack)
+        assert want.any() and not want.all()
+        assert [MulTable(T).is_associative() for T in stack] == want.tolist()
+
+
 def test_is_associative():
     assert LEFT_ZERO_2.is_associative()
     broken = MulTable(np.array([[0, 1], [1, 0]]))  # Z2, associative

@@ -96,11 +96,14 @@ def test_preaccurate_matches_the_unbucketed_reference(preset, n, cap):
 def test_preaccurate_asks_the_oracle_only_in_open_buckets(monkeypatch):
     # each base class is walked once and candidates are looked up in it; only
     # a word sharing its conserved quantities with a class that stays open
-    # (s: the class of ax, which pumps a e^k x) still asks equal_to_any, once
+    # (s: the class of ax, which pumps a e^k x) still asks equal_to_any, once,
+    # against the open classes' representatives only
     asked = []
+    target_lists = set()
 
     def counting(preset, w, targets):
         asked.append(w)
+        target_lists.add(tuple(targets))
         return equal_to_any(preset, w, targets)
 
     monkeypatch.setattr(lef.lwf, "equal_to_any", counting)
@@ -111,7 +114,12 @@ def test_preaccurate_asks_the_oracle_only_in_open_buckets(monkeypatch):
                  if congruence_class("s", r, pre.length_cap + 4) is None]
     assert open_reps == ["ax"]
     assert asked and len(asked) == len(set(asked))
+    assert target_lists == {("ax",)}
     assert {lef.lwf._quantity_key(w, "s") for w in asked} == {lef.lwf._quantity_key("ax", "s")}
+    # q's classes are its representatives' normal forms: no search at all
+    asked.clear()
+    enumerate_preaccurate("q", 2, length_cap=8)
+    assert asked == []
 
 
 def test_preaccurate_rejects_bad_arguments():

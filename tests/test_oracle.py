@@ -300,6 +300,28 @@ def test_equal_to_any_rejects_bad_arguments():
         equal_to_any("sm:3", "e", ["ee"])
 
 
+def test_equal_to_any_has_no_normal_form_path():
+    # fn:<n> has a confluent system but no defining relations to search
+    with pytest.raises(ValueError, match="defining relations"):
+        equal_to_any("fn:2", "xa", ["xe"])
+
+
+def test_equal_to_any_drops_the_targets_a_quantity_separates():
+    # every target separated: distinct, named against the first target
+    verdict = equal_to_any("t", "xcd", ["a", "xax", "bx"])
+    assert verdict.status == "distinct"
+    assert verdict.evidence == {"kind": "invariant",
+                                "name": separating_quantity("xcd", "a", "t")}
+    assert verdict == word_equal_bfs("t", "xcd", "a")
+    # a mixed list gives the verdict of the targets no quantity separates
+    for preset, w, mixed in [("t", "xcd", ["a", "xa", "xe", "xax", "xb"]),
+                             ("s", "ax", ["x", "cx", "ax", "aex"]),
+                             ("c", "ax", ["a", "cx", "abc", "dx"])]:
+        kept = [r for r in mixed if separating_quantity(w, r, preset) is None]
+        assert len(kept) < len(mixed)
+        assert equal_to_any(preset, w, mixed) == equal_to_any(preset, w, kept)
+
+
 def _walk(w: str, relations, picks) -> str:
     """The word reached from w by one relation step per pick."""
     for pick in picks:
@@ -327,21 +349,24 @@ def test_equal_to_any_agrees_with_every_decided_pair(preset, data):
     if data.draw(st.booleans(), label="with a word equal to w"):
         picks = data.draw(st.lists(st.integers(0, 99), max_size=3), label="walk")
         pool.append(_walk(w, relations, picks))
-    # the targets a caller passes: those sharing w's conserved quantities
-    targets = sorted({r for r in pool if separating_quantity(w, r, preset) is None})
-    assume(targets)
-    pairwise = {r: word_equal_bfs(preset, w, r, node_bound=_PAIR_NODES).status
+    # the whole pool, targets that a quantity separates from w included
+    targets = sorted(set(pool))
+    pairwise = {r: word_equal_bfs(preset, w, r, node_bound=_PAIR_NODES)
                 for r in targets}
-    assume("unknown" not in pairwise.values())
+    statuses = {r: v.status for r, v in pairwise.items()}
+    assume("unknown" not in statuses.values())
     verdict = equal_to_any(preset, w, targets)
-    if "equal" in pairwise.values():
+    if "equal" in statuses.values():
         assert verdict.status == "equal"
         target = verdict.evidence["target"]
-        assert pairwise[target] == "equal"
+        assert statuses[target] == "equal"
         path = verdict.evidence["path"]
         assert path[0] == w and path[-1] == target and replay_path(preset, path)
+    elif all(v.evidence["kind"] == "invariant" for v in pairwise.values()):
+        assert verdict == pairwise[targets[0]]
     else:
         assert verdict.status == "distinct"
+        assert verdict.evidence["kind"] == "closure"
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -22,11 +22,10 @@ from lef.search import (
     _filler_labels,
     check_partial_associativity,
     embed_partial_table,
-    find_relational_assignments,
     malcev_witness_table,
 )
 
-from conftest import relation_grid, word_value_grid
+from conftest import find_relational_assignments, relation_grid, word_value_grid
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +104,10 @@ def test_embedding_respects_class_filter():
 
 
 def test_group_filter_skips_small_orders():
-    # a 13-element witness cannot inject into tables of order <= 4, so the
-    # search is vacuous: nothing explored, negative result
-    result = embed_partial_table(malcev_witness_table(), 4, class_filter="group")
-    assert result.status == "not_embeddable_up_to_bound"
-    assert result.explored == 0
+    # a 13-element witness cannot inject into tables of order <= 4, so a
+    # search would be vacuous: the library refuses it instead of answering
+    with pytest.raises(ValueError, match="max order 4 is below the 13 elements"):
+        embed_partial_table(malcev_witness_table(), 4, class_filter="group")
 
 
 PQ = PartialTable(elements=("p", "q"), products={("p", "q"): "q", ("q", "p"): "p"})

@@ -93,9 +93,10 @@ def test_relation_steps_conserve_every_quantity(preset, max_len, edges):
 
 @pytest.mark.parametrize("preset", ["q", "s", "t", "c"])
 def test_separating_quantity_is_none_exactly_on_equal_vectors(preset):
-    # lwf buckets words by their conserved vectors and compares a word only
-    # with its own bucket; that is sound because a separating quantity
-    # exists exactly when the vectors differ
+    # lwf asks the oracle only about words whose conserved vector is an open
+    # class's, and the oracle drops targets a quantity separates; that is
+    # sound because a separating quantity exists exactly when the vectors
+    # differ
     words = all_words(WORD_LETTERS[preset], 3)
     vectors = {w: conserved_vector(w, preset) for w in words}
     for u, v in itertools.product(words, repeat=2):
