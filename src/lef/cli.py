@@ -20,7 +20,7 @@ from . import appendix
 from .approx import (ApproxPair, FiniteSubset, WrapMap, approx_integers,
                      check_approximating_pair, check_lwf_wrapping,
                      subset_from_table, subset_from_words)
-from .fsg import (MulTable, PartialTable, classify, enumerate_groups,
+from .fsg import (CLASS_FILTERS, MulTable, PartialTable, classify, enumerate_groups,
                   enumerate_semigroups, green)
 from .lwf import build_lwf_wrapping, enumerate_preaccurate
 from .oracle import DEFAULT_NODE_BOUND, replay_path, word_equal_bfs, word_equal_nf
@@ -29,8 +29,7 @@ from .presets import (PRESENTATIONS, bicyclic4_table, has_normal_forms, preset_l
 from .rewrite import (check_local_confluence, check_termination_order,
                       leftmost_reductions, normal_form, random_normal_form,
                       reduce_once)
-from .search import (CLASS_FILTERS, embed_partial_table, malcev_witness_table,
-                     relational_assignments)
+from .search import embed_partial_table, malcev_witness_table, relational_assignments
 from .words import check_letters
 
 EXIT_OK = 0
@@ -38,6 +37,7 @@ EXIT_ERROR = 1
 EXIT_NEGATIVE = 3
 
 _SAMPLE_CAP = 10  # longest list of violations/pairs echoed in reports
+_CLASS_NAMES = ", ".join(name.replace("_", "-") for name in CLASS_FILTERS)
 
 
 class CliError(Exception):
@@ -150,8 +150,7 @@ def _system_word(system, word: str) -> str:
 def _normalize_class(name: str) -> str:
     key = name.strip().lower().replace("-", "_")
     if key not in CLASS_FILTERS:
-        allowed = ", ".join(sorted(CLASS_FILTERS))
-        raise CliError(f"unknown class {name!r}; choose one of {allowed}")
+        raise CliError(f"unknown class {name!r}; choose one of {_CLASS_NAMES}")
     return key
 
 
@@ -774,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="count small semigroups or groups")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--filter", default=None,
-                   help="class filter, e.g. j-trivial or clifford")
+                   help=f"class filter: {_CLASS_NAMES}")
     p.add_argument("--groups", action="store_true",
                    help="enumerate groups instead of semigroups")
     p.add_argument("--labeled", action="store_true",
@@ -789,8 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preset name (bicyclic4, malcev) or JSON file")
     p.add_argument("--max-order", type=_step_count, required=True)
     p.add_argument("--class", dest="class_filter", default="any",
-                   help="restrict hosts: any, group, j-trivial, l-trivial, "
-                        "r-trivial, completely-simple, clifford")
+                   help=f"restrict hosts: {_CLASS_NAMES}")
     p.add_argument("--out", default=None, help="write the result JSON here")
     p.set_defaults(handler=_cmd_embed)
 

@@ -3,14 +3,18 @@ relations, structural classification, enumeration, and word equations
 evaluated over a table.
 
 Tables are numpy int arrays with table[i, j] = index of the product of i and j
-(row = left factor).  The class predicates (associative, group, J-, L- and
-R-trivial, completely simple, Clifford) are masks over a stack of tables of
-one order, so a caller with many tables checks them in one numpy pass; the
-one-table predicates are the stack of one.  Enumeration, and the embedding
-search in ``search``, run one propagation engine on flat tables
-(``_TableSearch``), which indexes its cells by value and writes forced
-cells in place; enumeration up to isomorphism keeps the first table of each
-class in lexicographic order and skips the rest of its orbit.  A search
+(row = left factor).  This module owns the table classes: ``CLASS_MASKS``
+maps each name (any, group, J-, L- and R-trivial, completely simple,
+Clifford) to a mask over a stack of tables of one order, checked in one
+numpy pass, and ``CLASS_FILTERS`` holds the same classes as predicates on
+one table.  The masks read associative stacks: associativity is decided
+once, per stack (``associative_mask``, the embedding search's guard) or per
+table (one blocked scan), so no one-table question builds order^3 arrays.
+Enumeration, and the embedding search in ``search``, run one propagation
+engine on flat tables (``_TableSearch``), which indexes its cells by value
+and writes forced cells in place; enumeration up to isomorphism keeps the
+first table of each class in lexicographic order and skips the rest of its
+orbit.  A search
 that runs to its end is kept for the rest of the process, keyed by (order,
 Latin pruning, pins): its completions as one read-only uint8 stack, the
 decision count at which each was found, the total, and the rows of the class
@@ -30,6 +34,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -61,11 +66,13 @@ class MulTable:
         return self.labels[i] if self.labels else f"s{i}"
 
     def index(self, label: str) -> int:
-        if self.labels is None:
-            if label.startswith("s") and label[1:].isdigit():
-                return int(label[1:])
-            raise KeyError(label)
-        return self.labels.index(label)
+        """The i with label(i) == label; a KeyError names any other label."""
+        if self.labels is not None and label in self.labels:
+            return self.labels.index(label)
+        i = int(label[1:]) if self.labels is None and label[1:].isdecimal() else -1
+        if 0 <= i < self.order and label == f"s{i}":
+            return i
+        raise KeyError(f"no element labelled {label!r} in a table of order {self.order}")
 
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
@@ -108,8 +115,8 @@ class MulTable:
             if key not in data:
                 raise ValueError(f"{where}/{key}: missing")
         order = data["order"]
-        if not isinstance(order, int) or order < 0:
-            raise ValueError(f"{where}/order: expected a nonnegative integer, "
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+            raise ValueError(f"{where}/order: expected a positive integer, "
                              f"got {order!r}")
         rows = data["table"]
         if not isinstance(rows, list) or len(rows) != order:
@@ -154,6 +161,8 @@ class PartialTable:
 
     def __post_init__(self):
         self.elements = tuple(self.elements)
+        if not self.elements:
+            raise ValueError("a partial table needs at least one element")
         names = set(self.elements)
         if len(names) != len(self.elements):
             raise ValueError("duplicate element names")
@@ -178,9 +187,9 @@ class PartialTable:
             if key not in data:
                 raise ValueError(f"/{key}: missing")
         elements = data["elements"]
-        if not isinstance(elements, list) or \
+        if not isinstance(elements, list) or not elements or \
                 any(not isinstance(e, str) for e in elements):
-            raise ValueError("/elements: expected a list of strings")
+            raise ValueError("/elements: expected a non-empty list of strings")
         if len(set(elements)) != len(elements):
             raise ValueError("/elements: element names must be distinct")
         products = data["products"]
@@ -292,8 +301,11 @@ def green(mt: MulTable) -> GreenRelations:
 
 # ---------------------------------------------------------------------------
 # class predicates, each a mask over a stack S of k tables of order n, shape
-# (k, n, n), marking the tables in the class; the one-table predicates are
-# the case k = 1
+# (k, n, n), marking the tables in the class.  Apart from associative_mask,
+# the masks read associative stacks and do not check associativity; their
+# callers decide it once first: the per-stack guard of
+# search.embed_partial_table, classify's check, the blocked scan in _holds
+# (the table engine's completions are associative by construction).
 
 
 def associative_mask(S: np.ndarray) -> np.ndarray:
@@ -312,22 +324,19 @@ def _idempotent(S: np.ndarray) -> np.ndarray:
 def group_mask(S: np.ndarray) -> np.ndarray:
     """Associative Latin squares are the groups."""
     want = np.arange(S.shape[1])
-    return (associative_mask(S)
-            & (np.sort(S, axis=2) == want).all(axis=(1, 2))
+    return ((np.sort(S, axis=2) == want).all(axis=(1, 2))
             & (np.sort(S, axis=1) == want[:, None]).all(axis=(1, 2)))
 
 
 def completely_simple_mask(S: np.ndarray) -> np.ndarray:
-    """Associative with a single J-class (finiteness then gives an
-    idempotent in it)."""
+    """A single J-class (finiteness then gives an idempotent in it)."""
     leq_r, leq_l = _preorders(S)
-    return (associative_mask(S) & (leq_l @ leq_r).all(axis=(1, 2))
-            & _idempotent(S).any(axis=1))
+    return (leq_l @ leq_r).all(axis=(1, 2)) & _idempotent(S).any(axis=1)
 
 
 def clifford_mask(S: np.ndarray) -> np.ndarray:
-    """Associative, every element in a subgroup (x H-related to its square)
-    and all idempotents central."""
+    """Every element in a subgroup (x H-related to its square) and all
+    idempotents central."""
     k, n = S.shape[:2]
     leq_r, leq_l = _preorders(S)
     t = np.arange(k)[:, None]
@@ -336,12 +345,10 @@ def clifford_mask(S: np.ndarray) -> np.ndarray:
     # x*x always lies H-below x, so x H x*x iff x lies H-below x*x
     in_subgroup = (leq_r[t, idx, square] & leq_l[t, idx, square]).all(axis=1)
     central = (S == S.swapaxes(1, 2)).all(axis=2)   # [t, e]: row e = column e
-    return (associative_mask(S) & in_subgroup
-            & (central | ~_idempotent(S)).all(axis=1))
+    return in_subgroup & (central | ~_idempotent(S)).all(axis=1)
 
 
 def j_trivial_mask(S: np.ndarray) -> np.ndarray:
-    """Like the L- and R-trivial masks, this does not check associativity."""
     leq_r, leq_l = _preorders(S)
     return _antisymmetric(leq_l @ leq_r)
 
@@ -354,24 +361,30 @@ def r_trivial_mask(S: np.ndarray) -> np.ndarray:
     return _antisymmetric(_preorders(S)[0])
 
 
+# class name -> mask over an associative stack; the one registry of classes
+CLASS_MASKS = {
+    "any": lambda S: np.ones(len(S), dtype=bool),
+    "group": group_mask,
+    "j_trivial": j_trivial_mask,
+    "l_trivial": l_trivial_mask,
+    "r_trivial": r_trivial_mask,
+    "completely_simple": completely_simple_mask,
+    "clifford": clifford_mask,
+}
+
+
 def _holds(mask, mt: MulTable) -> bool:
-    return bool(mask(mt.table[None])[0])
+    """One blocked associativity scan, then the mask on the stack of one."""
+    return mt.is_associative() and bool(mask(mt.table[None])[0])
 
 
-def is_group(mt: MulTable) -> bool:
-    return _holds(group_mask, mt)
+# the same classes as predicates on one MulTable, False on one not associative
+CLASS_FILTERS = {name: partial(_holds, mask) for name, mask in CLASS_MASKS.items()}
 
 
-def is_completely_simple(mt: MulTable) -> bool:
-    return _holds(completely_simple_mask, mt)
-
-
-def is_clifford(mt: MulTable) -> bool:
-    return _holds(clifford_mask, mt)
-
-
-def is_j_trivial(mt: MulTable) -> bool:
-    return _holds(j_trivial_mask, mt)
+# the classes of the paper's results, under their own names
+is_group, is_completely_simple, is_clifford, is_j_trivial = (
+    CLASS_FILTERS[name] for name in ("group", "completely_simple", "clifford", "j_trivial"))
 
 
 def direct_product(a: MulTable, b: MulTable) -> MulTable:
@@ -393,7 +406,8 @@ def direct_product(a: MulTable, b: MulTable) -> MulTable:
 
 
 def classify(mt: MulTable) -> dict:
-    """Structural summary used by the command-line `classify` verb."""
+    """Structural summary used by the command-line `classify` verb; the
+    class flags are the masks, read after the one associativity check."""
     failures = associativity_failures(mt)
     out = {
         "order": mt.order,
@@ -414,9 +428,8 @@ def classify(mt: MulTable) -> dict:
         "l_trivial": g.l_trivial,
         "h_trivial": g.h_trivial,
         "j_trivial": g.j_trivial,
-        "group": is_group(mt),
-        "completely_simple": is_completely_simple(mt),
-        "clifford": is_clifford(mt),
+        **{name: bool(CLASS_MASKS[name](mt.table[None])[0])
+           for name in ("group", "completely_simple", "clifford")},
     })
     return out
 

@@ -1,8 +1,8 @@
 """Bounded exhaustive searches: embed a partial multiplication table into a
-finite semigroup of bounded order (optionally restricted to a class), and
-stream relation-satisfying assignments inside a given table, filtered on
-columns of assignments by ``fsg._assignment_columns`` and counted without
-streaming them (``relational_assignments``).
+finite semigroup of bounded order (optionally in one of the classes that
+``fsg`` names), and stream relation-satisfying assignments inside a given
+table, filtered on columns of assignments by ``fsg._assignment_columns`` and
+counted without streaming them (``relational_assignments``).
 
 The embedding search runs the table engine of ``fsg`` (also behind
 enumeration).  It fixes the injection onto the first indices of a flat
@@ -12,8 +12,9 @@ every assigned cell goes on a worklist, and only the triples that read a
 cell from it are re-checked.  Backtracking undoes a trail of assigned cells
 instead of copying the table.  Forced products are forced in every
 completion, so exhaustion at the bound is a complete-search certificate.
-Finished tables are checked in stacks, with the class masks of ``fsg``; the
-witness and the decision count reported are those of the first completion
+Finished tables are checked in stacks: one associativity guard per stack,
+then the class mask from ``fsg``'s registry, which reads associative stacks;
+the witness and the decision count reported are those of the first completion
 that passes, as if each table were checked when found.  An order whose
 search ran to its end earlier, under any class filter, is read from
 ``fsg``'s memo instead of searched again (``group`` searches, which the
@@ -23,34 +24,17 @@ Latin pruning changes, are kept apart from the rest).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .fsg import (MulTable, PartialTable, _assignment_columns, _completions, _holds,
-                  _word_values, associative_mask, clifford_mask, completely_simple_mask,
-                  group_mask, j_trivial_mask, l_trivial_mask, r_trivial_mask,
-                  relation_variables)
+from .fsg import (CLASS_MASKS, MulTable, PartialTable, _assignment_columns, _completions,
+                  _word_values, associative_mask, relation_variables)
 
 __all__ = ["SearchResult", "embed_partial_table", "check_partial_associativity",
-           "malcev_witness_table", "relational_assignments",
-           "CLASS_FILTERS", "CLASS_MASKS", "MAX_ASSIGN_ORDER"]
+           "malcev_witness_table", "relational_assignments", "MAX_ASSIGN_ORDER"]
 
 MAX_ASSIGN_ORDER = 8
 ASSIGN_CHUNK = 4096  # assignment rows turned into Python values at a time
-
-# class name -> mask over a stack of tables (see fsg)
-CLASS_MASKS = {
-    "any": lambda S: np.ones(len(S), dtype=bool),
-    "group": group_mask,
-    "j_trivial": j_trivial_mask,
-    "l_trivial": l_trivial_mask,
-    "r_trivial": r_trivial_mask,
-    "completely_simple": completely_simple_mask,
-    "clifford": clifford_mask,
-}
-# the same classes as predicates on one MulTable
-CLASS_FILTERS = {name: partial(_holds, mask) for name, mask in CLASS_MASKS.items()}
 
 
 @dataclass(frozen=True)
@@ -164,14 +148,15 @@ def _filler_labels(base: tuple[str, ...], n: int) -> tuple[str, ...]:
 
 def _check_witness(mt: MulTable, pt: PartialTable, at: dict[str, int],
                    class_filter: str) -> None:
-    """Raise AssertionError unless the witness is associative, holds every
-    product of the partial table and lies in the class asked for."""
+    """Raise AssertionError unless the witness is associative (one blocked
+    scan), holds every product of the partial table and lies in the class
+    asked for (the class's mask)."""
     if not mt.is_associative():
         raise AssertionError("the witness is not associative")
     for (x, y), z in pt.products.items():
         if mt.mul(at[x], at[y]) != at[z]:
             raise AssertionError(f"the witness breaks the pinned product {x}*{y} = {z}")
-    if not CLASS_FILTERS[class_filter](mt):
+    if not CLASS_MASKS[class_filter](mt.table[None])[0]:
         raise AssertionError(f"the witness is not in the class {class_filter!r}")
 
 

@@ -11,7 +11,7 @@ import lef.fsg
 from conftest import find_relational_assignments, wrap_from_pair
 from lef.approx import ApproxPair, cyclic_table, subset_from_table
 from lef.cli import main
-from lef.fsg import MulTable
+from lef.fsg import MulTable, is_clifford, is_completely_simple, is_group, is_j_trivial
 from lef.rewrite import normal_form
 from lef.oracle import word_equal
 from lef.presets import PRESENTATIONS, PRESET_IDS, Q_SYSTEM, preset_letters, preset_presentation
@@ -172,9 +172,11 @@ def test_green_eggbox_text(capsys, z3_file):
     assert "egg-box" in out
 
 
-def test_green_needs_no_order_cubed_arrays(capsys, tmp_path, monkeypatch):
-    # associativity is one blocked scan for a failing triple, so a table too
-    # large for associative_mask's order^3 arrays still gets its classes
+@pytest.mark.parametrize("verb", ["green", "classify"])
+def test_green_needs_no_order_cubed_arrays(verb, capsys, tmp_path, monkeypatch):
+    # associativity is one blocked scan for a failing triple, and the class
+    # masks read associative tables, so a table too large for
+    # associative_mask's order^3 arrays still gets its classes
     def refuse(S):
         raise AssertionError("associative_mask is for stacks of small tables")
 
@@ -182,11 +184,17 @@ def test_green_needs_no_order_cubed_arrays(capsys, tmp_path, monkeypatch):
     mt = cyclic_table(40)
     assert mt.is_associative()
     assert not MulTable(np.array([[1, 0], [0, 0]])).is_associative()
+    assert is_group(mt) and is_completely_simple(mt) and is_clifford(mt)
+    assert not is_j_trivial(mt)
     path = tmp_path / "z40.json"
     path.write_text(json.dumps(mt.to_json()))
-    code, data, _ = run_json(capsys, "green", "--table", str(path), "--json")
-    assert code == 0
-    assert len(data["h_classes"]) == 1 and data["order"] == 40
+    code, data, _ = run_json(capsys, verb, "--table", str(path), "--json")
+    assert code == 0 and data["order"] == 40
+    if verb == "green":
+        assert len(data["h_classes"]) == 1
+    else:
+        assert data["group"] and data["completely_simple"] and data["clifford"]
+        assert data["j_classes"] == 1 and not data["j_trivial"]
 
 
 def test_green_rejects_nonassociative(capsys, tmp_path):
@@ -521,6 +529,35 @@ def test_data_error_names_the_bad_file(capsys, tmp_path, z3_file):
                        "--host-table", z3_file, "--members", "0,1")
     assert code == 1
     assert err.strip() == f"error: {bad_pair}: /map/1: index 7 outside 0..2"
+
+
+@pytest.mark.parametrize("labelled, members, missing", [(False, "s0,s9", "s9"),
+                                                         (True, "0,9", "9")])
+def test_a_missing_member_label_is_named(capsys, tmp_path, labelled, members, missing):
+    z3 = cyclic_table(3).to_json()
+    if not labelled:
+        del z3["labels"]
+    table, pair = tmp_path / "z3.json", tmp_path / "pair.json"
+    table.write_text(json.dumps(z3))
+    pair.write_text(json.dumps({"table": z3, "map": {members.split(",")[0]: 0}}))
+    code, _, err = run(capsys, "approx", "check", "--pair", str(pair),
+                       "--host-table", str(table), "--members", members)
+    assert code == 1
+    assert err.strip() == f"error: no element labelled '{missing}' in a table of order 3"
+
+
+@pytest.mark.parametrize("verb, flag, data, pointer", [
+    ("classify", "--table", {"order": 0, "table": []}, "/order: expected a positive integer"),
+    ("embed", "--partial", {"elements": [], "products": {}},
+     "/elements: expected a non-empty list of strings"),
+])
+def test_empty_tables_are_data_errors(capsys, tmp_path, verb, flag, data, pointer):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
+    extra = ["--max-order", "3"] if verb == "embed" else []
+    code, out, err = run(capsys, verb, flag, str(path), *extra)
+    assert code == 1 and not out
+    assert err.strip().startswith(f"error: {path}: {pointer}")
 
 
 def test_malformed_json(capsys, tmp_path):

@@ -12,6 +12,8 @@ import pytest
 from lef import fsg
 from lef.approx import cyclic_table
 from lef.fsg import (
+    CLASS_FILTERS,
+    CLASS_MASKS,
     MulTable,
     PartialTable,
     associative_mask,
@@ -33,7 +35,7 @@ from lef.fsg import (
     relation_variables,
 )
 from lef.presets import PRESENTATIONS
-from lef.search import CLASS_FILTERS, CLASS_MASKS, embed_partial_table
+from lef.search import embed_partial_table
 
 from conftest import (adjoin_identity, adjoin_zero, evaluate_word, generate_subsemigroup,
                       idempotent_power, relation_grid, word_value_grid, zero_element)
@@ -189,17 +191,33 @@ REFERENCE = {
 
 
 def test_masks_match_the_reference_on_every_order_3_magma():
-    # 19,683 tables, 113 of them associative
+    # 19,683 tables, 113 of them associative.  associative_mask and the
+    # triviality masks are compared on every one; the group, completely
+    # simple and Clifford masks read associative stacks, so on those only
     magmas = np.array(list(itertools.product(range(3), repeat=9))).reshape(-1, 3, 3)
+    associative = associative_mask(magmas)
+    assert associative.sum() == 113
     for name, (reference, mask) in REFERENCE.items():
-        got = mask(magmas)
-        assert got.dtype == bool and got.shape == (len(magmas),)
-        assert got.tolist() == [reference(T) for T in magmas], name
-    assert associative_mask(magmas).sum() == 113
-    # the triviality masks do not check associativity, as the predicates
-    # they replaced did not
+        stack = magmas[associative] if name in ("group", "completely_simple", "clifford") \
+            else magmas
+        got = mask(stack)
+        assert got.dtype == bool and got.shape == (len(stack),)
+        assert got.tolist() == [reference(T) for T in stack], name
+    # the triviality masks read the preorders alone, so magmas that are not
+    # associative pass them too
     for mask in (j_trivial_mask, l_trivial_mask, r_trivial_mask):
-        assert (mask(magmas) & ~associative_mask(magmas)).any()
+        assert (mask(magmas) & ~associative).any()
+    # each one-table predicate is "associative and in the class": every
+    # associative magma and a seeded sample of the rest
+    rng = np.random.default_rng(3)
+    sample = np.concatenate([np.flatnonzero(associative),
+                             rng.choice(np.flatnonzero(~associative), 600, replace=False)])
+    assert (j_trivial_mask(magmas[sample]) & ~associative[sample]).any()
+    tables = [MulTable(T) for T in magmas[sample]]
+    for name, predicate in CLASS_FILTERS.items():
+        reference = REFERENCE[name][0] if name != "any" else (lambda T: True)
+        want = [_ref_associative(mt.table) and reference(mt.table) for mt in tables]
+        assert [predicate(mt) for mt in tables] == want, name
 
 
 def test_masks_match_the_reference_on_labeled_order_4_semigroups():
@@ -258,8 +276,13 @@ def test_multable_labels_and_index():
     mt = LEFT_ZERO_2
     assert mt.label(0) == "p"
     assert mt.index("q") == 1
-    unlabeled = cyclic_table(2)
+    unlabeled = MulTable(cyclic_table(2).table)
     assert unlabeled.index(unlabeled.label(1)) == 1
+    # only the labels label(i) returns; the KeyError names the label
+    for table, label in [(mt, "z"), (mt, "s0"), (unlabeled, "s9"), (unlabeled, "s2"),
+                         (unlabeled, "s01"), (unlabeled, "s"), (unlabeled, "x1")]:
+        with pytest.raises(KeyError, match=f"'{label}'"):
+            table.index(label)
 
 
 def test_is_associative_agrees_with_the_mask():
@@ -310,6 +333,14 @@ def test_multable_json_round_trip():
     assert clone.order == mt.order
     assert np.array_equal(clone.table, mt.table)
     assert clone.label(0) == "p"
+
+
+def test_an_empty_table_file_is_a_data_error():
+    with pytest.raises(ValueError, match="^/order: expected a positive integer, got 0$"):
+        MulTable.from_json({"order": 0, "table": []})
+    with pytest.raises(ValueError, match="^/h/order: expected a positive integer, got True$"):
+        MulTable.from_json({"order": True, "table": [[0]]}, where="/h")
+    assert MulTable(np.zeros((0, 0), dtype=int)).order == 0   # the library still builds one
 
 
 def test_zero_and_adjunctions():

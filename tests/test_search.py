@@ -11,12 +11,11 @@ import pytest
 
 from lef.approx import cyclic_table
 from lef import fsg
-from lef.fsg import (MulTable, PartialTable, _TableSearch, enumerate_groups, enumerate_semigroups,
-                     relation_variables)
+from lef.fsg import (CLASS_FILTERS, MulTable, PartialTable, _TableSearch, enumerate_groups,
+                     enumerate_semigroups, relation_variables)
 import lef.search
 from lef.presets import PRESENTATIONS, bicyclic4_table
 from lef.search import (
-    CLASS_FILTERS,
     MAX_ASSIGN_ORDER,
     SearchResult,
     _filler_labels,
@@ -43,6 +42,13 @@ def test_partial_table_json():
     assert PartialTable.from_json(pt.to_json()) == pt
     with pytest.raises(ValueError, match="^/products/p,z: unknown element 'z'$"):
         PartialTable.from_json({"elements": ["p"], "products": {"p,z": "p"}})
+
+
+def test_an_empty_partial_table_is_a_data_error():
+    with pytest.raises(ValueError, match="^/elements: expected a non-empty list of strings$"):
+        PartialTable.from_json({"elements": [], "products": {}})
+    with pytest.raises(ValueError, match="at least one element"):
+        PartialTable(elements=(), products={})
 
 
 def test_check_partial_associativity_detects_violations():
