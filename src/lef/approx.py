@@ -37,10 +37,10 @@ class FiniteSubset:
     """A finite subset of a host semigroup.
 
     Hosts: a MulTable (handles are its labels), a preset id string like "t" or
-    "free:<letters>" (handles are words), a ReesSpec (handles are
-    (row, g, col) triples) or a SemilatticeSpec (handles are
-    (meet-element, value) pairs).  defined_products lists the triples
-    (x, y, xy) whose product falls back into the subset.
+    "free:<letters>" (handles are words; "free:int" takes integers), a
+    ReesSpec (handles are (row, g, col) triples) or a SemilatticeSpec
+    (handles are (meet-element, value) pairs).  defined_products lists the
+    triples (x, y, xy) whose product falls back into the subset.
     """
 
     host: object
@@ -227,7 +227,7 @@ def host_mul(host, x, y):
     if isinstance(host, (ReesSpec, SemilatticeSpec)):
         return host.mul(x, y)
     if isinstance(host, str):
-        return x + y
+        return x + y  # words concatenate, "free:int" handles add
     raise TypeError(f"unsupported host {host!r}")
 
 
@@ -263,6 +263,12 @@ def subset_from_words(host: str, words) -> FiniteSubset:
         if host_equal(host, a, b):
             raise ValueError(f"{a!r} and {b!r} name the same element of {host}")
     return _with_products(host, words)
+
+
+def subset_from_integers(values) -> FiniteSubset:
+    """Subset of the additive integers (host "free:int"), with every sum
+    recorded that lands back in it."""
+    return _with_products("free:int", [int(v) for v in values])
 
 
 def rees_subset(spec: ReesSpec, triples) -> FiniteSubset:
@@ -304,21 +310,24 @@ def _associativity(*tables) -> CheckResult | None:
 
 def check_approximating_pair(H: FiniteSubset, pair: ApproxPair) -> CheckResult:
     """Valid iff an explicit host table and F are associative, and f is
-    injective on H and respects every defined product."""
+    injective on H and respects every defined product.  f is read by handle
+    key, which a pair read from JSON has too."""
+    keyed = {_handle_key(k): v for k, v in pair.f.items()}
     for x in H.elements:
-        if x not in pair.f:
+        if _handle_key(x) not in keyed:
             raise ValueError(f"f is not total on the subset: {x!r} missing")
+    f = {x: keyed[_handle_key(x)] for x in H.elements}
     failure = _associativity(H.host, pair.F)
     if failure:
         return failure
     seen: dict[int, object] = {}
     for x in H.elements:
-        v = pair.f[x]
+        v = f[x]
         if v in seen:
             return CheckResult(False, "injectivity", (seen[v], x))
         seen[v] = x
     for x, y, z in H.defined_products:
-        if pair.F.mul(pair.f[x], pair.f[y]) != pair.f[z]:
+        if pair.F.mul(f[x], f[y]) != f[z]:
             return CheckResult(False, "product", (x, y, z))
     return CheckResult(True)
 

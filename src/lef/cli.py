@@ -19,18 +19,18 @@ import sys
 from . import appendix
 from .approx import (ApproxPair, FiniteSubset, WrapMap, approx_integers,
                      check_approximating_pair, check_lwf_wrapping,
-                     subset_from_table, subset_from_words)
+                     subset_from_integers, subset_from_table, subset_from_words)
 from .fsg import (CLASS_FILTERS, MulTable, PartialTable, classify, enumerate_groups,
                   enumerate_semigroups, green)
 from .lwf import build_lwf_wrapping, enumerate_preaccurate
-from .oracle import DEFAULT_NODE_BOUND, replay_path, word_equal_bfs, word_equal_nf
+from .oracle import (DEFAULT_NODE_BOUND, check_words, replay_path, word_equal_bfs,
+                     word_equal_nf)
 from .presets import (PRESENTATIONS, bicyclic4_table, has_normal_forms, preset_letters,
                       preset_presentation, preset_system)
 from .rewrite import (check_local_confluence, check_termination_order,
                       leftmost_reductions, normal_form, random_normal_form,
                       reduce_once)
 from .search import embed_partial_table, malcev_witness_table, relational_assignments
-from .words import check_letters
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -138,15 +138,6 @@ def _parse_distinct(text: str) -> tuple[str, str]:
     return parts[0].strip(), parts[1].strip()
 
 
-def _system_word(system, word: str) -> str:
-    """The word, if it is a nonempty word over the system's alphabet; the
-    rewriting engine itself does not check its input."""
-    if not word:
-        raise CliError("--word: the empty word names no element")
-    check_letters(word, system.alphabet, system.name)
-    return word
-
-
 def _normalize_class(name: str) -> str:
     key = name.strip().lower().replace("-", "_")
     if key not in CLASS_FILTERS:
@@ -191,8 +182,8 @@ def _eggbox_lines(mt: MulTable, g) -> list[str]:
 
 
 def _cmd_rewrite(args) -> int:
-    system = preset_system(args.system)
-    word = _system_word(system, args.word)
+    system, word = preset_system(args.system), args.word
+    check_words(system.name, (word,))  # the rewriting engine does not check it
     # --max-steps overrides --step-limit; islice stops the walk before a step past it
     limit = args.step_limit if args.max_steps is None else args.max_steps
     trace = list(itertools.islice(leftmost_reductions(system, word, limit), args.max_steps))
@@ -220,8 +211,8 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_nf(args) -> int:
-    system = preset_system(args.system)
-    word = _system_word(system, args.word)
+    system, word = preset_system(args.system), args.word
+    check_words(system.name, (word,))
     result = (random_normal_form(system, word, random.Random(args.seed), args.step_limit)
               if args.strategy == "random" else normal_form(system, word, args.step_limit))
     payload = {"system": system.name, "word": args.word,
@@ -446,6 +437,8 @@ def _subset_from_args(args) -> FiniteSubset:
     if args.host:
         if not args.words:
             raise CliError("--host needs --words with the subset words")
+        if args.host.lower() == "free:int":
+            return subset_from_integers(_integers(args.words, "--words"))
         return subset_from_words(args.host.lower(),
                                  _split_words(args.words, "--words"))
     if args.host_table:
@@ -463,26 +456,26 @@ def _check_lines(result) -> list[str]:
     return [f"check: INVALID ({result.reason}) on ({ctx})"]
 
 
-def _cmd_approx_integers(args) -> int:
+def _integers(text: str, what: str) -> list[int]:
     values = []
-    for tok in _split_words(args.values, "--values"):
+    for tok in _split_words(text, what):
         try:
             values.append(int(tok))
         except ValueError:
-            raise CliError(f"--values: {tok!r} is not an integer") from None
+            raise CliError(f"{what}: {tok!r} is not an integer") from None
+    return values
+
+
+def _cmd_approx_integers(args) -> int:
+    values = _integers(args.values, "--values")
     pair = approx_integers(values)
-    members = sorted(set(values))
-    inside = set(members)
-    subset = FiniteSubset(
-        host="free:int", elements=tuple(members),
-        defined_products=tuple((x, y, x + y) for x in members for y in members
-                               if x + y in inside))
+    subset = subset_from_integers(sorted(set(values)))
     result = check_approximating_pair(subset, pair)
     payload = {**pair.as_json(), "check": result.as_json()}
     lines = [
-        f"values: {', '.join(str(v) for v in members)}",
+        f"values: {', '.join(str(v) for v in subset.elements)}",
         f"modulus: {pair.F.order}",
-        "map: " + ", ".join(f"{v} -> {pair.f[v]}" for v in members),
+        "map: " + ", ".join(f"{v} -> {pair.f[v]}" for v in subset.elements),
     ] + _check_lines(result)
     if args.out:
         _write_json_file(args.out, pair.as_json())

@@ -383,7 +383,8 @@ def sm_ideal_quotient(m: int, bound: int) -> IdealQuotient:
 class FnHandle:
     """Access to the finite semigroup F_n through its confluent rewriting
     system: elements are normal forms, with one absorbing zero for every word
-    whose x/b block count exceeds n."""
+    whose x/b block count exceeds n.  ``oracle.word_equal_nf("fn:<n>", u, v)``
+    compares two words by ``element``."""
 
     n: int
     system: RewriteSystem
@@ -395,9 +396,6 @@ class FnHandle:
             raise ValueError("the empty word names no element")
         nf = normal_form(self.system, word)
         return self.zero if block_count_s(nf) > self.n else nf
-
-    def equal(self, u: str, v: str) -> bool:
-        return self.element(u) == self.element(v)
 
     def mul(self, u: str, v: str) -> str:
         """Element named by the concatenation."""

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from .approx import FiniteSubset, WrapMap
 from .constructors import quotient_by_length_ideal, sm_ideal_quotient
-from .oracle import (congruence_class, equal_to_any, normal_form_map, sm_canonical,
-                     word_equal)
+from .oracle import (check_words, congruence_class, equal_to_any, normal_form_map,
+                     sm_canonical, word_equal)
 from .presets import PRESENTATIONS, has_normal_forms, preset_letters
 from .words import conserved_vector, e_reduced_length
 
@@ -216,6 +216,8 @@ def build_lwf_wrapping(preset: str, subset, n: int) -> WrapMap:
     pid = preset.lower()
     if pid not in ("s", "t"):
         raise ValueError("the wrapping construction covers the s and t presets")
+    if n < 1:
+        raise ValueError("the subset bound n must be at least 1")
     if isinstance(subset, FiniteSubset):
         if subset.host != pid:
             raise ValueError(f"subset host {subset.host!r} does not match "
@@ -225,10 +227,8 @@ def build_lwf_wrapping(preset: str, subset, n: int) -> WrapMap:
         members = tuple(str(w) for w in subset)
     if not members:
         raise ValueError("the subset must be nonempty")
-    alphabet = set(preset_letters(pid))
+    check_words(pid, members)
     for w in members:
-        if not w or set(w) - alphabet:
-            raise ValueError(f"{w!r} is not a word over the {pid} alphabet")
         if len(w) > n:
             raise ValueError(f"{w!r} exceeds the representative bound {n}")
     if pid == "t":

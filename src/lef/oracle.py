@@ -1,17 +1,17 @@
 """Word-problem oracles for the preset presentations.
 
-Exact answers come from confluent rewriting (q, fn:<n>, through
-``normal_form_map``) or canonical forms (sm:<m>).  Everywhere else the
-bounded oracle decides in tiers, all in ``_search_verdict``: a target that a
+Exact answers come from one map, ``normal_form_map``: confluent rewriting for
+q and fn:<n>, canonical forms for sm:<m>.  For q, s, t and c the bounded
+oracle decides in tiers, all in ``_search_verdict``: a target that a
 conserved quantity separates from the word is distinct from it; the others
-meet the word in a bounded bidirectional closure of the
-single-relation-application graph, or one side's closure completes without
-meeting, or the oracle says that the bounds ran out.  ``word_equal``
-dispatches to ``word_equal_nf`` (normal forms) or ``word_equal_bfs`` (the
-bounded oracle, one target), ``equal_to_any`` runs the bounded oracle
-against several targets, and ``congruence_class`` lists a word's whole class
-when it stays under a length bound.  Each checks its words once against the
-preset's letters, which ``presets`` resolves from the id.
+meet it in a bounded bidirectional closure of the single-relation-application
+graph that starts from the word, or one side's closure completes without
+meeting, or the bounds ran out.  ``word_equal`` dispatches to
+``word_equal_nf`` (normal forms) or ``word_equal_bfs`` (the bounded oracle,
+one target), ``equal_to_any`` runs the bounded oracle against several
+targets, and ``congruence_class`` lists a word's whole class when it stays
+under a length bound.  Each entry, ``replay_path`` included, checks its words
+once (``check_words``) against the preset's letters.
 
 ``equal_to_any`` asks whether a word equals one of several targets with one
 search: side 1 starts from every target that no quantity separates from the
@@ -73,7 +73,7 @@ def _ensure_locally_confluent(system) -> None:
     _confluence_checked.append(key)
 
 
-def _check_words(pid: str, words) -> None:
+def check_words(pid: str, words) -> None:
     """Every word names an element of the preset: it is nonempty and spelled
     in the preset's letters."""
     letters = preset_letters(pid)
@@ -84,25 +84,29 @@ def _check_words(pid: str, words) -> None:
 
 
 def normal_form_map(preset: str):
-    """The map from a word to its normal form, for q and fn:<n>, after one
-    cheap local-confluence pass over the system per process."""
+    """The map from a word to its normal form: for q and fn:<n> after one
+    cheap local-confluence pass over the system per process, for sm:<m> its
+    canonical form."""
     pid = preset.lower()
     if not has_normal_forms(pid):
-        raise ValueError(f"no confluent system for preset {preset!r}; "
+        raise ValueError(f"no normal forms for preset {preset!r}; "
                          "use word_equal_bfs")
     if pid == "q":
         _ensure_locally_confluent(Q_SYSTEM)
         return functools.partial(normal_form, Q_SYSTEM)
+    if pid.startswith("sm:"):
+        return functools.partial(sm_canonical, m=family_parameter(pid))
     handle = build_fn(family_parameter(pid))
     _ensure_locally_confluent(handle.system)
     return handle.element
 
 
 def word_equal_nf(preset: str, u: str, v: str) -> EqualityVerdict:
-    """Equality by normal form; presets q and fn:<n> only, never unknown."""
+    """Equality by normal form; presets q, fn:<n> and sm:<m> only, never
+    unknown."""
     pid = preset.lower()
     form = normal_form_map(pid)
-    _check_words(pid, (u, v))
+    check_words(pid, (u, v))
     nu, nv = form(u), form(v)
     evidence = {"kind": "normal_form", "left": nu, "right": nv}
     return EqualityVerdict("equal" if nu == nv else "distinct", evidence)
@@ -227,47 +231,39 @@ def _search_verdict(pid: str, u: str, targets, length_bound: int | None,
 
 
 @functools.lru_cache(maxsize=_VERDICT_MEMO_SIZE)
-def _verdict_memo(pid: str, a: str, b: str, length_bound: int | None,
+def _verdict_memo(pid: str, u: str, v: str, length_bound: int | None,
                   node_bound: int) -> EqualityVerdict:
-    """The verdict on a <= b."""
-    return _search_verdict(pid, a, (b,), length_bound, node_bound)
+    """The verdict on u against v, searched from u."""
+    return _search_verdict(pid, u, (v,), length_bound, node_bound)
 
 
-def _flip_path(verdict: EqualityVerdict) -> EqualityVerdict:
-    if verdict.evidence.get("kind") != "path":
-        return verdict
-    ev = dict(verdict.evidence)
-    ev["path"] = list(reversed(ev["path"]))
-    return EqualityVerdict(verdict.status, ev)
+def _bounded_preset(preset: str) -> str:
+    """The preset id, when the bounded oracle covers it."""
+    pid = preset.lower()
+    if pid not in PRESENTATIONS:
+        raise ValueError(f"the bounded oracle covers the presets "
+                         f"{', '.join(PRESENTATIONS)}, not {preset!r}")
+    return pid
 
 
 def word_equal_bfs(preset: str, u: str, v: str, length_bound: int | None = None,
                    node_bound: int = DEFAULT_NODE_BOUND) -> EqualityVerdict:
-    """Equality for the presets without a confluent system (s, t, c, sm:<m>;
-    q is accepted too, for cross-checking against the normal forms).
+    """Equality by the bounded oracle: s, t, c, and q for cross-checking.
 
     Three tiers: a conserved quantity that differs settles distinctness; a
     meeting of the two relation-graph balls settles equality with a replayable
-    path; a side whose entire congruence class fit under the bounds settles
-    distinctness by exhaustion.  Anything else is unknown.
+    path from u to v; a side whose entire congruence class fit under the
+    bounds settles distinctness by exhaustion ("left" is u's class).
+    Anything else is unknown.
     """
-    pid = preset.lower()
-    if pid not in PRESENTATIONS and not pid.startswith("sm:"):
-        raise ValueError(f"word_equal_bfs does not know preset {preset!r}")
-    _check_words(pid, (u, v))
-    if pid.startswith("sm:"):
-        m = family_parameter(pid)
-        cu, cv = sm_canonical(u, m), sm_canonical(v, m)
-        return EqualityVerdict("equal" if cu == cv else "distinct",
-                               {"kind": "normal_form", "left": cu, "right": cv})
-    a, b = sorted((u, v))
-    verdict = _verdict_memo(pid, a, b, length_bound, node_bound)
-    return verdict if (a, b) == (u, v) else _flip_path(verdict)
+    pid = _bounded_preset(preset)
+    check_words(pid, (u, v))
+    return _verdict_memo(pid, u, v, length_bound, node_bound)
 
 
 def word_equal(preset: str, u: str, v: str) -> EqualityVerdict:
-    """Equality in any word preset: normal forms where ``has_normal_forms``,
-    the bounded oracle (canonical forms for sm:<m>) for the others."""
+    """Equality in any word preset: normal forms where ``has_normal_forms``
+    (q, fn:<n>, sm:<m>), the bounded oracle for s, t and c."""
     equal = word_equal_nf if has_normal_forms(preset) else word_equal_bfs
     return equal(preset.lower(), u, v)
 
@@ -287,11 +283,8 @@ def equal_to_any(preset: str, w: str, targets) -> EqualityVerdict:
     targets = tuple(targets)
     if not targets:
         raise ValueError("equal_to_any needs at least one target")
-    pid = preset.lower()
-    if pid not in PRESENTATIONS:
-        raise ValueError(f"equal_to_any covers the presets with defining "
-                         f"relations, not {preset!r}")
-    _check_words(pid, (w, *targets))
+    pid = _bounded_preset(preset)
+    check_words(pid, (w, *targets))
     verdict = _search_verdict(pid, w, targets, None, DEFAULT_NODE_BOUND)
     if verdict.status != "equal":
         return verdict
@@ -311,7 +304,7 @@ def congruence_class(preset: str, w: str, length_bound: int) -> frozenset[str] |
     found the whole class.
     """
     pid = preset.lower()
-    _check_words(pid, (w,))
+    check_words(pid, (w,))
     relations = preset_presentation(pid).relations
     seen = {w}
     stack = [w]
@@ -326,9 +319,12 @@ def congruence_class(preset: str, w: str, length_bound: int) -> frozenset[str] |
 
 
 def replay_path(preset: str, path) -> bool:
-    """Check that consecutive path entries differ by one relation application."""
-    relations = preset_presentation(preset).relations
+    """Check that consecutive path entries differ by one relation application;
+    a word that names no element of the preset raises ValueError."""
+    pid = preset.lower()
+    relations = preset_presentation(pid).relations
     path = list(path)
+    check_words(pid, path)
     if not path:
         return False
     for cur, nxt in zip(path, path[1:]):

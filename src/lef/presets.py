@@ -9,8 +9,8 @@ partial multiplication table.
 
 What an id has is read from here: ``preset_presentation`` (defining
 relations), ``preset_letters`` (the letters of its words), ``preset_system``
-and ``has_normal_forms`` (a confluent system).  The other modules keep no id
-lists or alphabets of their own.
+(a confluent system) and ``has_normal_forms`` (computable normal forms).
+The other modules keep no id lists or alphabets of their own.
 """
 
 from __future__ import annotations
@@ -250,9 +250,10 @@ def preset_system(preset_id: str) -> RewriteSystem:
 
 
 def has_normal_forms(preset_id: str) -> bool:
-    """Whether the preset has a confluent system: q and fn:<n>."""
+    """Whether the preset's words have computable normal forms: q and fn:<n>
+    through a confluent system, sm:<m> through canonical forms."""
     key = preset_id.lower()
-    return key == "q" or key.startswith("fn:")
+    return key == "q" or key.startswith(("fn:", "sm:"))
 
 
 PRESET_IDS = (*PRESENTATIONS, "sm:<m>", "fn:<n>", "bicyclic4")

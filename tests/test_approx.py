@@ -25,6 +25,7 @@ from lef.approx import (
     host_mul,
     rees_subset,
     semilattice_subset,
+    subset_from_integers,
     subset_from_table,
     subset_from_words,
 )
@@ -121,6 +122,16 @@ def test_check_pair_product_failure():
     result = check_approximating_pair(H, bad)
     assert not result.valid
     assert result.reason == "product"
+
+
+def test_a_json_pair_is_read_by_handle_key():
+    H = subset_from_integers([0, 1, 5])
+    assert H == _int_subset([0, 1, 5])
+    with pytest.raises(ValueError, match="distinct"):
+        subset_from_integers([0, 1, 0])
+    data = {**approx_integers([0, 1, 5]).as_json(), "map": {"0": 1, "1": 3, "5": 4}}
+    result = check_approximating_pair(H, ApproxPair.from_json(data))
+    assert (result.reason, result.counterexample) == ("product", (0, 0, 0))
 
 
 def test_check_pair_requires_total_map():

@@ -324,6 +324,21 @@ def test_approx_integers_round_trip(capsys, tmp_path):
     assert "valid" in out
 
 
+def test_approx_check_multiplies_free_int_as_integers(capsys, tmp_path):
+    pair_path = tmp_path / "pair.json"
+    run(capsys, "approx", "integers", "--values=0,1,5", "--out", str(pair_path))
+    pair = json.loads(pair_path.read_text())
+    pair["map"] = {"0": 1, "1": 3, "5": 4}  # injective, but 0 + 0 = 0 breaks
+    pair_path.write_text(json.dumps(pair))
+    code, data, _ = run_json(capsys, "approx", "check", "--pair", str(pair_path),
+                             "--host", "free:int", "--words=0,1,5", "--json")
+    assert code == 3
+    assert (data["reason"], data["counterexample"]) == ("product", ["0", "0", "0"])
+    code, _, err = run(capsys, "approx", "check", "--pair", str(pair_path),
+                       "--host", "free:int", "--words=0,x")
+    assert (code, err) == (1, "error: --words: 'x' is not an integer\n")
+
+
 def test_approx_check_wrap(capsys, tmp_path):
     out_path = tmp_path / "s.json"
     code, _, _ = run(capsys, "lwf", "build", "--preset", "s", "--n", "1",
@@ -399,6 +414,11 @@ def test_lwf_build_and_check(capsys, tmp_path):
     assert code == 0
 
 
+def test_lwf_build_names_the_subset_bound(capsys):
+    code, out, err = run(capsys, "lwf", "build", "--preset", "t", "--n", "0")
+    assert (code, out, err) == (1, "", "error: the subset bound n must be at least 1\n")
+
+
 def test_lwf_words(capsys):
     code, data, _ = run_json(capsys, "lwf", "words", "--preset", "t", "--n", "1",
                              "--json")
@@ -437,8 +457,44 @@ def test_eq_bfs_then_replay(capsys, tmp_path):
 
 
 def test_replay_rejects_broken_path(capsys):
-    code, _, _ = run(capsys, "replay", "--preset", "q", "--words", "xca,bogus")
+    code, _, _ = run(capsys, "replay", "--preset", "q", "--words", "xca,xca")
     assert code == 3
+    # o, g, u and s are no letters of q, so bogus names no element: a data error
+    code, out, err = run(capsys, "replay", "--preset", "q", "--words", "xca,bogus")
+    assert (code, out) == (1, "")
+    assert "outside the q alphabet" in err and "Traceback" not in err
+
+
+def test_replay_checks_its_words(capsys):
+    code, out, err = run(capsys, "replay", "--preset", "t", "--words", "zz")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_eq_closure_names_the_side_searched(capsys):
+    # the class of ae is {ae, ed}
+    code, data, _ = run_json(capsys, "eq", "--preset", "t", "--u", "ae", "--v", "a",
+                             "--json")
+    assert code == 3
+    assert data["evidence"]["kind"] == "closure"
+    assert (data["evidence"]["side"], data["evidence"]["closure_size"]) == ("left", 2)
+
+
+def test_eq_sm_by_normal_forms(capsys):
+    code, data, _ = run_json(capsys, "eq", "--preset", "sm:3", "--u", "eeeee",
+                             "--v", "e", "--json")
+    assert code == 0
+    assert (data["method"], data["status"]) == ("nf", "equal")
+    assert data["evidence"] == {"kind": "normal_form", "left": "e", "right": "e"}
+
+
+@pytest.mark.parametrize("preset", ["sm:3", "fn:2"])
+def test_eq_bfs_outside_the_bounded_oracle_is_a_usage_error(capsys, preset):
+    code, out, err = run(capsys, "eq", "--preset", preset, "--u", "e", "--v", "e",
+                         "--method", "bfs")
+    assert (code, out) == (1, "")
+    assert err == (f"error: the bounded oracle covers the presets q, s, t, c, "
+                   f"not '{preset}'\n")
 
 
 def test_replay_on_a_preset_without_relations_is_a_data_error(capsys):

@@ -12,6 +12,9 @@ import lef.oracle
 from conftest import WORD_LETTERS, all_words, bounded_closure
 from lef.constructors import build_fn
 from lef.oracle import (
+    DEFAULT_NODE_BOUND,
+    EqualityVerdict,
+    _search_verdict,
     congruence_class,
     equal_to_any,
     one_step_words,
@@ -27,7 +30,7 @@ from lef.words import separating_quantity
 
 
 # ---------------------------------------------------------------------------
-# normal-form oracle (confluent systems only)
+# normal-form oracle (q, fn:<n> and sm:<m>)
 
 
 def test_word_equal_nf_q():
@@ -52,10 +55,26 @@ def test_word_equal_nf_rejects_non_confluent_presets():
 
 @pytest.mark.parametrize("preset", ["q", "fn:1", "t", "s", "c", "sm:3"])
 def test_the_empty_word_is_no_element(preset):
-    check = word_equal_nf if preset in ("q", "fn:1") else word_equal_bfs
+    check = word_equal_nf if preset in ("q", "fn:1", "sm:3") else word_equal_bfs
     for u, v in (("", ""), ("", "e"), ("a", "")):
         with pytest.raises(ValueError, match="the empty word names no element"):
             check(preset, u, v)
+
+
+def test_word_equal_nf_sm_by_canonical_forms():
+    verdict = word_equal_nf("sm:3", "eeeee", "e")
+    assert verdict == EqualityVerdict(
+        "equal", {"kind": "normal_form", "left": "e", "right": "e"})
+    assert word_equal_nf("sm:3", "ee", "e").status == "distinct"
+
+
+@pytest.mark.parametrize("preset", ["sm:3", "fn:2", "bicyclic4", "zzz"])
+def test_the_bounded_oracle_has_one_gate(preset):
+    message = f"the bounded oracle covers the presets q, s, t, c, not '{preset}'"
+    with pytest.raises(ValueError, match=message):
+        word_equal_bfs(preset, "e", "e")
+    with pytest.raises(ValueError, match=message):
+        equal_to_any(preset, "e", ["e"])
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +199,30 @@ def test_bfs_identical_words():
     assert verdict.status == "equal"
 
 
+def test_a_closure_names_the_side_that_was_searched():
+    # the class of ae is {ae, ed}; the class of a is {a}
+    verdict = word_equal_bfs("t", "ae", "a")
+    assert verdict == _search_verdict("t", "ae", ("a",), None, DEFAULT_NODE_BOUND)
+    assert (verdict.evidence["side"], verdict.evidence["closure_size"]) == ("left", 2)
+    assert congruence_class("t", "ae", 8) == {"ae", "ed"}
+
+
+def test_every_closure_verdict_is_the_class_of_the_side_it_names():
+    # every ordered pair of words of length <= 2; a closure under the default
+    # length bound lies within that bound, so congruence_class finds it whole
+    for preset in ("t", "s", "c"):
+        short = all_words(WORD_LETTERS[preset], 2)
+        for u in short:
+            for v in short:
+                ev = word_equal_bfs(preset, u, v).evidence
+                if ev["kind"] != "closure":
+                    continue
+                named, other = (u, v) if ev["side"] == "left" else (v, u)
+                members = congruence_class(preset, named, len(u) + len(v) + 4)
+                assert members is not None and len(members) == ev["closure_size"]
+                assert other not in members
+
+
 def test_a_bounded_verdict_memo_evicts_and_gives_the_same_verdicts(monkeypatch):
     queries = [("t", "xcd", "xe"), ("q", "a", "b"), ("c", "ax", "cx"), ("c", "ax", "by"),
                ("t", "xe", "xcd")]
@@ -201,6 +244,11 @@ def test_a_bounded_verdict_memo_evicts_and_gives_the_same_verdicts(monkeypatch):
     assert small.cache_info().hits == hits + 2
     word_equal_bfs("t", "xe", "xcd")
     assert small.cache_info().hits == hits + 2
+    # the memo keys the pair in the order asked: the reversed pair is a miss
+    word_equal_bfs("t", "xcd", "xe")
+    assert small.cache_info().hits == hits + 2
+    word_equal_bfs("t", "xe", "xcd")
+    assert small.cache_info().hits == hits + 3
 
 
 def test_a_rebuilt_system_under_a_checked_name_gets_its_own_confluence_check(monkeypatch):
@@ -228,7 +276,7 @@ def test_bfs_rejects_unknown_preset():
 
 
 # ---------------------------------------------------------------------------
-# the one entry point: normal forms for q and fn:<n>, the bounded oracle else
+# the one entry point: normal forms for q, fn:<n> and sm:<m>, the bounded oracle else
 
 
 @pytest.mark.parametrize("preset, u, v, status", [
@@ -248,7 +296,7 @@ def test_bfs_rejects_unknown_preset():
     ("sm:3", "ee", "e", "distinct"),
 ])
 def test_word_equal_matches_the_oracle_it_dispatches_to(preset, u, v, status):
-    direct = word_equal_nf if preset in ("q", "fn:2") else word_equal_bfs
+    direct = word_equal_nf if preset in ("q", "fn:2", "sm:3") else word_equal_bfs
     verdict = word_equal(preset, u, v)
     assert verdict == direct(preset, u, v)
     assert verdict.status == status
@@ -268,11 +316,19 @@ def test_invariant_separates():
 def test_replay_path_rejects_bad_paths():
     assert not replay_path("q", [])
     assert not replay_path("q", ["xca", "xca"])  # not one relation step
-    assert not replay_path("q", ["xca", "bogus"])
+    assert not replay_path("q", ["xca", "xb"])
+    with pytest.raises(ValueError, match="outside"):
+        replay_path("q", ["xca", "bogus"])  # o, g, u and s are no letters of q
     assert replay_path("q", ["xca", "xe"])
     assert replay_path("q", ["xca", "xac", "xca"])  # revisiting is allowed
     with pytest.raises(ValueError, match="has no defining relations"):
         replay_path("bicyclic4", ["a", "b"])  # a partial table, not a presentation
+
+
+@pytest.mark.parametrize("word", ["zz", ""])
+def test_replay_path_checks_its_words(word):
+    with pytest.raises(ValueError):
+        replay_path("t", [word])
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +358,8 @@ def test_equal_to_any_rejects_bad_arguments():
 
 def test_equal_to_any_has_no_normal_form_path():
     # fn:<n> has a confluent system but no defining relations to search
-    with pytest.raises(ValueError, match="defining relations"):
+    with pytest.raises(ValueError, match="the bounded oracle covers the presets "
+                                         "q, s, t, c, not 'fn:2'"):
         equal_to_any("fn:2", "xa", ["xe"])
 
 
