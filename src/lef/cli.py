@@ -23,14 +23,14 @@ from .approx import (ApproxPair, FiniteSubset, WrapMap, approx_integers,
 from .fsg import (CLASS_FILTERS, MulTable, PartialTable, classify, enumerate_groups,
                   enumerate_semigroups, green)
 from .lwf import build_lwf_wrapping, enumerate_preaccurate
-from .oracle import (DEFAULT_NODE_BOUND, check_words, replay_path, word_equal_bfs,
-                     word_equal_nf)
+from .oracle import DEFAULT_NODE_BOUND, replay_path, word_equal_bfs, word_equal_nf
 from .presets import (PRESENTATIONS, bicyclic4_table, has_normal_forms, preset_letters,
                       preset_presentation, preset_system)
 from .rewrite import (check_local_confluence, check_termination_order,
                       leftmost_reductions, normal_form, random_normal_form,
                       reduce_once)
 from .search import embed_partial_table, malcev_witness_table, relational_assignments
+from .words import check_words
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -575,11 +575,15 @@ def _cmd_eq(args) -> int:
     if method == "auto":
         method = "nf" if has_normal_forms(pid) else "bfs"
     if method == "nf":
+        if args.length_bound is not None or args.node_bound is not None:
+            raise CliError("--length-bound and --node-bound bound only the search "
+                           "of --method bfs (presets q, s, t, c); normal forms "
+                           "take no bounds")
         verdict = word_equal_nf(pid, args.u, args.v)
     else:
+        node_bound = DEFAULT_NODE_BOUND if args.node_bound is None else args.node_bound
         verdict = word_equal_bfs(pid, args.u, args.v,
-                                 length_bound=args.length_bound,
-                                 node_bound=args.node_bound)
+                                 length_bound=args.length_bound, node_bound=node_bound)
     payload = {"preset": pid, "u": args.u, "v": args.v, "method": method,
                **verdict.as_json()}
     lines = [f"verdict: {verdict.status}"]
@@ -857,7 +861,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", required=True)
     p.add_argument("--method", choices=("auto", "nf", "bfs"), default="auto")
     p.add_argument("--length-bound", type=_step_count, default=None)
-    p.add_argument("--node-bound", type=_step_count, default=DEFAULT_NODE_BOUND)
+    p.add_argument("--node-bound", type=_step_count, default=None,
+                   help=f"nodes the bfs search may visit (default {DEFAULT_NODE_BOUND:,})")
     p.set_defaults(handler=_cmd_eq)
 
     p = sub.add_parser("replay", parents=[common],

@@ -19,7 +19,7 @@ import numpy as np
 from .fsg import MulTable, is_completely_simple, is_group
 from .presets import build_fn_system, preset_letters
 from .rewrite import RewriteSystem, normal_form
-from .words import block_count_s
+from .words import block_count_s, check_words
 
 _FN_CACHE_SIZE = 16  # F_n handles build_fn keeps; the least recently used goes first
 
@@ -392,8 +392,7 @@ class FnHandle:
 
     def element(self, word: str) -> str:
         """Normal form of the word, or the zero sentinel."""
-        if not word:
-            raise ValueError("the empty word names no element")
+        check_words(f"fn:{self.n}", (word,))
         nf = normal_form(self.system, word)
         return self.zero if block_count_s(nf) > self.n else nf
 

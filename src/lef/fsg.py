@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -232,9 +232,6 @@ class GreenRelations:
     l_classes: list[tuple[int, ...]]
     h_classes: list[tuple[int, ...]]
     j_classes: list[tuple[int, ...]]
-    leq_r: np.ndarray = field(repr=False)  # leq[x, y] iff x lies below y
-    leq_l: np.ndarray = field(repr=False)
-    leq_j: np.ndarray = field(repr=False)
 
     @property
     def r_trivial(self) -> bool:
@@ -286,16 +283,11 @@ def green(mt: MulTable) -> GreenRelations:
     (x = s(yt) with u = yt), so the J order is the boolean product of the L
     and R orders."""
     leq_r, leq_l = (leq[0] for leq in _preorders(mt.table[None]))
-    leq_j = leq_l @ leq_r
-    leq_h = leq_r & leq_l
     return GreenRelations(
         r_classes=_classes_from_leq(leq_r),
         l_classes=_classes_from_leq(leq_l),
-        h_classes=_classes_from_leq(leq_h),
-        j_classes=_classes_from_leq(leq_j),
-        leq_r=leq_r,
-        leq_l=leq_l,
-        leq_j=leq_j,
+        h_classes=_classes_from_leq(leq_r & leq_l),
+        j_classes=_classes_from_leq(leq_l @ leq_r),
     )
 
 

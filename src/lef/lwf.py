@@ -15,7 +15,7 @@ a class that closed under the length bound is in the subset exactly when
 the lookup finds it; for q the lookup is by normal form.  Only a word
 sharing its conserved quantities with a class that stays open costs an
 oracle call, ``equal_to_any`` against the representatives of the open
-classes.  Both carriers (``quotient_by_length_ideal`` for t,
+classes that share them.  Both carriers (``quotient_by_length_ideal`` for t,
 ``sm_ideal_quotient`` for s) are product rules on word codes, so a wrapping
 map stores only the canonical forms of the pre-accurate words and one
 fallback word, never a table.
@@ -28,17 +28,10 @@ from dataclasses import dataclass
 
 from .approx import FiniteSubset, WrapMap
 from .constructors import quotient_by_length_ideal, sm_ideal_quotient
-from .oracle import (check_words, congruence_class, equal_to_any, normal_form_map,
-                     sm_canonical, word_equal)
+from .oracle import (congruence_class, equal_to_any, normal_form_map, sm_canonical,
+                     word_equal)
 from .presets import PRESENTATIONS, has_normal_forms, preset_letters
-from .words import conserved_vector, e_reduced_length
-
-
-def _quantity_key(w: str, preset: str) -> tuple:
-    """Hashable form of w's conserved quantities.  Two words share a key
-    exactly when no conserved quantity separates them, so words with
-    different keys are distinct in the host."""
-    return tuple(conserved_vector(w, preset).items())
+from .words import check_words, conserved_vector, e_reduced_length
 
 
 @dataclass(frozen=True)
@@ -99,11 +92,13 @@ def enumerate_preaccurate(preset: str, n: int,
     connected component of the one-step graph), so a word in it is in the
     subset, and a word outside every closed class is not, unless it shares
     its conserved quantities with a class that stayed open (s: the class of
-    ax, which pumps a e^k x).  Such a word goes through one ``equal_to_any``
-    call against the open classes' representatives, whose length bound is
-    the word's length plus the longest of those sharing its quantities plus
-    4.  No closed class can hold the word, so its representative would add
-    nothing to the search.  For a word shorter than cap - n that bound is
+    ax, which pumps a e^k x).  The open classes' representatives are kept
+    by their key (``words.conserved_vector``), and such a word goes through
+    one ``equal_to_any`` call against the representatives under its own key,
+    with length bound the word's length plus the longest of them plus 4.
+    A representative under another key is separated from the word by a
+    quantity, and no closed class can hold the word, so neither would add
+    anything to the search.  For a word shorter than cap - n that bound is
     below the walk's, so the lookup settles a word whose path to its
     representative, or whose separating closure, passes the shorter bound:
     a search per candidate would have left it open.  For q each class is
@@ -128,23 +123,25 @@ def enumerate_preaccurate(preset: str, n: int,
     form = normal_form_map(pid) if has_normal_forms(pid) else None
     reps: list[str] = []
     closed: set[str] = set()    # every word of a class that closed
-    open_reps: list[str] = []   # reps whose class stays open
-    open_keys: set[tuple] = set()
+    # the reps whose class stays open, by their conserved-quantity key
+    open_classes: dict[tuple, list[str]] = {}
 
     def in_subset(w: str) -> bool | None:
         if (form(w) if form else w) in closed:
             return True
-        if not open_keys or _quantity_key(w, pid) not in open_keys:
+        same = open_classes and open_classes.get(conserved_vector(w, pid))
+        if not same:
             return False
-        status = equal_to_any(pid, w, open_reps).status
+        status = equal_to_any(pid, w, same).status
         return None if status == "unknown" else status == "equal"
 
     for w in base_words:
         verdict = in_subset(w)
         if verdict is None:
             # name the pairs left open, as the pairwise oracle sees them
-            open_pairs = [r for r in open_reps
-                          if word_equal(pid, w, r).status == "unknown"] or open_reps
+            same = open_classes[conserved_vector(w, pid)]
+            open_pairs = [r for r in same
+                          if word_equal(pid, w, r).status == "unknown"] or same
             raise RuntimeError(
                 f"cannot partition the defining words: {w!r} vs "
                 f"{', '.join(map(repr, open_pairs))} is undecided")
@@ -158,8 +155,7 @@ def enumerate_preaccurate(preset: str, n: int,
         if members is not None:
             closed |= members
         else:
-            open_reps.append(w)
-            open_keys.add(_quantity_key(w, pid))
+            open_classes.setdefault(conserved_vector(w, pid), []).append(w)
 
     by_length: dict[int, list[str]] = {
         ell: ["".join(t) for t in itertools.product(letters, repeat=ell)]
@@ -191,11 +187,11 @@ def fallback_element(preset: str, bound: int) -> str:
     guaranteed to lie outside the length-bound subset."""
     pid = preset.lower()
     letters = sorted(preset_letters(pid))
-    shorter = {_quantity_key("".join(t), pid) for ell in range(1, bound + 1)
+    shorter = {conserved_vector("".join(t), pid) for ell in range(1, bound + 1)
                for t in itertools.product(letters, repeat=ell)}
     for t in itertools.product(letters, repeat=bound + 1):
         w = "".join(t)
-        if _quantity_key(w, pid) not in shorter:
+        if conserved_vector(w, pid) not in shorter:
             return w
     raise RuntimeError(f"no invariant-separated word of length {bound + 1} "
                        f"over preset {pid}")

@@ -11,7 +11,8 @@ meeting, or the bounds ran out.  ``word_equal`` dispatches to
 one target), ``equal_to_any`` runs the bounded oracle against several
 targets, and ``congruence_class`` lists a word's whole class when it stays
 under a length bound.  Each entry, ``replay_path`` included, checks its words
-once (``check_words``) against the preset's letters.
+once with ``words.check_words``; the quantities and the one-step successors
+come from ``words`` too.
 
 ``equal_to_any`` asks whether a word equals one of several targets with one
 search: side 1 starts from every target that no quantity separates from the
@@ -37,7 +38,7 @@ from .constructors import build_fn
 from .presets import (PRESENTATIONS, Q_SYSTEM, family_parameter, has_normal_forms,
                       preset_letters, preset_presentation)
 from .rewrite import check_local_confluence, normal_form
-from .words import check_letters, one_step_words, separating_quantity
+from .words import check_letters, check_words, one_step_words, separating_quantity
 
 
 @dataclass(frozen=True)
@@ -71,16 +72,6 @@ def _ensure_locally_confluent(system) -> None:
             f"system {system.name} is not locally confluent: "
             f"{pair.joint!r} splits to {pair.left_result!r} / {pair.right_result!r}")
     _confluence_checked.append(key)
-
-
-def check_words(pid: str, words) -> None:
-    """Every word names an element of the preset: it is nonempty and spelled
-    in the preset's letters."""
-    letters = preset_letters(pid)
-    for w in words:
-        if not w:
-            raise ValueError("the empty word names no element")
-        check_letters(w, letters, pid)
 
 
 def normal_form_map(preset: str):

@@ -1,8 +1,12 @@
-"""Words over a preset's letters (``presets.preset_letters``): single
-applications of defining relations, the block count and e-reduced length that
-size the finite carriers, and the conserved quantities that no relation step
-of a preset changes (and that therefore tell elements apart), read from one
-table of letter groups per preset."""
+"""Facts about a word over a preset's letters (``presets.preset_letters``).
+
+``check_words`` is the one test that a word names an element (nonempty, and
+spelled in the preset's letters by ``check_letters``, the one letter test).
+Besides it: single applications of defining relations, the block count and
+e-reduced length that size the finite carriers, and the conserved quantities
+that no relation step of a preset changes (and that therefore tell elements
+apart), read from one table of letter groups per preset into one hashable
+key, ``conserved_vector``."""
 
 from __future__ import annotations
 
@@ -11,10 +15,20 @@ from .presets import preset_letters
 
 def check_letters(word: str, alphabet: str, preset: str) -> None:
     """Raise ValueError when the word uses letters outside the alphabet."""
-    bad = set(word) - set(alphabet)
-    if bad:
+    if word.strip(alphabet):   # a letter outside the alphabet stops the strip
+        bad = set(word) - set(alphabet)
         raise ValueError(f"word {word!r} uses letters {sorted(bad)} outside "
                          f"the {preset} alphabet {alphabet!r}")
+
+
+def check_words(pid: str, words) -> None:
+    """Every word names an element of the preset: it is nonempty and spelled
+    in the preset's letters."""
+    letters = preset_letters(pid)
+    for w in words:
+        if not w:
+            raise ValueError("the empty word names no element")
+        check_letters(w, letters, pid)
 
 
 def one_step_words(w: str, relations) -> list[str]:
@@ -43,9 +57,7 @@ def block_count_s(w: str) -> int:
     Within a maximal run over {x,b} every x starts a new block, plus one block
     for a leading b-run.  Defined only over the s letters.
     """
-    if not _LETTERS["s"].issuperset(w):
-        raise ValueError(f"block_count_s needs alphabet {''.join(sorted(_LETTERS['s']))}, "
-                         f"got letter(s) {sorted(set(w) - _LETTERS['s'])}")
+    check_letters(w, preset_letters("s"), "s")
     blocks = 0
     prev = None  # previous character inside the current {x,b} run, else None
     for ch in w:
@@ -78,13 +90,12 @@ _LETTER_GROUPS = {
           ("suffix_ade_count", "ade")),
     "c": None,
 }
-# the letters each of these presets' words may use, as sets built once
-_LETTERS = {p: frozenset(preset_letters(p)) for p in _LETTER_GROUPS}
 
 
-def conserved_vector(w: str, preset: str) -> dict[str, int]:
+def conserved_vector(w: str, preset: str) -> tuple[tuple[str, int], ...]:
     """The quantities of w that single applications of the preset's relations
-    preserve, by name, in a fixed order.
+    preserve, as (name, value) pairs in a fixed order: a hashable key that two
+    words share exactly when no conserved quantity separates them.
 
     q, s, t: x_count, the balance of two letter groups (e.g.
     diff_a_minus_bc), then the counts before the first x and after the last x
@@ -94,34 +105,31 @@ def conserved_vector(w: str, preset: str) -> dict[str, int]:
     key = preset.lower()
     if key not in _LETTER_GROUPS:
         raise ValueError(f"no conserved-quantity registry for preset {preset!r}")
-    if not _LETTERS[key].issuperset(w):
-        raise ValueError(f"word {w!r} not over the {preset} alphabet "
-                         f"{preset_letters(key)!r}")
+    check_letters(w, preset_letters(key), key)
     groups = _LETTER_GROUPS[key]
     if groups is None:
-        return {"length": len(w)}
+        return (("length", len(w)),)
     (balance, plus, minus), (prefix, before), (suffix, after) = groups
-    out = {
-        "x_count": w.count("x"),
-        balance: sum(map(w.count, plus)) - sum(map(w.count, minus)),
-    }
+    out = (("x_count", w.count("x")),
+           (balance, sum(map(w.count, plus)) - sum(map(w.count, minus))))
     first = w.find("x")
-    if first >= 0:
-        head, tail = w[:first], w[w.rfind("x") + 1:]
-        out[prefix] = sum(map(head.count, before))
-        out[suffix] = sum(map(tail.count, after))
-    return out
+    if first < 0:
+        return out
+    head, tail = w[:first], w[w.rfind("x") + 1:]
+    return out + ((prefix, sum(map(head.count, before))),
+                  (suffix, sum(map(tail.count, after))))
 
 
 def separating_quantity(u: str, v: str, preset: str) -> str | None:
     """Name of the first conserved quantity that differs between u and v, if any.
 
-    Quantities defined for only one of the two words (prefix/suffix statistics
-    on an x-free word) never separate.
+    The two keys are compared position by position: their names line up
+    unless x_count differs, and x_count comes first, so a quantity defined
+    for only one of the two words (prefix/suffix statistics on an x-free
+    word) never separates them.
     """
-    qu = conserved_vector(u, preset)
-    qv = conserved_vector(v, preset)
-    for name, val in qu.items():
-        if name in qv and qv[name] != val:
+    for (name, a), (_, b) in zip(conserved_vector(u, preset),
+                                 conserved_vector(v, preset)):
+        if a != b:
             return name
     return None

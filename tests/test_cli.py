@@ -497,6 +497,23 @@ def test_eq_bfs_outside_the_bounded_oracle_is_a_usage_error(capsys, preset):
                    f"not '{preset}'\n")
 
 
+@pytest.mark.parametrize("bound", ["--node-bound", "--length-bound"])
+def test_eq_bounds_by_normal_forms_are_a_usage_error(capsys, bound):
+    # q is answered by normal forms, which a search bound would not limit
+    for method in ("auto", "nf"):
+        code, out, err = run(capsys, "eq", "--preset", "q", "--u", "xca", "--v", "xe",
+                             "--method", method, bound, "0")
+        assert (code, out) == (1, "")
+        assert "--method bfs" in err and "Traceback" not in err
+    # the bounds still bound the search, on t and on q by --method bfs
+    code, data, _ = run_json(capsys, "eq", "--preset", "t", "--u", "xcd", "--v", "xe",
+                             bound, "5", "--json")
+    assert (code, data["evidence"]["path"]) == (0, ["xcd", "xe"])
+    code, data, _ = run_json(capsys, "eq", "--preset", "q", "--u", "xca", "--v", "xe",
+                             "--method", "bfs", bound, "0", "--json")
+    assert (code, data["status"], data["evidence"]["kind"]) == (3, "unknown", "bound")
+
+
 def test_replay_on_a_preset_without_relations_is_a_data_error(capsys):
     code, _, err = run(capsys, "replay", "--preset", "bicyclic4", "--words", "a,b")
     assert code == 1

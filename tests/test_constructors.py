@@ -258,6 +258,12 @@ def test_build_fn_rejects_bad_n():
         build_fn(0)
 
 
+def test_fn_element_checks_its_word():
+    # the word is checked before the rewriting engine sees it
+    with pytest.raises(ValueError, match=r"\['z'\] outside the fn:1 alphabet"):
+        build_fn(1).element("zz")
+
+
 def test_fn_zero_absorbs():
     fn = build_fn(1)
     # mul takes words over the presentation alphabet, not element names

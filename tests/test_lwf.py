@@ -17,7 +17,7 @@ from lef.lwf import (
     sm_ideal_quotient,
 )
 from lef.oracle import congruence_class, equal_to_any, sm_canonical, word_equal
-from lef.words import e_reduced_length
+from lef.words import conserved_vector, e_reduced_length
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_preaccurate_asks_the_oracle_only_in_open_buckets(monkeypatch):
     assert open_reps == ["ax"]
     assert asked and len(asked) == len(set(asked))
     assert target_lists == {("ax",)}
-    assert {lef.lwf._quantity_key(w, "s") for w in asked} == {lef.lwf._quantity_key("ax", "s")}
+    assert {conserved_vector(w, "s") for w in asked} == {conserved_vector("ax", "s")}
     # q's classes are its representatives' normal forms: no search at all
     asked.clear()
     enumerate_preaccurate("q", 2, length_cap=8)

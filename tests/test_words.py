@@ -1,4 +1,4 @@
-"""Block counts, e-reduced length and conserved quantities."""
+"""Word checks, block counts, e-reduced length and conserved quantities."""
 
 import itertools
 
@@ -8,6 +8,7 @@ from conftest import WORD_LETTERS, all_words
 from lef.presets import PRESENTATIONS, preset_letters
 from lef.words import (
     block_count_s,
+    check_letters,
     conserved_vector,
     e_reduced_length,
     one_step_words,
@@ -32,6 +33,19 @@ def test_block_count_s_rejects_foreign_letters():
         block_count_s("ad")
 
 
+@pytest.mark.parametrize("fact, word, preset", [
+    (block_count_s, "ad", "s"),
+    (lambda w: conserved_vector(w, "t"), "ay", "t"),
+    (lambda w: conserved_vector(w, "s"), "xdx", "s"),  # inside the word
+])
+def test_word_facts_share_one_letter_test(fact, word, preset):
+    with pytest.raises(ValueError) as expected:
+        check_letters(word, preset_letters(preset), preset)
+    with pytest.raises(ValueError) as got:
+        fact(word)
+    assert str(got.value) == str(expected.value)
+
+
 def test_e_reduced_length():
     assert e_reduced_length("") == 0
     assert e_reduced_length("eee") == 0
@@ -53,9 +67,9 @@ def test_alphabets():
 
 def test_conserved_vector_q():
     # names in this order: separating_quantity reports the first that differs
-    assert list(conserved_vector("xca", "q").items()) == [
+    assert conserved_vector("xca", "q") == (
         ("x_count", 1), ("diff_a_minus_bc", 0),  # one a, one c
-        ("prefix_a_count", 0), ("suffix_ae_count", 1)]
+        ("prefix_a_count", 0), ("suffix_ae_count", 1))
 
 
 @pytest.mark.parametrize("preset, word, quantities", [
@@ -67,11 +81,12 @@ def test_conserved_vector_q():
     ("c", "axyu", [("length", 4)]),
 ])
 def test_conserved_vector_s_t_c(preset, word, quantities):
-    assert list(conserved_vector(word, preset).items()) == quantities
+    assert list(conserved_vector(word, preset)) == quantities
+    assert isinstance(hash(conserved_vector(word, preset)), int)  # a key
 
 
 def test_conserved_vector_rejects_foreign_letters_and_presets():
-    with pytest.raises(ValueError, match="not over the t alphabet"):
+    with pytest.raises(ValueError, match="outside the t alphabet"):
         conserved_vector("ay", "t")
     with pytest.raises(ValueError, match="no conserved-quantity registry"):
         conserved_vector("a", "fn:2")
