@@ -232,12 +232,9 @@ def _cmd_confluence(args) -> int:
         "resolved": report.resolved,
         "locally_confluent": report.locally_confluent,
         "unresolved": [
-            {"joint": cp.joint, "left": cp.left_result,
-             "right": cp.right_result,
-             "rule1": {"id": cp.rule1[0], "assignment": cp.rule1[1],
-                       "position": cp.rule1[2]},
-             "rule2": {"id": cp.rule2[0], "assignment": cp.rule2[1],
-                       "position": cp.rule2[2]}}
+            {"joint": cp.joint, "left": cp.left_result, "right": cp.right_result,
+             **{key: {"id": rid, "assignment": asg, "position": pos}
+                for key, (rid, asg, pos) in (("rule1", cp.rule1), ("rule2", cp.rule2))}}
             for cp in report.unresolved[:_SAMPLE_CAP]
         ],
     }

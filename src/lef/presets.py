@@ -69,6 +69,7 @@ PRESENTATIONS: dict[str, Presentation] = {
         relations=(("ax", "by"), ("cx", "dy"), ("au", "bv")),
     ),
 }
+_FIXED_LETTERS = {pid: "".join(p.generators) for pid, p in PRESENTATIONS.items()}
 
 
 def sm_presentation(m: int) -> Presentation:
@@ -233,10 +234,11 @@ def preset_presentation(preset_id: str) -> Presentation:
 
 def preset_letters(preset_id: str) -> str:
     """The letters of a word preset: its presentation's generators, and for
-    fn:<n> its system's alphabet."""
-    if preset_id.lower().startswith("fn:"):
-        return REWRITE_ORDER
-    return "".join(preset_presentation(preset_id).generators)
+    fn:<n> its system's alphabet; the fixed presets' are joined once, at import."""
+    if preset_id in _FIXED_LETTERS:
+        return _FIXED_LETTERS[preset_id]
+    return REWRITE_ORDER if preset_id.lower().startswith("fn:") else \
+        "".join(preset_presentation(preset_id).generators)
 
 
 def preset_system(preset_id: str) -> RewriteSystem:

@@ -44,6 +44,8 @@ forms, which the verify campaigns (``check_local_confluence`` and
 ``appendix.verify_appendix``) share.  Leftmost reduction is deterministic, so
 every word on a chain w -> w1 -> ... -> v has v as its leftmost normal form,
 confluent system or not, and each word is reduced once per campaign.
+``check_local_confluence`` streams the critical pairs (``_overlaps``, which
+``critical_pairs`` lists) and keeps only the memo and the unresolved pairs.
 """
 
 from __future__ import annotations
@@ -712,21 +714,22 @@ def leftmost_reductions(system: RewriteSystem, w: str, step_limit: int | None = 
 def normal_form(system: RewriteSystem, w: str, step_limit: int | None = None,
                 memo: dict[str, str] | None = None) -> str:
     """The end of w's chain of ``_steps``.  With ``memo`` (words to their leftmost
-    normal forms) the walk stops at the first word that is a key, so the step
-    limit counts only the steps taken, and maps every word it stepped through and
-    the word it reached to the result; nothing is recorded past the step limit."""
+    normal forms) the walk stops at the first key (at once if w is one), so the
+    step limit counts only the steps taken; unless it is passed, every word the
+    walk stepped through and the word it reached are mapped to the result."""
+    if memo is not None and w in memo:
+        return memo[w]
     walk = _steps(system, w, _step_limit(step_limit))
     if memo is None:
         for w, _ in walk:
             pass
         return w
     chain: list[str] = []  # the words stepped through
-    while w not in memo:
-        step = next(walk, None)
-        if step is None:
-            break
+    for new, _ in walk:
         chain.append(w)
-        w = step[0]
+        w = new
+        if w in memo:
+            break
     result = memo.setdefault(w, w)  # w is a key, or the irreducible end
     memo.update(dict.fromkeys(chain, result))
     return result
@@ -766,8 +769,7 @@ def instantiate_all(system: RewriteSystem, exponent_bound: int):
     for m in system._matchers:
         checks = compile_conditions(m.schema.conditions, system.parameter_n)
         for assignment in bounded_assignments(checks, m.schema.variables, exponent_bound):
-            lhs, rhs = m.instance(assignment)
-            yield m.schema, assignment, lhs, rhs
+            yield m.schema, assignment, *m.instance(assignment)
 
 
 @dataclass
@@ -812,12 +814,11 @@ class CriticalPair:
     right_result: str
     rule1: tuple  # (rule id, assignment, position in joint)
     rule2: tuple
-    resolved_to: str | None = None
 
 
-def critical_pairs(system: RewriteSystem, exponent_bound: int) -> list[CriticalPair]:
-    """All overlaps (shared letters, including containment) between bounded
-    instances of the left-hand sides, each with its two one-step results.
+def _overlaps(system: RewriteSystem, exponent_bound: int):
+    """Yield the critical pairs as (joint, left result, right result, (id1, asg1,
+    p1), (id2, asg2, p2)), with each instance's one assignment dict shared.
 
     Instances are numbered in ``instantiate_all`` order.  A pair is l1 (number
     i) and l2 (number j) with l2 placed ``shift`` letters right of l1's start
@@ -833,8 +834,7 @@ def critical_pairs(system: RewriteSystem, exponent_bound: int) -> list[CriticalP
     one with j > i, or with j == i and shift < 0.  The instance against itself
     at shift 0 is no overlap.
     """
-    rules = [(schema.id, assignment, lhs, rhs)
-             for schema, assignment, lhs, rhs in instantiate_all(system, exponent_bound)]
+    rules = list(instantiate_all(system, exponent_bound))
     index: dict[str, list[tuple[int, int]]] = {}
     for j, (_, _, lhs, _) in enumerate(rules):
         for a in range(len(lhs)):
@@ -845,8 +845,7 @@ def critical_pairs(system: RewriteSystem, exponent_bound: int) -> list[CriticalP
     for j, (_, _, lhs, _) in enumerate(rules):
         for i, start in index[lhs]:
             inside[i].append((j, start))
-    out: list[CriticalPair] = []
-    for i, (id1, asg1, l1, r1) in enumerate(rules):
+    for i, (s1, asg1, l1, r1) in enumerate(rules):
         n1 = len(l1)
         # shift >= 0: l2 inside l1, or a prefix of l2 equal to a suffix of l1
         found = [(j, shift) for j, shift in inside[i] if j > i]
@@ -860,16 +859,22 @@ def critical_pairs(system: RewriteSystem, exponent_bound: int) -> list[CriticalP
                       if j >= i and start > 0 and start + k == len(rules[j][2])]
         found.sort()
         for j, shift in found:
-            id2, asg2, l2, r2 = rules[j]
-            n2 = len(l2)
-            joint = (l2[:-shift] if shift < 0 else "") + l1 + \
-                    (l2[n1 - shift:] if shift + n2 > n1 else "")
+            s2, asg2, l2, r2 = rules[j]
             p1, p2 = max(0, -shift), max(0, shift)
-            left = joint[:p1] + r1 + joint[p1 + n1:]
-            right = joint[:p2] + r2 + joint[p2 + n2:]
-            out.append(CriticalPair(joint, left, right,
-                                    (id1, dict(asg1), p1), (id2, dict(asg2), p2)))
-    return out
+            joint = l2[:p1] + l1 + l2[n1 - shift:]  # l2 may stick out on either side
+            yield (joint, joint[:p1] + r1 + joint[p1 + n1:],
+                   joint[:p2] + r2 + joint[p2 + len(l2):], (s1.id, asg1, p1), (s2.id, asg2, p2))
+
+
+def _critical_pair(joint: str, left: str, right: str, *rules: tuple) -> CriticalPair:
+    """A pair of ``_overlaps`` with its own copies of the two assignments."""
+    return CriticalPair(joint, left, right, *((rid, dict(asg), pos) for rid, asg, pos in rules))
+
+
+def critical_pairs(system: RewriteSystem, exponent_bound: int) -> list[CriticalPair]:
+    """All overlaps (shared letters, including containment) between bounded lhs
+    instances, with both one-step results and copied assignments (``_overlaps``)."""
+    return [_critical_pair(*overlap) for overlap in _overlaps(system, exponent_bound)]
 
 
 @dataclass
@@ -885,19 +890,15 @@ class ConfluenceReport:
 
 def check_local_confluence(system: RewriteSystem, exponent_bound: int,
                            step_limit: int | None = None) -> ConfluenceReport:
+    """Whether each pair of ``critical_pairs(system, exponent_bound)`` has one
+    leftmost normal form on both sides.  The pairs stream from ``_overlaps``;
+    kept are the unresolved ones, as ``CriticalPair``s in overlap order, and
+    one ``normal_form`` memo of the distinct words reduced."""
     limit = _step_limit(step_limit)
-    pairs = critical_pairs(system, exponent_bound)
-    nf_cache: dict[str, str] = {}
-
-    def nf(w: str) -> str:
-        return nf_cache[w] if w in nf_cache else normal_form(system, w, limit, memo=nf_cache)
-    unresolved = []
-    resolved = 0
-    for cp in pairs:
-        a, b = nf(cp.left_result), nf(cp.right_result)
-        if a == b:
-            cp.resolved_to = a
-            resolved += 1
-        else:
-            unresolved.append(cp)
-    return ConfluenceReport(total=len(pairs), resolved=resolved, unresolved=unresolved)
+    memo: dict[str, str] = {}
+    total, unresolved = 0, []
+    for joint, left, right, *rules in _overlaps(system, exponent_bound):
+        total += 1
+        if normal_form(system, left, limit, memo) != normal_form(system, right, limit, memo):
+            unresolved.append(_critical_pair(joint, left, right, *rules))
+    return ConfluenceReport(total=total, resolved=total - len(unresolved), unresolved=unresolved)

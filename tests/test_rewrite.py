@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -600,7 +601,6 @@ def test_critical_pairs_resolve():
     assert pairs
     for pair in pairs:
         # the pair records both one-step results; resolution is the checker's job
-        assert pair.resolved_to is None
         assert normal_form(Q_SYSTEM, pair.left_result) == \
             normal_form(Q_SYSTEM, pair.right_result)
     report = check_local_confluence(Q_SYSTEM, 1)
@@ -609,25 +609,11 @@ def test_critical_pairs_resolve():
 
 
 def test_unresolved_pair_is_reported():
-    broken = RewriteSystem(
-        name="broken",
-        alphabet="abc",
-        order="abc",
-        schemas=(make_schema("r1", "ab", "a"), make_schema("r2", "bc", "c")),
-    )
-    # overlap a[b]c: r1 gives ac via a, r2 gives ac via c -> joint word abc
-    # reduces to "ac" both ways only if results match; here r1 on 'abc' -> 'ac',
-    # r2 on 'abc' -> 'ac'; craft a genuinely diverging pair instead
-    diverging = RewriteSystem(
-        name="diverging",
-        alphabet="abc",
-        order="abc",
-        schemas=(make_schema("r1", "ab", "a"), make_schema("r2", "b", "c")),
-    )
-    report = check_local_confluence(diverging, 1)
+    # the one overlap of DIVERGING: r1 gives "a" and r2 gives "ac" from "ab"
+    report = check_local_confluence(DIVERGING, 1)
     assert not report.locally_confluent
-    assert report.unresolved
-    _ = broken
+    assert (report.total, report.resolved) == (1, 0)
+    assert report.unresolved == [CriticalPair("ab", "a", "ac", ("r1", {}, 0), ("r2", {}, 1))]
 
 
 def _reference_critical_pairs(system, bound):
@@ -673,6 +659,36 @@ OVERLAP_CASES = [("q", Q_SYSTEM, bound) for bound in range(4)] + [
                          ids=[f"{name}-{bound}" for name, _, bound in OVERLAP_CASES])
 def test_critical_pairs_match_the_all_pairs_reference(name, system, bound):
     assert critical_pairs(system, bound) == _reference_critical_pairs(system, bound)
+
+
+CONFLUENCE_CASES = OVERLAP_CASES + [("diverging", DIVERGING, 1)]
+
+
+@pytest.mark.parametrize("name, system, bound", CONFLUENCE_CASES,
+                         ids=[f"{name}-{bound}" for name, _, bound in CONFLUENCE_CASES])
+def test_confluence_report_matches_the_listed_pairs(name, system, bound):
+    pairs = critical_pairs(system, bound)
+    unresolved = [pair for pair in pairs if normal_form(system, pair.left_result)
+                  != normal_form(system, pair.right_result)]
+    report = check_local_confluence(system, bound)
+    assert report.total == len(pairs)
+    assert report.resolved == len(pairs) - len(unresolved)
+    assert report.unresolved == unresolved
+    # each kept pair owns its assignments, though the instances' dicts are shared while streaming
+    owned = [rule[1] for pair in report.unresolved for rule in (pair.rule1, pair.rule2)]
+    assert len({id(assignment) for assignment in owned}) == len(owned)
+
+
+def test_local_confluence_keeps_no_list_of_its_pairs():
+    # a list of Q's 5,986 pairs at bound 3, at about 900 bytes a pair, would alone take 5.4 MB
+    tracemalloc.start()
+    try:
+        report = check_local_confluence(Q_SYSTEM, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.total == report.resolved == 5986
+    assert peak < 2.5e6, f"check_local_confluence(Q, 3) peaked at {peak / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("bound", [-1, -2])
