@@ -7,12 +7,13 @@ import json
 import numpy as np
 import pytest
 
+import lef.cli
 import lef.fsg
 from conftest import find_relational_assignments, wrap_from_pair
 from lef.approx import ApproxPair, cyclic_table, subset_from_table
 from lef.cli import main
 from lef.fsg import MulTable, is_clifford, is_completely_simple, is_group, is_j_trivial
-from lef.rewrite import normal_form
+from lef.rewrite import RewriteSystem, make_schema, normal_form
 from lef.oracle import word_equal
 from lef.presets import PRESENTATIONS, PRESET_IDS, Q_SYSTEM, preset_letters, preset_presentation
 
@@ -138,6 +139,22 @@ def test_confluence_verb(capsys):
     assert data["locally_confluent"] is True
     assert data["resolved"] == data["critical_pairs"]
     assert data["unresolved"] == []
+
+
+def test_confluence_verb_names_each_unresolved_pair(capsys, monkeypatch):
+    # "ab" reduces to "a" by r1 and to "ac" by r2, and both are irreducible
+    diverging = RewriteSystem(name="diverging", alphabet="abc", order="abc",
+                              schemas=(make_schema("r1", "ab", "a"), make_schema("r2", "b", "c")))
+    monkeypatch.setattr(lef.cli, "preset_system", lambda pid: diverging)
+    code, data, _ = run_json(capsys, "confluence", "--system", "q", "--bound", "1", "--json")
+    assert code == 3
+    assert (data["critical_pairs"], data["resolved"], data["locally_confluent"]) == (1, 0, False)
+    assert data["unresolved"] == [{"joint": "ab", "left": "a", "right": "ac",
+                                   "rule1": {"id": "r1", "assignment": {}, "position": 0},
+                                   "rule2": {"id": "r2", "assignment": {}, "position": 1}}]
+    code, out, _ = run(capsys, "confluence", "--system", "q", "--bound", "1")
+    assert code == 3
+    assert "UNRESOLVED r1/r2: 'ab' -> 'a' vs 'ac'" in out
 
 
 def test_termination_verb(capsys):
