@@ -12,17 +12,16 @@ from lef.presets import Q_SYSTEM, build_fn_system
 from lef.rewrite import (
     check_local_confluence,
     check_termination_order,
+    leftmost_reductions,
     normal_form,
-    reduction_trace,
 )
 
 
 def show_trace(word: str) -> None:
-    final, steps = reduction_trace(Q_SYSTEM, word)
     print(f"\n  {word}")
-    for step in steps:
+    for step in leftmost_reductions(Q_SYSTEM, word):
         print(f"    --{step.rule_id} at {step.position}--> {step.word}")
-    print(f"  normal form: {final}")
+    print(f"  normal form: {normal_form(Q_SYSTEM, word)}")
 
 
 def main() -> None:

@@ -30,7 +30,7 @@ from .rewrite import (check_local_confluence, check_termination_order,
                       leftmost_reductions, normal_form, random_normal_form,
                       reduce_once)
 from .search import embed_partial_table, malcev_witness_table, relational_assignments
-from .words import check_words
+from .words import check_words, words_up_to
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -506,9 +506,7 @@ def _cmd_lwf_build(args) -> int:
     if args.subset:
         members = _split_words(args.subset, "--subset")
     else:
-        letters = sorted(preset_letters(pid))
-        members = ["".join(t) for ell in range(1, args.n + 1)
-                   for t in itertools.product(letters, repeat=ell)]
+        members = list(words_up_to(pid, args.n))
     wrap = build_lwf_wrapping(pid, members, args.n)
     payload = {
         "preset": pid,

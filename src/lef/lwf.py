@@ -31,7 +31,7 @@ from .constructors import quotient_by_length_ideal, sm_ideal_quotient
 from .oracle import (congruence_class, equal_to_any, normal_form_map, sm_canonical,
                      word_equal)
 from .presets import PRESENTATIONS, has_normal_forms, preset_letters
-from .words import check_words, conserved_vector, e_reduced_length
+from .words import check_words, conserved_vector, e_reduced_length, words_up_to
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,7 @@ def enumerate_preaccurate(preset: str, n: int,
     cap = 2 * n + 4 if length_cap is None else length_cap
     if cap < n:
         raise ValueError(f"length cap {cap} falls below the subset bound {n}")
-    letters = sorted(preset_letters(pid))
-    base_words = tuple("".join(t) for ell in range(1, n + 1)
-                       for t in itertools.product(letters, repeat=ell))
+    base_words = words_up_to(pid, n)
 
     # q: the normal forms decide, so the closed set holds the reps' forms
     form = normal_form_map(pid) if has_normal_forms(pid) else None
@@ -158,8 +156,7 @@ def enumerate_preaccurate(preset: str, n: int,
             open_classes.setdefault(conserved_vector(w, pid), []).append(w)
 
     by_length: dict[int, list[str]] = {
-        ell: ["".join(t) for t in itertools.product(letters, repeat=ell)]
-        for ell in range(1, min(n, cap) + 1)}
+        ell: list(group) for ell, group in itertools.groupby(base_words, len)}
     indeterminate: list[str] = []
     for ell in range(n + 1, cap + 1):
         candidates = sorted({u + v
@@ -187,8 +184,7 @@ def fallback_element(preset: str, bound: int) -> str:
     guaranteed to lie outside the length-bound subset."""
     pid = preset.lower()
     letters = sorted(preset_letters(pid))
-    shorter = {conserved_vector("".join(t), pid) for ell in range(1, bound + 1)
-               for t in itertools.product(letters, repeat=ell)}
+    shorter = {conserved_vector(w, pid) for w in words_up_to(pid, bound)}
     for t in itertools.product(letters, repeat=bound + 1):
         w = "".join(t)
         if conserved_vector(w, pid) not in shorter:

@@ -55,15 +55,20 @@ class EqualityVerdict:
 
 
 _CONFLUENCE_SANITY_BOUND = 2
-# (name, parameter_n, schemas) of checked systems; a list, as hashing rules is slow
+_CONFLUENCE_CHECKED_SIZE = build_fn.cache_info().maxsize + 1  # q and the F_n systems build_fn keeps
+# (name, parameter_n, schemas) of checked systems, the least recently used
+# first; a list, as hashing rules is slow
 _confluence_checked: list[tuple] = []
 
 
 def _ensure_locally_confluent(system) -> None:
-    """One cheap local-confluence pass per system per process.  The heavyweight
-    campaigns at higher exponent bounds belong to the verification suite."""
+    """One cheap local-confluence pass per system per process, for the last
+    ``_CONFLUENCE_CHECKED_SIZE`` systems used.  The heavyweight campaigns at
+    higher exponent bounds belong to the verification suite."""
     key = (system.name, system.parameter_n, system.schemas)
     if key in _confluence_checked:
+        _confluence_checked.remove(key)
+        _confluence_checked.append(key)
         return
     report = check_local_confluence(system, exponent_bound=_CONFLUENCE_SANITY_BOUND)
     if report.unresolved:
@@ -72,6 +77,7 @@ def _ensure_locally_confluent(system) -> None:
             f"system {system.name} is not locally confluent: "
             f"{pair.joint!r} splits to {pair.left_result!r} / {pair.right_result!r}")
     _confluence_checked.append(key)
+    del _confluence_checked[:-_CONFLUENCE_CHECKED_SIZE]
 
 
 def normal_form_map(preset: str):

@@ -20,13 +20,14 @@ word, so a window whose second letter is foreign falls back to its first
 letter alone, and a foreign first letter to the matchers whose lhs can match
 the empty word.
 
-One matcher, ``_match_at``, reads a schema's lhs at a position.
-``_first_match`` scans the positions and the window table for the first
-match, ``_matches`` for all of them (``enumerate_redexes``,
-``_rule_results``).  Leftmost reduction is one walk, ``_steps``, of first
-matches: ``normal_form`` reads only its words, and ``leftmost_reductions``
-(``reduce_once``, ``reduction_trace``, ``lef rewrite``) makes ``Reduction``s
-of its steps.  After a step it resumes near the edit, not at 0.  A match
+One matcher, ``_match_at``, reads a schema's lhs at a position, and one
+scan, ``_matches``, runs it over the positions from a start and the window
+table, yielding the matches in order (``enumerate_redexes``,
+``_rule_results``, ``random_normal_form``).  Leftmost reduction is one walk,
+``_steps``, whose step is the scan's first match with its rhs rendered once:
+``normal_form`` reads only its words, and ``leftmost_reductions``
+(``reduce_once``, ``lef rewrite``) makes ``Reduction``s of its steps.  After
+a step it resumes near the edit, not at 0.  A match
 attempt reads at most ``max_lhs_atoms`` runs of the word plus one look-ahead
 letter, so after a step at ``pos`` (no earlier position matched) every
 attempt starting ``max_lhs_atoms`` or more runs before the run holding
@@ -584,27 +585,14 @@ def _lex_key(w: str, rank: dict[str, int]) -> tuple:
                          f"{''.join(rank)!r}") from None
 
 
-def _first_match(system: RewriteSystem, w: str, start: int):
-    """(matcher, position, assignment, consumed) of the first match from start, or None."""
+def _matches(system: RewriteSystem, w: str, rule_id: str | None = None, start: int = 0):
+    """Yield (matcher, position, assignment, consumed) for every match in w at
+    ``start`` or later, by position, then schema, then assignment; with
+    ``rule_id``, only the matches of that rule's matchers."""
     table = system._table
     for pos in range(start, len(w)):
         ms = table.get(w[pos:pos + 2])
         if ms is None:  # a letter outside the alphabet, which ends every run
-            ms = table.get(w[pos], table[""])
-        for m in ms:
-            if (found := _match_at(m, w, pos)) is not None:
-                return m, pos, found[0], found[1]
-    return None
-
-
-def _matches(system: RewriteSystem, w: str, rule_id: str | None = None):
-    """Yield (matcher, position, assignment, consumed) for every match in w,
-    by position, then schema, then assignment; with ``rule_id``, only the
-    matches of that rule's matchers."""
-    table = system._table
-    for pos in range(len(w)):
-        ms = table.get(w[pos:pos + 2])
-        if ms is None:
             ms = table.get(w[pos], table[""])
         for m in ms:
             if (rule_id is None or m.schema.id == rule_id) and \
@@ -616,12 +604,6 @@ def _matches(system: RewriteSystem, w: str, rule_id: str | None = None):
                     yield m, pos, {**assignment, name: assignment[name] + k}, consumed + k
 
 
-def _apply(m: _Matcher, w: str, pos: int, assignment: dict, consumed: int) -> Reduction:
-    rhs = m.render(m.rhs, assignment)
-    return Reduction(w[:pos] + rhs + w[pos + consumed:], pos, m.schema.id, assignment,
-                     w[pos:pos + consumed], rhs)
-
-
 def reduce_once(system: RewriteSystem, w: str) -> Reduction | None:
     """One step under the deterministic strategy: leftmost position, lowest
     schema index, smallest assignment.  None iff w is irreducible."""
@@ -630,8 +612,12 @@ def reduce_once(system: RewriteSystem, w: str) -> Reduction | None:
 
 def enumerate_redexes(system: RewriteSystem, w: str) -> list[Reduction]:
     """Every applicable (position, rule, assignment) reduction of w."""
-    return [_apply(m, w, pos, assignment, consumed)
-            for m, pos, assignment, consumed in _matches(system, w)]
+    out = []
+    for m, pos, assignment, consumed in _matches(system, w):
+        rhs = m.render(m.rhs, assignment)
+        out.append(Reduction(w[:pos] + rhs + w[pos + consumed:], pos, m.schema.id,
+                             assignment, w[pos:pos + consumed], rhs))
+    return out
 
 
 def _rule_results(system: RewriteSystem, w: str, rule_id: str) -> set[str]:
@@ -681,12 +667,13 @@ def _limit_error(system: RewriteSystem, limit: int, w: str) -> StepLimitError:
 
 
 def _steps(system: RewriteSystem, w: str, limit: int):
-    """Yield (rewritten word, (matcher, position, assignment, consumed)) for
-    each leftmost step from w, searched when asked for (after the first, from
-    ``_resume_point``) and checked as the module docstring says."""
+    """Yield (rewritten word, (matcher, position, assignment, consumed), rhs)
+    for each leftmost step from w: the first of ``_matches``, searched when
+    asked for (after the first step, from ``_resume_point``) and checked as
+    the module docstring says."""
     rank = system._rank if system.assert_decrease else None
     start = steps = 0
-    while (match := _first_match(system, w, start)) is not None:
+    while (match := next(_matches(system, w, start=start), None)) is not None:
         m, pos, assignment, consumed = match
         rhs = m.render(m.rhs, assignment)
         new = w[:pos] + rhs + w[pos + consumed:]
@@ -698,7 +685,7 @@ def _steps(system: RewriteSystem, w: str, limit: int):
         steps += 1
         if steps > limit:
             raise _limit_error(system, limit, new)
-        yield new, match
+        yield new, match, rhs
         w = new
         start = _resume_point(w, pos, system._max_atoms)
 
@@ -706,8 +693,8 @@ def _steps(system: RewriteSystem, w: str, limit: int):
 def leftmost_reductions(system: RewriteSystem, w: str, step_limit: int | None = None):
     """Yield the ``Reduction`` of each step of ``_steps`` from w under the
     step limit (``_step_limit``); a caller may stop between steps."""
-    for new, (m, pos, assignment, consumed) in _steps(system, w, _step_limit(step_limit)):
-        yield _apply(m, w, pos, assignment, consumed)
+    for new, (m, pos, assignment, consumed), rhs in _steps(system, w, _step_limit(step_limit)):
+        yield Reduction(new, pos, m.schema.id, assignment, w[pos:pos + consumed], rhs)
         w = new
 
 
@@ -721,11 +708,11 @@ def normal_form(system: RewriteSystem, w: str, step_limit: int | None = None,
         return memo[w]
     walk = _steps(system, w, _step_limit(step_limit))
     if memo is None:
-        for w, _ in walk:
+        for w, _, _ in walk:
             pass
         return w
     chain: list[str] = []  # the words stepped through
-    for new, _ in walk:
+    for new, _, _ in walk:
         chain.append(w)
         w = new
         if w in memo:
@@ -737,24 +724,19 @@ def normal_form(system: RewriteSystem, w: str, step_limit: int | None = None,
 
 def random_normal_form(system: RewriteSystem, w: str, rng: random.Random,
                        step_limit: int | None = None) -> str:
-    """Reduce w by a redex that ``rng`` draws from ``enumerate_redexes`` at
-    each step.  On a convergent system this is the leftmost normal form; the
-    walk exists to test exactly that.  StepLimitError as in ``normal_form``."""
+    """Reduce w by a match that ``rng`` draws from all of ``_matches`` (the
+    redexes of ``enumerate_redexes``, in its order) at each step.  On a
+    convergent system this is the leftmost normal form; the walk exists to
+    test exactly that.  StepLimitError as in ``normal_form``."""
     limit = _step_limit(step_limit)
     steps = 0
-    while options := enumerate_redexes(system, w):
-        w = rng.choice(options).word
+    while matches := list(_matches(system, w)):
+        m, pos, assignment, consumed = rng.choice(matches)
+        w = w[:pos] + m.render(m.rhs, assignment) + w[pos + consumed:]
         steps += 1
         if steps > limit:
             raise _limit_error(system, limit, w)
     return w
-
-
-def reduction_trace(system: RewriteSystem, w: str, step_limit: int | None = None
-                    ) -> tuple[str, list[Reduction]]:
-    """(normal form, the leftmost reductions that lead to it)."""
-    trace = list(leftmost_reductions(system, w, step_limit))
-    return (trace[-1].word if trace else w), trace
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ key, ``conserved_vector``."""
 
 from __future__ import annotations
 
+import itertools
+
 from .presets import preset_letters
 
 
@@ -29,6 +31,14 @@ def check_words(pid: str, words) -> None:
         if not w:
             raise ValueError("the empty word names no element")
         check_letters(w, letters, pid)
+
+
+def words_up_to(pid: str, n: int) -> tuple[str, ...]:
+    """Every word of length 1 to n over the preset's letters, by length, then
+    alphabetically."""
+    letters = sorted(preset_letters(pid))
+    return tuple("".join(t) for ell in range(1, n + 1)
+                 for t in itertools.product(letters, repeat=ell))
 
 
 def one_step_words(w: str, relations) -> list[str]:

@@ -36,6 +36,7 @@ from lef.fsg import (
     enumerate_groups,
     enumerate_semigroups,
     is_clifford,
+    is_completely_simple,
     is_j_trivial,
 )
 from lef.lwf import build_lwf_wrapping, enumerate_preaccurate
@@ -224,12 +225,15 @@ def test_criterion_08_st_non_lef_shadow():
 def test_criterion_09_constructive_lemmas():
     start = time.perf_counter()
     rng = random.Random(20260814)
-    rees_failures = semilattice_failures = clifford_failures = 0
+    rees_failures = semilattice_failures = clifford_failures = simple_failures = 0
     for _ in range(100):
         spec, triples = random_rees_instance(rng)
         H = rees_subset(spec, triples)
-        if not check_approximating_pair(H, approx_rees(spec, H)).valid:
+        pair = approx_rees(spec, H)
+        if not check_approximating_pair(H, pair).valid:
             rees_failures += 1
+        if not is_completely_simple(pair.F):
+            simple_failures += 1
     for _ in range(100):
         spec, pairs = random_semilattice_instance(rng)
         H = semilattice_subset(spec, pairs)
@@ -239,10 +243,11 @@ def test_criterion_09_constructive_lemmas():
         if not is_clifford(pair.F):
             clifford_failures += 1
     elapsed = time.perf_counter() - start
-    ok = rees_failures == semilattice_failures == clifford_failures == 0
+    ok = rees_failures == semilattice_failures == clifford_failures == simple_failures == 0
     report(9, ok, f"constructive lemmas: 100 Rees + 100 semilattice seeded "
                   f"instances, {rees_failures}+{semilattice_failures} checker "
-                  f"failures, {clifford_failures} non-Clifford carriers, "
+                  f"failures, {simple_failures} not completely simple Rees "
+                  f"carriers, {clifford_failures} non-Clifford carriers, "
                   f"{elapsed:.1f}s")
 
 

@@ -266,6 +266,33 @@ def test_a_rebuilt_system_under_a_checked_name_gets_its_own_confluence_check(mon
     assert len(checked) == 1
 
 
+def test_the_confluence_checks_kept_are_bounded_least_recent_out(monkeypatch):
+    # q and every F_n system that build_fn keeps
+    size = lef.oracle._CONFLUENCE_CHECKED_SIZE
+    checked, runs = [], []
+    check = lef.oracle.check_local_confluence
+    monkeypatch.setattr(lef.oracle, "_confluence_checked", checked)
+    monkeypatch.setattr(lef.oracle, "_CONFLUENCE_CHECKED_SIZE", 2)
+    monkeypatch.setattr(lef.oracle, "check_local_confluence",
+                        lambda system, **kw: runs.append(system.parameter_n) or check(system, **kw))
+
+    def ask(n):
+        verdict = word_equal_nf(f"fn:{n}", "a" * (2 * n + 1), "a")
+        assert len(checked) <= 2
+        return verdict
+
+    first = {n: ask(n) for n in (1, 2)}
+    assert ask(1) == first[1]  # a hit: fn:1 is now the most recent
+    ask(3)                     # so this evicts fn:2
+    assert ask(1) == first[1]
+    assert runs == [1, 2, 3]
+    # the evicted system is checked again, with the same verdict
+    assert ask(2) == first[2] and first[2].status == "equal"
+    assert runs == [1, 2, 3, 2]
+    assert [key[1] for key in checked] == [1, 2]
+    assert size == lef.constructors._FN_CACHE_SIZE + 1
+
+
 def test_build_fn_keeps_a_bounded_number_of_systems():
     assert build_fn.cache_info().maxsize == lef.constructors._FN_CACHE_SIZE
 

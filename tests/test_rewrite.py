@@ -34,7 +34,6 @@ from lef.rewrite import (
     parse_pattern,
     random_normal_form,
     reduce_once,
-    reduction_trace,
     render_atoms,
 )
 
@@ -139,14 +138,14 @@ def test_enumerate_redexes_positions():
 
 
 def test_reduction_trace_is_replayable():
-    final, steps = reduction_trace(Q_SYSTEM, "xcab")
-    assert final == normal_form(Q_SYSTEM, "xcab")
+    steps = list(leftmost_reductions(Q_SYSTEM, "xcab"))
+    assert len(steps) > 1
     word = "xcab"
     for step in steps:
         assert step.matched == word[step.position:step.position + len(step.matched)]
         word = word[:step.position] + step.replacement + word[step.position + len(step.matched):]
         assert word == step.word
-    assert word == final
+    assert word == normal_form(Q_SYSTEM, "xcab")
 
 
 def test_random_strategy_agrees_with_leftmost():
@@ -155,6 +154,20 @@ def test_random_strategy_agrees_with_leftmost():
         expected = normal_form(Q_SYSTEM, word)
         for _ in range(5):
             assert random_normal_form(Q_SYSTEM, word, rng) == expected
+
+
+def test_a_seeded_random_walk_draws_from_the_redexes_in_order():
+    # rng.choice over the redexes in enumerate_redexes order fixes the walk of
+    # a seed, also where the normal form depends on it
+    for system, words in ((DIVERGING, all_words("abc", 5)), (Q_SYSTEM, ["xcabxcab", "xacacx"])):
+        for seed in range(3):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for word in words:
+                w = word
+                while options := enumerate_redexes(system, w):
+                    w = reference.choice(options).word
+                assert random_normal_form(system, word, rng) == w, (word, seed)
+            assert rng.getstate() == reference.getstate()
 
 
 def test_step_limit_raises_on_loops():
@@ -166,7 +179,7 @@ def test_step_limit_raises_on_loops():
     )
     message = r"^no normal form within 10 steps \(system loop, stuck at 'b'\)$"
     for call in (lambda: normal_form(looping, "a", 10),
-                 lambda: reduction_trace(looping, "a", 10),
+                 lambda: list(leftmost_reductions(looping, "a", 10)),
                  lambda: random_normal_form(looping, "a", random.Random(0), 10)):
         with pytest.raises(StepLimitError, match=message):
             call()
@@ -192,7 +205,7 @@ def test_a_non_decreasing_step_is_rejected(rule, word, message):
     system = _checked(("down", "c", "a"), rule)
     pattern = f"^non-decreasing step {re.escape(message)}$"
     calls = [lambda: normal_form(system, word), lambda: normal_form(system, word, memo={}),
-             lambda: reduction_trace(system, word)]
+             lambda: list(leftmost_reductions(system, word))]
     if word in ("ab", "b"):
         calls.append(lambda: reduce_once(system, word))
     for call in calls:
@@ -202,7 +215,8 @@ def test_a_non_decreasing_step_is_rejected(rule, word, message):
 
 def test_an_equal_length_smaller_step_passes_the_check():
     system = _checked(("down", "c", "a"), ("swap", "b a", "a b"))
-    final, trace = reduction_trace(system, "bcba")
+    trace = list(leftmost_reductions(system, "bcba"))
+    final = trace[-1].word
     assert final == normal_form(system, "bcba") == normal_form(system, "bcba", memo={})
     assert (final, [r.rule_id for r in trace]) == ("aabb", ["down", "swap", "swap", "swap"])
     assert reduce_once(system, "ba").word == "ab"
@@ -307,10 +321,10 @@ def test_one_memoised_call_records_its_whole_chain(name):
     system = MEMO_SYSTEMS[name]
     shared: dict[str, str] = {}
     for word in all_words(system.alphabet, 4):
-        final, trace = reduction_trace(system, word)
-        chain = [word] + [red.word for red in trace]
+        chain = [word] + [red.word for red in leftmost_reductions(system, word)]
+        final = chain[-1]
         memo: dict[str, str] = {}
-        assert normal_form(system, word, memo=memo) == final
+        assert normal_form(system, word, memo=memo) == final == normal_form(system, word)
         assert memo == dict.fromkeys(chain, final), word
         # a shared memo stays closed under the leftmost step
         normal_form(system, word, memo=shared)
@@ -319,7 +333,7 @@ def test_one_memoised_call_records_its_whole_chain(name):
 
 def test_memo_step_limit_counts_only_the_steps_taken():
     word = "xcabxcab"
-    _, trace = reduction_trace(Q_SYSTEM, word)
+    trace = list(leftmost_reductions(Q_SYSTEM, word))
     assert len(trace) > 2
     with pytest.raises(StepLimitError):
         normal_form(Q_SYSTEM, word, step_limit=2)
@@ -341,7 +355,7 @@ def test_step_limits_below_zero_or_not_integers_are_rejected(monkeypatch):
     with pytest.raises(ValueError, match="LEF_STEP_LIMIT=-3 is below 0"):
         normal_form(Q_SYSTEM, "xe")
     with pytest.raises(ValueError, match="LEF_STEP_LIMIT=-3 is below 0"):
-        reduction_trace(Q_SYSTEM, "xe")
+        list(leftmost_reductions(Q_SYSTEM, "xe"))
     monkeypatch.setenv("LEF_STEP_LIMIT", "abc")
     with pytest.raises(ValueError, match="LEF_STEP_LIMIT='abc' is not an integer"):
         check_local_confluence(Q_SYSTEM, 1)
@@ -484,10 +498,10 @@ def test_leftmost_walk_matches_the_reference_chain(name):
     words = all_words(system.alphabet, 5) + [w for key, w in _long_words() if key == name]
     for w in words:
         chain = _reference_chain(system, w)
-        final, trace = reduction_trace(system, w)
+        trace = list(leftmost_reductions(system, w))
         assert [(r.word, r.position, r.rule_id, r.assignment, r.matched, r.replacement)
                 for r in trace] == chain, w
-        assert final == normal_form(system, w) == (chain[-1][0] if chain else w), w
+        assert normal_form(system, w) == (chain[-1][0] if chain else w), w
 
 
 @pytest.mark.parametrize("system", [Q_SYSTEM, build_fn_system(2)], ids=["q", "fn:2"])
@@ -542,7 +556,7 @@ def test_q_matching_tries_few_schemas(monkeypatch):
     monkeypatch.setattr(lef.rewrite, "_match_at", counting)
     for word in all_words(Q_SYSTEM.alphabet, 5):
         normal_form(Q_SYSTEM, word)
-        reduction_trace(Q_SYSTEM, word)
+        list(leftmost_reductions(Q_SYSTEM, word))
     # a stepping path that bypassed the counted matcher would count nothing
     assert 0 < calls < 162_672 // 2
 
