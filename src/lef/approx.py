@@ -24,7 +24,7 @@ import numpy as np
 
 from .constructors import IdealQuotient, ReesSpec, SemilatticeSpec, mul_in, \
     rees_matrix, semilattice_semigroup
-from .fsg import MulTable, associativity_failures, direct_product
+from .fsg import MulTable, _pointer, associativity_failures, direct_product
 from . import oracle
 
 
@@ -171,11 +171,6 @@ class GroupHandle:
     description: str
     op: Callable
     approximator: Callable
-
-
-def _pointer(key: str) -> str:
-    """key as one JSON-pointer segment (RFC 6901)."""
-    return key.replace("~", "~0").replace("/", "~1")
 
 
 def _handle_key(handle) -> str:

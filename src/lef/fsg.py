@@ -39,6 +39,12 @@ from functools import partial
 import numpy as np
 
 
+def _pointer(key: str) -> str:
+    """key as one JSON-pointer segment (RFC 6901), for the errors of every
+    ``from_json`` that names a key of the data."""
+    return key.replace("~", "~0").replace("/", "~1")
+
+
 @dataclass(eq=False)
 class MulTable:
     table: np.ndarray
@@ -199,10 +205,10 @@ class PartialTable:
         for key, w in products.items():
             parts = [p.strip() for p in key.split(",")]
             if len(parts) != 2:
-                raise ValueError(f"/products/{key}: key must be 'u,v'")
+                raise ValueError(f"/products/{_pointer(key)}: key must be 'u,v'")
             for name in parts + [w]:
                 if not isinstance(name, str) or name not in elements:
-                    raise ValueError(f"/products/{key}: unknown element {name!r}")
+                    raise ValueError(f"/products/{_pointer(key)}: unknown element {name!r}")
             parsed[tuple(parts)] = w
         return cls(elements=tuple(elements), products=parsed)
 

@@ -1,8 +1,11 @@
 """Word-problem oracles for the preset presentations.
 
 Exact answers come from one map, ``normal_form_map``: confluent rewriting for
-q and fn:<n>, canonical forms for sm:<m>.  For q, s, t and c the bounded
-oracle decides in tiers, all in ``_search_verdict``: a target that a
+q and fn:<n>, canonical forms for sm:<m>, each built once while a bounded
+cache keeps it, and for q and fn:<n> only once the system passes a
+local-confluence pass (a terminating system is confluent iff it is locally
+confluent: Book & Otto, String-Rewriting Systems, 1993).  For q, s, t and c
+the bounded oracle decides in tiers, all in ``_search_verdict``: a target that a
 conserved quantity separates from the word is distinct from it; the others
 meet it in a bounded bidirectional closure of the single-relation-application
 graph that starts from the word, or one side's closure completes without
@@ -55,47 +58,44 @@ class EqualityVerdict:
 
 
 _CONFLUENCE_SANITY_BOUND = 2
-_CONFLUENCE_CHECKED_SIZE = build_fn.cache_info().maxsize + 1  # q and the F_n systems build_fn keeps
-# (name, parameter_n, schemas) of checked systems, the least recently used
-# first; a list, as hashing rules is slow
-_confluence_checked: list[tuple] = []
+_EXACT_MAPS_SIZE = 16  # maps kept, least recent out; q's and fn:<n>'s hold a compiled system
 
 
 def _ensure_locally_confluent(system) -> None:
-    """One cheap local-confluence pass per system per process, for the last
-    ``_CONFLUENCE_CHECKED_SIZE`` systems used.  The heavyweight campaigns at
-    higher exponent bounds belong to the verification suite."""
-    key = (system.name, system.parameter_n, system.schemas)
-    if key in _confluence_checked:
-        _confluence_checked.remove(key)
-        _confluence_checked.append(key)
-        return
+    """One cheap local-confluence pass; RuntimeError names a pair whose two
+    results keep distinct normal forms.  The heavyweight campaigns at higher
+    exponent bounds belong to the verification suite."""
     report = check_local_confluence(system, exponent_bound=_CONFLUENCE_SANITY_BOUND)
     if report.unresolved:
         pair = report.unresolved[0]
         raise RuntimeError(
             f"system {system.name} is not locally confluent: "
             f"{pair.joint!r} splits to {pair.left_result!r} / {pair.right_result!r}")
-    _confluence_checked.append(key)
-    del _confluence_checked[:-_CONFLUENCE_CHECKED_SIZE]
+
+
+@functools.lru_cache(maxsize=_EXACT_MAPS_SIZE)
+def _exact_map(family: str, k: int | None):
+    """The map of ``normal_form_map`` for q, fn:<k> or sm:<k>; for q and
+    fn:<k> only once the system passes ``_ensure_locally_confluent``."""
+    if family == "sm":
+        return functools.partial(sm_canonical, m=k)
+    if family == "q":
+        system, form = Q_SYSTEM, functools.partial(normal_form, Q_SYSTEM)
+    else:
+        handle = build_fn(k)
+        system, form = handle.system, handle.element
+    _ensure_locally_confluent(system)
+    return form
 
 
 def normal_form_map(preset: str):
-    """The map from a word to its normal form: for q and fn:<n> after one
-    cheap local-confluence pass over the system per process, for sm:<m> its
-    canonical form."""
+    """The map from a word to its normal form: for q and fn:<n> by the
+    confluent rewriting system, for sm:<m> its canonical form."""
     pid = preset.lower()
     if not has_normal_forms(pid):
         raise ValueError(f"no normal forms for preset {preset!r}; "
                          "use word_equal_bfs")
-    if pid == "q":
-        _ensure_locally_confluent(Q_SYSTEM)
-        return functools.partial(normal_form, Q_SYSTEM)
-    if pid.startswith("sm:"):
-        return functools.partial(sm_canonical, m=family_parameter(pid))
-    handle = build_fn(family_parameter(pid))
-    _ensure_locally_confluent(handle.system)
-    return handle.element
+    return _exact_map("q", None) if pid == "q" else _exact_map(pid[:2], family_parameter(pid))
 
 
 def word_equal_nf(preset: str, u: str, v: str) -> EqualityVerdict:

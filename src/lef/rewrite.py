@@ -18,7 +18,11 @@ e^gamma x`` with ``0<alpha``, is filed only under windows that start with
 ``a``.  A letter outside the alphabet ends every run, like the end of the
 word, so a window whose second letter is foreign falls back to its first
 letter alone, and a foreign first letter to the matchers whose lhs can match
-the empty word.
+the empty word.  A matcher also holds its schema's side conditions as integer
+checks, which ``instantiate_all`` reads, and its lhs and rhs as atoms for
+``render_atoms``, the one render, whose errors start with the schema id;
+folding n in (``_fold``) is the one place that rejects n in a system without
+a parameter.
 
 One matcher, ``_match_at``, reads a schema's lhs at a position, and one
 scan, ``_matches``, runs it over the positions from a start and the window
@@ -276,33 +280,34 @@ def make_schema(rule_id: str, lhs: str, rhs: str, conditions: list[str] | None =
 # ---------------------------------------------------------------------------
 # compiled forms: exponents and conditions with n folded in
 
-CompiledAtoms = tuple[tuple[str, int, tuple[tuple[str, int], ...], LinExpr], ...]
+CompiledAtoms = tuple[tuple[str, int, tuple[tuple[str, int], ...], LinExpr, str], ...]
 # one integer check: (const, ((var, coeff), ...), kind) meaning
 # const + sum(coeff * var) >= 0 (kind _GE), == 0 (_EQ), or some var != 0 (_NZ)
 Check = tuple[int, tuple[tuple[str, int], ...], int]
 _GE, _EQ, _NZ = 0, 1, 2
 
 
-def _fold(expr: LinExpr, n: int | None) -> tuple[int, tuple[tuple[str, int], ...]]:
+def _fold(expr: LinExpr, n: int | None, owner: str = "") -> tuple[int, tuple[tuple[str, int], ...]]:
     """(constant with n folded in, variable coefficients) of expr."""
     if expr.n_coeff and n is None:
-        raise ValueError("expression mentions n but the system has no parameter")
+        raise ValueError(f"{owner}expression mentions n but the system has no parameter")
     return expr.const + expr.n_coeff * (n or 0), expr.var_coeffs
 
 
-def compile_atoms(atoms: tuple[Atom, ...], n: int | None) -> CompiledAtoms:
-    """Atoms ready for ``render_atoms``, with n folded into every exponent."""
-    return tuple((letter, *_fold(expr, n), expr) for letter, expr in atoms)
+def compile_atoms(atoms: tuple[Atom, ...], n: int | None, owner: str = "") -> CompiledAtoms:
+    """Atoms ready for ``render_atoms``, with n folded into every exponent and
+    ``owner`` (a schema's ``"q2: "``) heading each exponent's error text."""
+    return tuple((letter, *_fold(expr, n, owner), expr, owner) for letter, expr in atoms)
 
 
 def render_atoms(atoms: CompiledAtoms, assignment: dict[str, int]) -> str:
     """The word spelled by compiled atoms; raises ConditionError on an exponent < 0."""
     out = []
-    for letter, k, var_coeffs, expr in atoms:
+    for letter, k, var_coeffs, expr, owner in atoms:
         for name, coeff in var_coeffs:
             k += coeff * assignment[name]
         if k < 0:
-            raise ConditionError(f"exponent {expr} = {k} < 0 under {assignment}")
+            raise ConditionError(f"{owner}exponent {expr} = {k} < 0 under {assignment}")
         out.append(letter * k)
     return "".join(out)
 
@@ -315,7 +320,8 @@ def _difference(left: tuple, right: tuple, shift: int) -> tuple[int, tuple[tuple
     return left[0] - right[0] + shift, tuple((k, v) for k, v in coeffs.items() if v)
 
 
-def compile_conditions(conditions: tuple[Condition, ...], n: int | None) -> tuple[Check, ...]:
+def compile_conditions(conditions: tuple[Condition, ...], n: int | None,
+                       owner: str = "") -> tuple[Check, ...]:
     """Integer checks equivalent to all the conditions holding.  Over the
     integers a < b is a - b + 1 <= 0, so every comparison is one check."""
     checks: list[Check] = []
@@ -323,7 +329,7 @@ def compile_conditions(conditions: tuple[Condition, ...], n: int | None) -> tupl
         if cond.nonzero_pair is not None:
             checks.append((0, tuple((name, 1) for name in cond.nonzero_pair), _NZ))
             continue
-        folded = [_fold(e, n) for e in cond.exprs]
+        folded = [_fold(e, n, owner) for e in cond.exprs]
         for i, op in enumerate(cond.ops):
             a, b = folded[i], folded[i + 1]
             if op in ("=", "=="):
@@ -388,7 +394,8 @@ def bounded_assignments(checks: tuple[Check, ...], variables, bound: int):
 
 
 class _Matcher:
-    """One schema compiled against a fixed n.
+    """One schema compiled against a fixed n: ``checks`` are all its side
+    conditions, ``lhs`` and ``rhs`` its atoms, with errors naming the schema.
 
     Every lhs atom is ``(letter, variable or None, lo, hi)``: a constant
     exponent k has lo = hi = k, and a variable's range is the one its
@@ -403,19 +410,21 @@ class _Matcher:
     once the head is read (``_match_at``).
     """
 
-    __slots__ = ("schema", "head", "last", "fixed", "flex", "lhs", "rhs")
+    __slots__ = ("schema", "checks", "head", "last", "fixed", "flex", "lhs", "rhs")
 
     def __init__(self, schema: RuleSchema, n: int | None):
         self.schema = schema
+        owner = f"{schema.id}: "
+        self.checks = compile_conditions(schema.conditions, n, owner)
         names = [expr.var_coeffs[0][0] for _, expr in schema.lhs if expr.is_bare_var()]
-        lo, hi, checks = _split_bounds(compile_conditions(schema.conditions, n), names)
+        lo, hi, checks = _split_bounds(self.checks, names)
         atoms = []
         for letter, expr in schema.lhs:
             if expr.is_bare_var():
                 name = expr.var_coeffs[0][0]
                 atoms.append((letter, name, lo[name], hi[name]))
             else:
-                k = _fold(expr, n)[0]
+                k = _fold(expr, n, owner)[0]
                 if k < 0:
                     raise ValueError(f"{schema.id}: lhs exponent {expr} = {k} < 0")
                 atoms.append((letter, None, k, k))
@@ -433,19 +442,13 @@ class _Matcher:
             else:
                 flex.append((const, others, k, kind))
         self.fixed, self.flex = tuple(fixed), tuple(flex)
-        self.lhs = compile_atoms(schema.lhs, n)
-        self.rhs = compile_atoms(schema.rhs, n)
-
-    def render(self, atoms: CompiledAtoms, assignment: dict[str, int]) -> str:
-        try:
-            return render_atoms(atoms, assignment)
-        except ConditionError as exc:
-            raise ConditionError(f"{self.schema.id}: {exc}") from None
+        self.lhs = compile_atoms(schema.lhs, n, owner)
+        self.rhs = compile_atoms(schema.rhs, n, owner)
 
     def instance(self, assignment: dict[str, int]) -> tuple[str, str]:
         """Concrete (lhs, rhs) words; the conditions are assumed to hold."""
-        lhs = self.render(self.lhs, assignment)
-        rhs = self.render(self.rhs, assignment)
+        lhs = render_atoms(self.lhs, assignment)
+        rhs = render_atoms(self.rhs, assignment)
         if not lhs:
             raise ConditionError(f"{self.schema.id}: empty lhs under {assignment}")
         return lhs, rhs
@@ -510,13 +513,6 @@ class RewriteSystem:
         for s in self.schemas:
             if not {letter for letter, _ in s.lhs} <= set(self.alphabet):
                 raise ValueError(f"schema {s.id}: lhs letters outside the alphabet")
-        if self.parameter_n is None:
-            for s in self.schemas:
-                atoms = list(s.lhs) + list(s.rhs)
-                if any(e.n_coeff for _, e in atoms) or any(
-                    ex.n_coeff for c in s.conditions for ex in c.exprs
-                ):
-                    raise ValueError(f"schema {s.id} mentions n but parameter_n is absent")
         self._matchers = tuple(_Matcher(s, self.parameter_n) for s in self.schemas)
         found = [m.window_keys(self.alphabet) for m in self._matchers]
         windows = [""] + [c + d for c in self.alphabet for d in ("", *self.alphabet)]
@@ -614,7 +610,7 @@ def enumerate_redexes(system: RewriteSystem, w: str) -> list[Reduction]:
     """Every applicable (position, rule, assignment) reduction of w."""
     out = []
     for m, pos, assignment, consumed in _matches(system, w):
-        rhs = m.render(m.rhs, assignment)
+        rhs = render_atoms(m.rhs, assignment)
         out.append(Reduction(w[:pos] + rhs + w[pos + consumed:], pos, m.schema.id,
                              assignment, w[pos:pos + consumed], rhs))
     return out
@@ -623,7 +619,7 @@ def enumerate_redexes(system: RewriteSystem, w: str) -> list[Reduction]:
 def _rule_results(system: RewriteSystem, w: str, rule_id: str) -> set[str]:
     """The words one step of rule ``rule_id`` gives from w: the words of
     ``enumerate_redexes`` with that rule id."""
-    return {w[:pos] + m.render(m.rhs, assignment) + w[pos + consumed:]
+    return {w[:pos] + render_atoms(m.rhs, assignment) + w[pos + consumed:]
             for m, pos, assignment, consumed in _matches(system, w, rule_id)}
 
 
@@ -675,7 +671,7 @@ def _steps(system: RewriteSystem, w: str, limit: int):
     start = steps = 0
     while (match := next(_matches(system, w, start=start), None)) is not None:
         m, pos, assignment, consumed = match
-        rhs = m.render(m.rhs, assignment)
+        rhs = render_atoms(m.rhs, assignment)
         new = w[:pos] + rhs + w[pos + consumed:]
         if rank is not None:
             key = _lex_key(rhs, rank) if steps else _lex_key(new, rank)[pos:pos + len(rhs)]
@@ -732,7 +728,7 @@ def random_normal_form(system: RewriteSystem, w: str, rng: random.Random,
     steps = 0
     while matches := list(_matches(system, w)):
         m, pos, assignment, consumed = rng.choice(matches)
-        w = w[:pos] + m.render(m.rhs, assignment) + w[pos + consumed:]
+        w = w[:pos] + render_atoms(m.rhs, assignment) + w[pos + consumed:]
         steps += 1
         if steps > limit:
             raise _limit_error(system, limit, w)
@@ -749,8 +745,7 @@ def instantiate_all(system: RewriteSystem, exponent_bound: int):
 
     Raises ValueError on a bound below 0."""
     for m in system._matchers:
-        checks = compile_conditions(m.schema.conditions, system.parameter_n)
-        for assignment in bounded_assignments(checks, m.schema.variables, exponent_bound):
+        for assignment in bounded_assignments(m.checks, m.schema.variables, exponent_bound):
             yield m.schema, assignment, *m.instance(assignment)
 
 
@@ -758,7 +753,6 @@ def instantiate_all(system: RewriteSystem, exponent_bound: int):
 class TerminationReport:
     checked: int
     shortlex_violations: list
-    lex_violations: list
     per_rule: dict  # rule id -> {"instances", "shortlex_ok", "lex_ok"}
 
     @property
@@ -768,11 +762,10 @@ class TerminationReport:
 
 def check_termination_order(system: RewriteSystem, exponent_bound: int) -> TerminationReport:
     """Check every bounded instance decreases shortlex; also record whether the
-    plain lexicographic order decreases (it does not for all preset rules,
-    which is why shortlex is the adopted measure)."""
+    plain lexicographic order decreases, per rule (it does not for all
+    preset rules, which is why shortlex is the adopted measure)."""
     checked = 0
     shortlex_violations = []
-    lex_violations = []
     per_rule: dict[str, dict] = {}
     rank = system._rank
     for schema, assignment, lhs, rhs in instantiate_all(system, exponent_bound):
@@ -785,8 +778,7 @@ def check_termination_order(system: RewriteSystem, exponent_bound: int) -> Termi
             shortlex_violations.append((schema.id, dict(assignment), lhs, rhs))
         if not rhs_key < lhs_key:
             stats["lex_ok"] = False
-            lex_violations.append((schema.id, dict(assignment), lhs, rhs))
-    return TerminationReport(checked, shortlex_violations, lex_violations, per_rule)
+    return TerminationReport(checked, shortlex_violations, per_rule)
 
 
 @dataclass

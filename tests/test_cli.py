@@ -601,6 +601,14 @@ def test_invalid_json_pointer(capsys, tmp_path):
     assert "outside 0..1" in err
 
 
+def test_a_partial_table_error_escapes_its_pointer(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"elements": ["a/b"], "products": {"a/b,d": "a/b"}}))
+    code, _, err = run(capsys, "embed", "--partial", str(path), "--max-order", "2")
+    assert code == 1
+    assert err.strip() == f"error: {path}: /products/a~1b,d: unknown element 'd'"
+
+
 def test_data_error_names_the_bad_file(capsys, tmp_path, z3_file):
     pair = {"table": cyclic_table(3).to_json(), "map": {"0": 0, "1": 1}}
     good_pair = tmp_path / "good_pair.json"

@@ -251,46 +251,52 @@ def test_a_bounded_verdict_memo_evicts_and_gives_the_same_verdicts(monkeypatch):
     assert small.cache_info().hits == hits + 3
 
 
-def test_a_rebuilt_system_under_a_checked_name_gets_its_own_confluence_check(monkeypatch):
-    checked = []
-    monkeypatch.setattr(lef.oracle, "_confluence_checked", checked)
-    lef.oracle._ensure_locally_confluent(Q_SYSTEM)
-    assert len(checked) == 1
-    lef.oracle._ensure_locally_confluent(Q_SYSTEM)
-    assert len(checked) == 1
+def test_a_system_that_fails_the_confluence_pass_is_refused_and_not_kept(monkeypatch):
+    small = functools.lru_cache(maxsize=2)(lef.oracle._exact_map.__wrapped__)
+    monkeypatch.setattr(lef.oracle, "_exact_map", small)
     # "ab" reduces to "a" by r1 and to "ac" by r2, and both are irreducible
     diverging = RewriteSystem(name=Q_SYSTEM.name, alphabet="abc", order="abc",
                               schemas=(make_schema("r1", "ab", "a"), make_schema("r2", "b", "c")))
-    with pytest.raises(RuntimeError, match="is not locally confluent: 'ab' splits"):
-        lef.oracle._ensure_locally_confluent(diverging)
-    assert len(checked) == 1
+    monkeypatch.setattr(lef.oracle, "Q_SYSTEM", diverging)
+    for _ in range(2):  # refused each time: nothing was kept
+        with pytest.raises(RuntimeError,
+                           match="^system q is not locally confluent: 'ab' splits to 'a' / 'ac'$"):
+            word_equal_nf("q", "ab", "a")
+        assert small.cache_info().currsize == 0
+    monkeypatch.setattr(lef.oracle, "Q_SYSTEM", Q_SYSTEM)
+    assert word_equal_nf("q", "xca", "xe").status == "equal"
+    assert small.cache_info().currsize == 1
 
 
 def test_the_confluence_checks_kept_are_bounded_least_recent_out(monkeypatch):
-    # q and every F_n system that build_fn keeps
-    size = lef.oracle._CONFLUENCE_CHECKED_SIZE
-    checked, runs = [], []
+    assert lef.oracle._exact_map.cache_info().maxsize == lef.oracle._EXACT_MAPS_SIZE
+    runs = []
     check = lef.oracle.check_local_confluence
-    monkeypatch.setattr(lef.oracle, "_confluence_checked", checked)
-    monkeypatch.setattr(lef.oracle, "_CONFLUENCE_CHECKED_SIZE", 2)
     monkeypatch.setattr(lef.oracle, "check_local_confluence",
                         lambda system, **kw: runs.append(system.parameter_n) or check(system, **kw))
+    small = functools.lru_cache(maxsize=2)(lef.oracle._exact_map.__wrapped__)
+    monkeypatch.setattr(lef.oracle, "_exact_map", small)
 
     def ask(n):
         verdict = word_equal_nf(f"fn:{n}", "a" * (2 * n + 1), "a")
-        assert len(checked) <= 2
+        assert small.cache_info().currsize <= 2
         return verdict
 
     first = {n: ask(n) for n in (1, 2)}
     assert ask(1) == first[1]  # a hit: fn:1 is now the most recent
     ask(3)                     # so this evicts fn:2
     assert ask(1) == first[1]
+    # one pass per map while the map is kept
     assert runs == [1, 2, 3]
-    # the evicted system is checked again, with the same verdict
+    # the evicted map is built and checked again, with the same verdict
     assert ask(2) == first[2] and first[2].status == "equal"
     assert runs == [1, 2, 3, 2]
-    assert [key[1] for key in checked] == [1, 2]
-    assert size == lef.constructors._FN_CACHE_SIZE + 1
+    # another spelling of a kept id is the same map
+    assert word_equal_nf("FN:02", "aaaaa", "a") == first[2]
+    assert runs == [1, 2, 3, 2]
+    # sm:<m> has canonical forms and no system to check
+    assert word_equal_nf("sm:3", "eeeee", "e").status == "equal"
+    assert runs == [1, 2, 3, 2]
 
 
 def test_build_fn_keeps_a_bounded_number_of_systems():

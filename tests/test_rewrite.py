@@ -1,7 +1,10 @@
 """Parametric rewriting: pattern parsing, reduction, termination, confluence."""
 
+import dataclasses
 import gc
+import hashlib
 import itertools
+import json
 import random
 import re
 import tracemalloc
@@ -106,6 +109,15 @@ def test_schema_validation():
                       schemas=(make_schema("bad", "a^n-3", "a"),))
 
 
+@pytest.mark.parametrize("lhs, rhs, conditions", [
+    ("a^n", "a", []), ("a a", "a^n", []), ("a^alpha", "a", ["alpha<=2n"])])
+def test_a_schema_mentioning_n_needs_a_parameter(lhs, rhs, conditions):
+    schemas = (make_schema("ok", "b b", "b"), make_schema("uses-n", lhs, rhs, conditions))
+    with pytest.raises(ValueError, match="^uses-n: expression mentions n but the system has no parameter$"):
+        RewriteSystem(name="bad", alphabet="ab", order="ab", schemas=schemas)
+    assert RewriteSystem(name="good", alphabet="ab", order="ab", schemas=schemas, parameter_n=1)
+
+
 def test_instantiate_respects_conditions():
     schema = make_schema("r", "x a^alpha", "x", ["0<alpha"])
     assert instantiate(schema, {"alpha": 2}) == ("xaa", "x")
@@ -115,8 +127,16 @@ def test_instantiate_respects_conditions():
 
 def test_instantiate_rejects_negative_exponent():
     schema = make_schema("r", "a^alpha", "b^alpha-1")
-    with pytest.raises(ConditionError):
+    message = r"^r: exponent alpha-1 = -1 < 0 under \{'alpha': 0\}$"
+    with pytest.raises(ConditionError, match=message):
         instantiate(schema, {"alpha": 0})
+    # a step renders the rhs the same way: a^0 matches the empty word before "b"
+    system = RewriteSystem(name="neg", alphabet="ab", order="ab", schemas=(schema,))
+    with pytest.raises(ConditionError, match=message):
+        normal_form(system, "b")
+    # a pattern outside a schema has no schema id to name
+    with pytest.raises(ConditionError, match=r"^exponent alpha-1 = -1 < 0 under \{'alpha': 0\}$"):
+        render_atoms(compile_atoms(parse_pattern("b^alpha-1"), None), {"alpha": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +614,8 @@ def test_q_terminates_in_shortlex_but_not_lex():
     assert report.all_shortlex_decreasing
     assert report.shortlex_violations == []
     # plain lex over the same letter order does not orient all rules
-    assert report.lex_violations
+    assert sorted(rule for rule, stats in report.per_rule.items() if not stats["lex_ok"]) == \
+        [f"q{i}" for i in range(2, 10)]
     assert report.checked == sum(s["instances"] for s in report.per_rule.values())
 
 
@@ -713,6 +734,38 @@ def test_negative_exponent_bounds_are_rejected(bound):
         check_local_confluence(Q_SYSTEM, bound)
     with pytest.raises(ValueError, match="below 0"):
         check_termination_order(build_fn_system(1), bound)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+
+# SHA-256 of the canonical JSON of _pinned_outputs(); a change to any normal
+# form, Reduction field or seeded random walk on Q, F_1 or F_2 changes it
+PINNED_DIGEST = "be3da5b9ef9b8c9e16ee93b98eeb2d261419a814ac585ae7e32a1d96f7e0697d"
+
+
+def _pinned_outputs() -> dict:
+    rng = random.Random(28)
+    short = all_words("acebx", 5)
+    long = ["".join(rng.choice("acebx") for _ in range(rng.randint(10, 40))) for _ in range(200)]
+    out = {}
+    for name, system in (("q", Q_SYSTEM), ("fn:1", build_fn_system(1)), ("fn:2", build_fn_system(2))):
+        walk = random.Random(5)
+        out[name] = {
+            "normal_form": [normal_form(system, w) for w in short + long],
+            "leftmost": [[dataclasses.asdict(r) for r in leftmost_reductions(system, w)]
+                         for w in short],
+            "redexes": [[dataclasses.asdict(r) for r in enumerate_redexes(system, w)]
+                        for w in short],
+            "random": [random_normal_form(system, w, walk) for w in long],
+        }
+    return out
+
+
+def test_the_rewriting_outputs_match_their_pinned_digest():
+    text = json.dumps(_pinned_outputs(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,11 @@ def test_partial_table_json():
     assert PartialTable.from_json(pt.to_json()) == pt
     with pytest.raises(ValueError, match="^/products/p,z: unknown element 'z'$"):
         PartialTable.from_json({"elements": ["p"], "products": {"p,z": "p"}})
+    # a key holding "/" or "~" is escaped as one pointer segment (RFC 6901)
+    with pytest.raises(ValueError, match="^/products/a~1b,d: unknown element 'd'$"):
+        PartialTable.from_json({"elements": ["a/b"], "products": {"a/b,d": "a/b"}})
+    with pytest.raises(ValueError, match="^/products/a~0b~1c: key must be 'u,v'$"):
+        PartialTable.from_json({"elements": ["a"], "products": {"a~b/c": "a"}})
 
 
 def test_an_empty_partial_table_is_a_data_error():
