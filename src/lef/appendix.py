@@ -716,10 +716,6 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
     """
     if nf_memo is None:
         nf_memo = {}
-
-    def nf(w: str) -> str:
-        return nf_memo[w] if w in nf_memo else normal_form(system, w, memo=nf_memo)
-
     n = system.parameter_n
     report = RowReport(row=row)
     parsed_patterns, conditions = row.parsed
@@ -752,7 +748,7 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
         if t2 not in _rule_results(system, t, row.second_rule):
             problems.append(f"t2 {t2!r} is not a one-step {row.second_rule} result of t")
         if not problems:
-            nf1, nf2, nf0 = nf(t1), nf(t2), nf(t0)
+            nf1, nf2, nf0 = (normal_form(system, w, memo=nf_memo) for w in (t1, t2, t0))
             if not (nf1 == nf2 == nf0):
                 problems.append(
                     f"normal forms differ: t1->{nf1!r}, t2->{nf2!r}, t0->{nf0!r}"

@@ -26,6 +26,7 @@ from .constructors import IdealQuotient, ReesSpec, SemilatticeSpec, mul_in, \
     rees_matrix, semilattice_semigroup
 from .fsg import MulTable, _pointer, associativity_failures, direct_product
 from . import oracle
+from .words import check_words
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +126,23 @@ class WrapMap:
                 "d": {self.D.label(i): _handle_key(h)
                       for i, h in sorted(self.d.items())},
                 "fallback": _handle_key(self.fallback)}
+
+    def check_images(self, host) -> "WrapMap":
+        """The map itself; over a word-preset host each image must name an
+        element, else a ValueError at its JSON pointer in ``as_json``."""
+        if not isinstance(host, str) or host.startswith("free:"):
+            return self
+        dense = isinstance(self.D, MulTable)
+        images = {(f"/d_words/{i}" if dense else f"/d/{_pointer(self.D.label(i))}"): w
+                  for i, w in self.d.items()}
+        if self.fallback is not None:
+            images["/fallback"] = self.fallback
+        for where, w in images.items():
+            try:
+                check_words(host, (w,))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+        return self
 
     @classmethod
     def from_json(cls, data) -> "WrapMap":

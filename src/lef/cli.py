@@ -490,7 +490,7 @@ def _cmd_approx_check(args) -> int:
         result = check_approximating_pair(subset, pair)
         kind = "approximating pair"
     else:
-        wrap = _load_artifact(args.wrap, WrapMap.from_json)
+        wrap = _load_artifact(args.wrap, lambda d: WrapMap.from_json(d).check_images(subset.host))
         result = check_lwf_wrapping(subset, wrap)
         kind = "wrapping map"
     payload = {"kind": kind, "subset_size": len(subset.elements),

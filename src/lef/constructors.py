@@ -21,8 +21,6 @@ from .presets import build_fn_system, preset_letters
 from .rewrite import RewriteSystem, normal_form
 from .words import block_count_s, check_words
 
-_FN_CACHE_SIZE = 16  # F_n handles build_fn keeps; the least recently used goes first
-
 
 def mul_in(S, x, y):
     """Product of x and y in S: a MulTable multiplies element indices, any
@@ -401,7 +399,6 @@ class FnHandle:
         return self.element(u + v)
 
 
-@functools.lru_cache(maxsize=_FN_CACHE_SIZE)
 def build_fn(n: int) -> FnHandle:
-    """The shadow semigroup F_n; rewriting-system construction is cached."""
+    """The shadow semigroup F_n, its system compiled on each call: none is kept."""
     return FnHandle(n=n, system=build_fn_system(n))

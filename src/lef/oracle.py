@@ -1,21 +1,21 @@
 """Word-problem oracles for the preset presentations.
 
-Exact answers come from one map, ``normal_form_map``: confluent rewriting for
-q and fn:<n>, canonical forms for sm:<m>, each built once while a bounded
-cache keeps it, and for q and fn:<n> only once the system passes a
-local-confluence pass (a terminating system is confluent iff it is locally
-confluent: Book & Otto, String-Rewriting Systems, 1993).  For q, s, t and c
-the bounded oracle decides in tiers, all in ``_search_verdict``: a target that a
-conserved quantity separates from the word is distinct from it; the others
-meet it in a bounded bidirectional closure of the single-relation-application
-graph that starts from the word, or one side's closure completes without
-meeting, or the bounds ran out.  ``word_equal`` dispatches to
-``word_equal_nf`` (normal forms) or ``word_equal_bfs`` (the bounded oracle,
-one target), ``equal_to_any`` runs the bounded oracle against several
-targets, and ``congruence_class`` lists a word's whole class when it stays
-under a length bound.  Each entry, ``replay_path`` included, checks its words
-once with ``words.check_words``; the quantities and the one-step successors
-come from ``words`` too.
+Exact answers come from one map, ``normal_form_map``: confluent rewriting for q
+and fn:<n>, canonical forms for sm:<m>, each built once while a bounded cache,
+the one holder of compiled fn:<n> systems, keeps it, and for q and fn:<n> only
+once the system passes a local-confluence pass (a terminating system is
+confluent iff it is locally confluent: Book & Otto, String-Rewriting Systems,
+1993).  For q, s, t and c the bounded oracle decides in tiers, all in
+``_search_verdict``: a target that a conserved quantity separates from the word
+is distinct from it; the others meet it in a bounded bidirectional closure of
+the single-relation-application graph from the word, or one side's closure
+completes without meeting, or the bounds ran out.  ``word_equal`` dispatches to
+``word_equal_nf`` (normal forms) or ``word_equal_bfs`` (the bounded oracle, one
+target), ``equal_to_any`` runs the bounded oracle against several targets, and
+``congruence_class`` lists a word's whole class under a length bound.  Each
+entry, ``replay_path`` included, checks its words with ``words.check_words``,
+and the public fn:<n> and sm:<m> maps (``FnHandle.element``, ``sm_canonical``)
+check them again; the quantities and one-step successors come from ``words``.
 
 ``equal_to_any`` asks whether a word equals one of several targets with one
 search: side 1 starts from every target that no quantity separates from the
@@ -39,7 +39,7 @@ from itertools import groupby
 
 from .constructors import build_fn
 from .presets import (PRESENTATIONS, Q_SYSTEM, family_parameter, has_normal_forms,
-                      preset_letters, preset_presentation)
+                      preset_letters, preset_presentation, sm_presentation)
 from .rewrite import check_local_confluence, normal_form
 from .words import check_letters, check_words, one_step_words, separating_quantity
 
@@ -78,6 +78,7 @@ def _exact_map(family: str, k: int | None):
     """The map of ``normal_form_map`` for q, fn:<k> or sm:<k>; for q and
     fn:<k> only once the system passes ``_ensure_locally_confluent``."""
     if family == "sm":
+        sm_presentation(k)  # an m below 2 is refused here, so it is never kept
         return functools.partial(sm_canonical, m=k)
     if family == "q":
         system, form = Q_SYSTEM, functools.partial(normal_form, Q_SYSTEM)

@@ -88,16 +88,6 @@ class LinExpr:
     n_coeff: int = 0
     var_coeffs: tuple[tuple[str, int], ...] = ()
 
-    def evaluate(self, assignment: dict[str, int], n: int | None) -> int:
-        total = self.const
-        if self.n_coeff:
-            if n is None:
-                raise ValueError("expression mentions n but the system has no parameter")
-            total += self.n_coeff * n
-        for name, coeff in self.var_coeffs:
-            total += coeff * assignment[name]
-        return total
-
     @property
     def variables(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.var_coeffs)
@@ -184,9 +174,6 @@ class Condition:
     exprs: tuple[LinExpr, ...] = ()
     ops: tuple[str, ...] = ()
     nonzero_pair: tuple[str, str] | None = None
-
-    def holds(self, assignment: dict[str, int], n: int | None) -> bool:
-        return conditions_hold(compile_conditions((self,), n), assignment)
 
     @property
     def variables(self) -> tuple[str, ...]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 import random
 import time
 
@@ -24,8 +25,9 @@ from lef.constructors import ReesSpec, SemilatticeSpec
 from lef.fsg import MulTable
 from lef.lwf import build_lwf_wrapping
 from lef.oracle import sm_canonical
-from lef.rewrite import (ConditionError, RewriteSystem, RuleSchema, _Matcher, compile_atoms,
-                         parse_condition, parse_linexpr, parse_pattern, render_atoms)
+from lef.rewrite import (Condition, ConditionError, LinExpr, RewriteSystem, RuleSchema,
+                         _Matcher, compile_atoms, parse_condition, parse_linexpr,
+                         parse_pattern, render_atoms)
 from lef.search import relational_assignments
 from lef.words import one_step_words
 
@@ -159,15 +161,41 @@ def evaluate_word(mt: MulTable, word: str, assignment: dict[str, int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rewriting helpers that no library code calls: one schema instance, one
+# rewriting helpers that no library code calls: an exponent's value and a side
+# condition's truth read off the parsed forms (the references that the
+# compiled checks and atoms are tested against), one schema instance, one
 # appendix pattern rendered, an appendix row by label (test_appendix), and a
 # system's JSON round trip (test_rewrite)
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq, "==": operator.eq,
+            ">=": operator.ge, ">": operator.gt}
+
+
+def evaluate(expr: LinExpr, assignment: dict[str, int], n: int | None) -> int:
+    """The value of a linear exponent under an assignment and n."""
+    total = expr.const
+    if expr.n_coeff:
+        if n is None:
+            raise ValueError("expression mentions n but the system has no parameter")
+        total += expr.n_coeff * n
+    for name, coeff in expr.var_coeffs:
+        total += coeff * assignment[name]
+    return total
+
+
+def condition_holds(cond: Condition, assignment: dict[str, int], n: int | None) -> bool:
+    """Whether a side condition holds: each link of its comparison chain, or
+    one of its not_both_zero pair nonzero."""
+    if cond.nonzero_pair is not None:
+        return any(assignment[name] for name in cond.nonzero_pair)
+    values = [evaluate(e, assignment, n) for e in cond.exprs]
+    return all(_COMPARE[op](a, b) for op, a, b in zip(cond.ops, values, values[1:]))
 
 
 def instantiate(schema: RuleSchema, assignment: dict[str, int], n: int | None = None) -> tuple[str, str]:
     """Concrete (lhs, rhs) words for an assignment; raises on a violated condition."""
     for cond in schema.conditions:
-        if not cond.holds(assignment, n):
+        if not condition_holds(cond, assignment, n):
             raise ConditionError(f"{schema.id}: condition '{cond}' fails under {assignment}")
     return _Matcher(schema, n).instance(assignment)
 

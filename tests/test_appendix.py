@@ -93,18 +93,19 @@ def test_verify_appendix_b_n1():
 
 
 def test_verify_appendix_reduces_each_word_once(monkeypatch):
-    """The rows of one call share normal forms, and the report is the one
-    the rows give when each is checked on its own."""
-    asked = Counter()
-    original = lef.appendix.normal_form
+    """The rows of one call share normal forms: no word starts a second
+    leftmost walk, and the report is the one the rows give when each is
+    checked on its own."""
+    walked = Counter()
+    original = lef.rewrite._steps
 
     def counting(system, word, *args, **kwargs):
-        asked[word] += 1
+        walked[word] += 1
         return original(system, word, *args, **kwargs)
 
-    monkeypatch.setattr(lef.appendix, "normal_form", counting)
+    monkeypatch.setattr(lef.rewrite, "_steps", counting)
     shared = verify_appendix("A").as_json()
-    assert asked and max(asked.values()) == 1
+    assert walked and max(walked.values()) == 1
     monkeypatch.undo()
     one_by_one = AppendixReport(table="A", n=None, max_exp=4, bound=4,
                                 rows=[check_row(Q_SYSTEM, row, 4) for row in A_ROWS]).as_json()

@@ -358,3 +358,16 @@ def test_int_group_handle():
     assert INT_GROUP.op(3, 4) == 7
     pair = INT_GROUP.approximator([0, 5])
     assert pair.F.order == 6
+
+
+def test_a_wrap_checks_its_images_only_as_words_of_a_word_preset():
+    dense = WrapMap(D=cyclic_table(2), d={0: "a", 1: "ay"})
+    # a table host takes its labels, free:<letters> any word: neither is checked
+    for host in (cyclic_table(2), "free:ay", "free:int"):
+        assert dense.check_images(host) is dense
+    with pytest.raises(ValueError, match=r"^/d_words/1: word 'ay' uses letters \['y'\]"):
+        dense.check_images("s")
+    rule = WrapMap(D=sm_ideal_quotient(3, 2), d={1: "a"}, fallback="")
+    assert rule.check_images("free:ab") is rule
+    with pytest.raises(ValueError, match="^/fallback: the empty word names no element$"):
+        rule.check_images("t")

@@ -2,7 +2,11 @@
 codes, text output, golden JSON payloads, data-error pointers, and round trips
 between verbs."""
 
+import copy
+import functools
 import json
+import operator
+import random
 
 import numpy as np
 import pytest
@@ -10,9 +14,10 @@ import pytest
 import lef.cli
 import lef.fsg
 from conftest import find_relational_assignments, wrap_from_pair
-from lef.approx import ApproxPair, cyclic_table, subset_from_table
+from lef.approx import ApproxPair, WrapMap, approx_integers, cyclic_table, subset_from_table
 from lef.cli import main
-from lef.fsg import MulTable, is_clifford, is_completely_simple, is_group, is_j_trivial
+from lef.fsg import (MulTable, PartialTable, is_clifford, is_completely_simple, is_group,
+                     is_j_trivial)
 from lef.rewrite import RewriteSystem, make_schema, normal_form
 from lef.oracle import word_equal
 from lef.presets import PRESENTATIONS, PRESET_IDS, Q_SYSTEM, preset_letters, preset_presentation
@@ -408,6 +413,13 @@ def test_approx_check_wrap(capsys, tmp_path):
     ({"fallback": ...}, "/fallback: missing"),
     ({"carrier": ...}, "/: expected an object with 'carrier', 'd' and "
                        "'fallback', or with 'table' and 'd_words'"),
+    # the images are words of the host, checked when the file is read
+    ({"d": {"a": "a", "e": "ay"}},
+     "/d/e: word 'ay' uses letters ['y'] outside the s alphabet 'abcex'"),
+    ({"fallback": ""}, "/fallback: the empty word names no element"),
+    ({"carrier": ..., "d": ..., "fallback": ...,
+      "table": {"order": 2, "table": [[0, 1], [1, 0]]}, "d_words": ["a", "zz"]},
+     "/d_words/1: word 'zz' uses letters ['z'] outside the s alphabet 'abcex'"),
 ])
 def test_malformed_wrap_files(capsys, tmp_path, change, message):
     data = {"carrier": {"kind": "sm_ideal", "m": 3, "bound": 3},
@@ -718,3 +730,87 @@ def test_negative_step_counts_are_usage_errors(capsys, monkeypatch, z3_file):
         monkeypatch.setenv("LEF_STEP_LIMIT", value)
         code, out, err = run(capsys, "nf", "--system", "q", "--word", "xcab")
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzzed artifact files: every mutation is an exit code, never a traceback
+
+_DROP = object()
+_OTHER_TYPES = (None, True, 1.5, 7, "x", [], {})
+_OUT_OF_RANGE = (-1, 10 ** 6, 2 ** 63)
+_NOT_WORDS = ("", "ay", "0")
+
+
+def _wrap_in_s(data):
+    WrapMap.from_json(data).check_images("s")
+
+
+# name: (a valid file, the verb that reads it, the loader that accepts it)
+_FUZZ_FILES = {
+    "table": ({"order": 3, "labels": ["a", "b", "c"],
+               "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+              ("classify", "--table"), MulTable.from_json),
+    "pair": (approx_integers([0, 1, 5]).as_json(),
+             ("approx", "check", "--host", "free:int", "--words=0,1,5", "--pair"),
+             ApproxPair.from_json),
+    "rule-wrap": ({"carrier": {"kind": "sm_ideal", "m": 3, "bound": 2},
+                   "d": {"a": "a", "aa": "aa"}, "fallback": "aaa"},
+                  ("approx", "check", "--host", "s", "--words", "a", "--wrap"), _wrap_in_s),
+    "dense-wrap": ({"table": {"order": 2, "table": [[1, 1], [1, 1]]}, "d_words": ["a", "aa"]},
+                   ("approx", "check", "--host", "s", "--words", "a", "--wrap"), _wrap_in_s),
+    "partial": ({"elements": ["p", "q"], "products": {"p,q": "q", "q,p": "p"}},
+                ("embed", "--max-order", "3", "--partial"), PartialTable.from_json),
+}
+
+
+def _mutations(node, path=()):
+    """(path, replacement) pairs: each node in turn replaced by a value of
+    another type, an out-of-range integer or a string that is no word of
+    the host, or (_DROP) its key removed."""
+    out = [(path, v) for v in _OTHER_TYPES if type(v) is not type(node)]
+    if type(node) is int:
+        out += [(path, v) for v in _OUT_OF_RANGE]
+    if type(node) is str:
+        out += [(path, v) for v in _NOT_WORDS]
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        if isinstance(node, dict):
+            out.append(((*path, key), _DROP))
+        out += _mutations(child, (*path, key))
+    return out
+
+
+def _mutated(data, path, value):
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    parent = functools.reduce(operator.getitem, path[:-1], data)
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(_FUZZ_FILES))
+def test_fuzzed_artifact_files_exit_with_a_pointer(capsys, tmp_path, name):
+    """A mutated file exits 1 with its name and a JSON pointer, or 0 or 3
+    when it is still valid; a pair that lost an entry of --words is not
+    total on the subset, which names no cell."""
+    data, argv, load = _FUZZ_FILES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, *argv, str(path))[0] == 0
+    mutations = _mutations(data)
+    for where, value in random.Random(1).sample(mutations, min(60, len(mutations))):
+        mutated = _mutated(data, where, value)
+        path.write_text(json.dumps(mutated))
+        code, _, err = run(capsys, *argv, str(path))
+        case = (where, "drop" if value is _DROP else value, err)
+        if code == 1:
+            assert err.startswith((f"error: {path}: /",
+                                   "error: f is not total on the subset")), case
+        else:
+            assert code in (0, 3), case
+            load(mutated)

@@ -2,12 +2,13 @@
 search, closure exhaustion, and path replay."""
 
 import functools
+import gc
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import lef.constructors
 import lef.oracle
 from conftest import WORD_LETTERS, all_words, bounded_closure
 from lef.constructors import build_fn
@@ -17,6 +18,7 @@ from lef.oracle import (
     _search_verdict,
     congruence_class,
     equal_to_any,
+    normal_form_map,
     one_step_words,
     replay_path,
     sm_canonical,
@@ -299,8 +301,39 @@ def test_the_confluence_checks_kept_are_bounded_least_recent_out(monkeypatch):
     assert runs == [1, 2, 3, 2]
 
 
-def test_build_fn_keeps_a_bounded_number_of_systems():
-    assert build_fn.cache_info().maxsize == lef.constructors._FN_CACHE_SIZE
+def test_build_fn_keeps_no_systems():
+    """The exact map holds the one compiled copy of each F_n system it keeps:
+    build_fn compiles anew and keeps nothing, so building other shadows
+    leaves the kept map as it was and no second fn:1 system alive."""
+    assert word_equal_nf("fn:1", "aaa", "a").status == "equal"
+    kept = normal_form_map("fn:1").__self__
+    for n in range(2, 18):
+        build_fn(n)
+    fresh = build_fn(1)
+    assert fresh is not kept and fresh.system is not kept.system
+    assert fresh.element("aaa") == kept.element("aaa") == "a"
+    dropped = weakref.ref(fresh.system)
+    del fresh
+    gc.collect()
+    assert dropped() is None
+    assert normal_form_map("fn:1").__self__ is kept
+
+
+def test_an_sm_id_below_2_is_refused_before_anything_is_kept(monkeypatch):
+    runs = []
+    check = lef.oracle.check_local_confluence
+    monkeypatch.setattr(lef.oracle, "check_local_confluence",
+                        lambda system, **kw: runs.append(system.name) or check(system, **kw))
+    fresh = functools.lru_cache(maxsize=lef.oracle._EXACT_MAPS_SIZE)(
+        lef.oracle._exact_map.__wrapped__)
+    monkeypatch.setattr(lef.oracle, "_exact_map", fresh)
+    assert word_equal_nf("q", "xca", "xe").status == "equal"
+    for m in range(-20, 2):  # more ids than the cache has slots
+        with pytest.raises(ValueError, match="^sm preset needs m >= 2$"):
+            word_equal_nf(f"sm:{m}", "e", "e")
+    assert fresh.cache_info().currsize == 1
+    assert word_equal_nf("q", "xb", "cx").status == "equal"
+    assert runs == ["q"]
 
 
 def test_bfs_rejects_unknown_preset():

@@ -40,7 +40,8 @@ from lef.rewrite import (
     render_atoms,
 )
 
-from conftest import all_words, instantiate, system_from_json, system_to_json
+from conftest import (all_words, condition_holds, evaluate, instantiate, system_from_json,
+                      system_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +50,9 @@ from conftest import all_words, instantiate, system_from_json, system_to_json
 
 def test_parse_linexpr():
     e = parse_linexpr("2n+beta-alpha+1")
-    assert e.evaluate({"alpha": 2, "beta": 5}, n=3) == 2 * 3 + 5 - 2 + 1
-    assert parse_linexpr("7").evaluate({}, None) == 7
+    assert evaluate(e, {"alpha": 2, "beta": 5}, n=3) == 2 * 3 + 5 - 2 + 1
+    assert render_atoms(compile_atoms((("a", e),), 3), {"alpha": 2, "beta": 5}) == "a" * 10
+    assert evaluate(parse_linexpr("7"), {}, None) == 7
     assert parse_linexpr("alpha").is_bare_var()
     assert not parse_linexpr("alpha+1").is_bare_var()
     with pytest.raises(ValueError):
@@ -60,22 +62,31 @@ def test_parse_linexpr():
 
 
 def test_parse_linexpr_needs_n():
+    with pytest.raises(ValueError, match="^q2: expression mentions n but the system has no parameter$"):
+        compile_atoms((("a", parse_linexpr("2n")),), None, "q2: ")
     with pytest.raises(ValueError):
-        parse_linexpr("2n").evaluate({}, None)
+        evaluate(parse_linexpr("2n"), {}, None)
+
+
+def _holds(cond, assignment, n):
+    """The compiled check's answer, which must be the reference's."""
+    compiled = conditions_hold(compile_conditions((cond,), n), assignment)
+    assert compiled == condition_holds(cond, assignment, n), (str(cond), assignment)
+    return compiled
 
 
 def test_parse_condition_chain():
     c = parse_condition("0<beta<=alpha<=2n")
-    assert c.holds({"alpha": 3, "beta": 1}, n=2)
-    assert not c.holds({"alpha": 5, "beta": 1}, n=2)
-    assert not c.holds({"alpha": 3, "beta": 0}, n=2)
+    assert _holds(c, {"alpha": 3, "beta": 1}, n=2)
+    assert not _holds(c, {"alpha": 5, "beta": 1}, n=2)
+    assert not _holds(c, {"alpha": 3, "beta": 0}, n=2)
     assert c.variables == ("beta", "alpha")
 
 
 def test_parse_condition_not_both_zero():
     c = parse_condition("not_both_zero(u,v)")
-    assert c.holds({"u": 0, "v": 2}, None)
-    assert not c.holds({"u": 0, "v": 0}, None)
+    assert _holds(c, {"u": 0, "v": 2}, None)
+    assert not _holds(c, {"u": 0, "v": 0}, None)
 
 
 def test_parse_condition_rejects_garbage():
@@ -457,7 +468,7 @@ def _reference_matches(system, w, first=False):
             assignment, cur, options = {}, pos, []
             for i, (letter, expr) in enumerate(schema.lhs):
                 run = len(w) - cur - len(w[cur:].lstrip(letter))
-                k = None if expr.is_bare_var() else expr.evaluate({}, n)
+                k = None if expr.is_bare_var() else evaluate(expr, {}, n)
                 if i < len(schema.lhs) - 1:
                     if k is not None and run != k:
                         break
@@ -587,12 +598,12 @@ def test_instantiate_all_enforces_every_condition(name):
     n = system.parameter_n
     instances = list(instantiate_all(system, bound))
     for schema, assignment, _, _ in instances:
-        assert all(cond.holds(assignment, n) for cond in schema.conditions), \
+        assert all(condition_holds(cond, assignment, n) for cond in schema.conditions), \
             (schema.id, assignment)
     brute = sum(1 for schema in system.schemas
                 for values in itertools.product(range(bound + 1),
                                                 repeat=len(schema.variables))
-                if all(cond.holds(dict(zip(schema.variables, values)), n)
+                if all(condition_holds(cond, dict(zip(schema.variables, values)), n)
                        for cond in schema.conditions))
     assert len(instances) == brute
 
