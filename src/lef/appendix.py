@@ -27,9 +27,8 @@ import time
 from dataclasses import dataclass, field
 
 from .presets import Q_SYSTEM, build_fn_system
-from .rewrite import (_rule_results, bounded_assignments, compile_atoms,
-                      compile_conditions, normal_form, parse_condition, parse_pattern,
-                      render_atoms)
+from .rewrite import (_one_step, bounded_assignments, compile_atoms, compile_conditions,
+                      normal_form, parse_condition, parse_pattern, render_atoms)
 
 __all__ = [
     "JointRow",
@@ -702,17 +701,14 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
               nf_memo: dict[str, str] | None = None) -> RowReport:
     """Check one row over all exponent assignments in 0..bound.
 
-    The assignments come from ``rewrite.bounded_assignments``: a variable's
-    one-variable conditions narrow its range up front and are not checked
-    again; the other conditions are checked on each assignment, so the
-    admissible assignments and their order are those of the full product.
-    A word t is checked against the one-step results of ``row.first_rule``
-    and ``row.second_rule`` only, found by running just those rules'
-    matchers where the window table files them.  ``nf_memo`` maps words to
-    their normal forms under ``system`` and is passed to ``normal_form``,
-    which records every word of each leftmost chain in it; rows that share
-    one (as ``verify_appendix``'s rows do) reduce each word once.  Raises
-    ValueError on a bound below 0.
+    The assignments, and their order, are those of the full product that
+    pass the conditions (``rewrite.bounded_assignments``).  Whether t1 (t2)
+    is one ``row.first_rule`` (``second_rule``) step from t is
+    ``rewrite._one_step``, which runs only that rule's matchers, up to the
+    words' common prefix.  ``nf_memo`` maps words to their normal forms under
+    ``system`` and is passed to ``normal_form``, which records every word of
+    each chain in it; rows that share one (as ``verify_appendix``'s rows do)
+    reduce each word once.  Raises ValueError on a bound below 0.
     """
     if nf_memo is None:
         nf_memo = {}
@@ -743,9 +739,9 @@ def check_row(system, row: JointRow, bound: int, failure_cap: int = 5,
         report.distinct += 1
         t, t1, t2, t0 = words
         problems = []
-        if t1 not in _rule_results(system, t, row.first_rule):
+        if not _one_step(system, t, row.first_rule, t1):
             problems.append(f"t1 {t1!r} is not a one-step {row.first_rule} result of t")
-        if t2 not in _rule_results(system, t, row.second_rule):
+        if not _one_step(system, t, row.second_rule, t2):
             problems.append(f"t2 {t2!r} is not a one-step {row.second_rule} result of t")
         if not problems:
             nf1, nf2, nf0 = (normal_form(system, w, memo=nf_memo) for w in (t1, t2, t0))

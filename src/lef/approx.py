@@ -128,21 +128,29 @@ class WrapMap:
                 "fallback": _handle_key(self.fallback)}
 
     def check_images(self, host) -> "WrapMap":
-        """The map itself; over a word-preset host each image must name an
-        element, else a ValueError at its JSON pointer in ``as_json``."""
-        if not isinstance(host, str) or host.startswith("free:"):
-            return self
+        """The map with its images read as handles of ``host`` (elements of a
+        word preset, labels of a table, integers of "free:int", any word of
+        "free:<letters>"), else a ValueError at the image's JSON pointer."""
         dense = isinstance(self.D, MulTable)
-        images = {(f"/d_words/{i}" if dense else f"/d/{_pointer(self.D.label(i))}"): w
-                  for i, w in self.d.items()}
-        if self.fallback is not None:
-            images["/fallback"] = self.fallback
-        for where, w in images.items():
+
+        def read(where: str, w: str):
             try:
-                check_words(host, (w,))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-        return self
+                if host == "free:int":
+                    if not w.strip().removeprefix("-").isdecimal():
+                        raise ValueError(f"{w!r} is not an integer")
+                    return int(w)
+                if isinstance(host, MulTable):
+                    host.index(w)
+                elif isinstance(host, str) and not host.startswith("free:"):
+                    check_words(host, (w,))
+                return w
+            except (KeyError, ValueError) as exc:  # MulTable.index raises KeyError
+                raise ValueError(f"{where}: {exc.args[0]}") from None
+
+        d = {i: read(f"/d_words/{i}" if dense else f"/d/{_pointer(self.D.label(i))}", w)
+             for i, w in self.d.items()}
+        fallback = None if self.fallback is None else read("/fallback", self.fallback)
+        return WrapMap(self.D, d, fallback)
 
     @classmethod
     def from_json(cls, data) -> "WrapMap":

@@ -9,34 +9,35 @@ in the last position where shorter matches are also tried.  That is exactly the
 shape of all built-in rule schemas.
 
 Each ``RewriteSystem`` compiles its schemas once, with n fixed: a matcher per
-schema (``_Matcher``), the rank table of its letter order, and a table from
-the window ``w[pos:pos + 2]`` (one letter at the end of the word) to the
-matchers that can match at pos, in schema order.  The table follows from the
-atoms' ranges and the fact that an atom other than the last consumes its
-whole run, so the letter after it is not its own: q4, ``a^alpha c^beta
-e^gamma x`` with ``0<alpha``, is filed only under windows that start with
-``a``.  A letter outside the alphabet ends every run, like the end of the
-word, so a window whose second letter is foreign falls back to its first
-letter alone, and a foreign first letter to the matchers whose lhs can match
-the empty word.  A matcher also holds its schema's side conditions as integer
-checks, which ``instantiate_all`` reads, and its lhs and rhs as atoms for
-``render_atoms``, the one render, whose errors start with the schema id;
-folding n in (``_fold``) is the one place that rejects n in a system without
-a parameter.
+schema (``_Matcher``), the rank table of its letter order, and a table (and,
+once asked, one per rule id) from the window ``w[pos:pos + 3]``, shorter at
+the end of the word, to the matchers that can match at pos, in schema order.
+The table follows from the atoms' ranges and the fact that an atom other than
+the last consumes its whole run, so the letter after it is not its own: q4,
+``a^alpha c^beta e^gamma x`` with ``0<alpha``, is filed only under windows
+that start with ``a``.  A letter outside the alphabet ends every run, like
+the end of the word, so a window holding one falls back to the letters
+before it, down to the matchers whose lhs can match the empty word.  A
+matcher also holds its schema's side conditions as integer checks, which
+``instantiate_all`` reads, and its lhs and rhs as atoms for ``render_atoms``,
+the one render, whose errors start with the schema id; folding n in
+(``_fold``) is the one place that rejects n in a system without a parameter.
 
 One matcher, ``_match_at``, reads a schema's lhs at a position, and one
-scan, ``_matches``, runs it over the positions from a start and the window
-table, yielding the matches in order (``enumerate_redexes``,
-``_rule_results``, ``random_normal_form``).  Leftmost reduction is one walk,
-``_steps``, whose step is the scan's first match with its rhs rendered once:
-``normal_form`` reads only its words, and ``leftmost_reductions``
-(``reduce_once``, ``lef rewrite``) makes ``Reduction``s of its steps.  After
-a step it resumes near the edit, not at 0.  A match
-attempt reads at most ``max_lhs_atoms`` runs of the word plus one look-ahead
-letter, so after a step at ``pos`` (no earlier position matched) every
-attempt starting ``max_lhs_atoms`` or more runs before the run holding
-``pos - 1`` reads only unchanged letters and still fails; the window table
-leaves out only matchers that cannot match, so this holds with it too.
+plain scan, ``_scan``, runs it over the positions and the window table from a
+cursor (position, matcher index); ``_matches`` walks it for every match
+(``enumerate_redexes``, ``random_normal_form``, ``_one_step``).  Leftmost
+reduction is one walk, ``_steps``, of first matches, each rhs rendered once:
+``leftmost_reductions`` (``reduce_once``, ``lef rewrite``) gives the last
+variable its smallest value and ``normal_form`` its largest, which on a
+convergent system ends at the same word in fewer steps (2 for Q's
+``x a^k c^(k-1) x``, not about k^2/2).  After a step the walk resumes near
+the edit, not at 0.  A match attempt reads at most ``max_lhs_atoms``
+runs of the word plus one look-ahead letter, so after a step at ``pos`` (no
+earlier position matched) every attempt starting ``max_lhs_atoms`` or more
+runs before the run holding ``pos - 1`` reads only unchanged letters and
+still fails; the window table leaves out only matchers that cannot match,
+so this holds with it too.
 
 With ``assert_decrease`` each step must decrease shortlex, which is checked
 on the rewritten segment alone: the two words share prefix and suffix, so the
@@ -44,11 +45,10 @@ new one is smaller iff the rhs is shorter than the match, or as long and
 lexicographically smaller.  The first step ranks every letter of the word and
 later ones the rhs, so a letter outside the alphabet is still a ValueError.
 
-``normal_form`` takes an optional memo from words to their leftmost normal
-forms, which the verify campaigns (``check_local_confluence`` and
-``appendix.verify_appendix``) share.  Leftmost reduction is deterministic, so
-every word on a chain w -> w1 -> ... -> v has v as its leftmost normal form,
-confluent system or not, and each word is reduced once per campaign.
+``normal_form`` takes an optional memo from words to their normal forms, shared
+by the verify campaigns (``check_local_confluence``, ``appendix``).  Its walk
+is deterministic, so every word on a chain w -> ... -> v has v as its normal
+form, confluent system or not: each word is reduced once per campaign.
 ``check_local_confluence`` streams the critical pairs (``_overlaps``, which
 ``critical_pairs`` lists) and keeps only the memo and the unresolved pairs.
 """
@@ -64,6 +64,7 @@ import sys
 from dataclasses import dataclass, field
 
 DEFAULT_STEP_LIMIT = 100_000
+_WINDOW = 3  # letters at a position that the window table files matchers under
 _UNBOUNDED = sys.maxsize  # upper end of a variable's range when no condition caps it
 _PARSE_CACHE_SIZE = 1024  # distinct exponent texts kept parsed (the appendix has 73)
 
@@ -366,18 +367,29 @@ def bounded_assignments(checks: tuple[Check, ...], variables, bound: int):
     ``variables`` into 0..bound that passes ``checks``.
 
     ``_split_bounds`` folds the one-variable ``>=`` checks into each
-    variable's range, as it does for a matcher's atoms; only the product of
-    the narrowed ranges is walked, and only the checks it did not fold are run
-    on each assignment.  Raises ValueError on a bound below 0.
+    variable's range, as it does for a matcher's atoms.  The ranges are
+    walked depth first, in ``variables`` order, and each other check runs as
+    soon as its last variable is bound.  Raises ValueError on a bound below 0.
     """
     if bound < 0:
         raise ValueError(f"exponent bound {bound} is below 0")
     lo, hi, rest = _split_bounds(checks, variables)
-    ranges = [range(lo[v], min(hi[v], bound) + 1) for v in variables]
-    for values in itertools.product(*ranges):
-        assignment = dict(zip(variables, values))
-        if not rest or conditions_hold(rest, assignment):
-            yield assignment
+    stages: list[list] = [[] for _ in range(len(variables) + 1)]  # by variables bound
+    for check in rest:
+        stages[max((variables.index(v) + 1 for v, _ in check[1]), default=0)].append(check)
+    assignment: dict[str, int] = {}
+
+    def walk(depth: int):
+        if not conditions_hold(stages[depth], assignment):
+            return
+        if depth == len(variables):
+            yield dict(assignment)
+        else:
+            name = variables[depth]
+            for assignment[name] in range(lo[name], min(hi[name], bound) + 1):
+                yield from walk(depth + 1)
+
+    return walk(0)
 
 
 class _Matcher:
@@ -441,8 +453,8 @@ class _Matcher:
         return lhs, rhs
 
     def window_keys(self, alphabet: str) -> set[str]:
-        """A superset of the windows w[pos:pos + 2] at which the lhs can match
-        at pos; "" is in it when the lhs can match the empty word.
+        """A superset of the windows w[pos:pos + _WINDOW] (shorter where the
+        word ends) at which the lhs can match at pos; "" for the empty word.
 
         A walk over the atoms keeps the letters read so far and the letters
         the next one cannot be: an atom other than the last consumes its whole
@@ -453,26 +465,22 @@ class _Matcher:
         keys: set[str] = set()
 
         def walk(i: int, read: str, banned: frozenset) -> None:
-            if len(read) == 2:
-                keys.add(read)
-                return
+            room = _WINDOW - len(read)
             if i == len(atoms):
                 # the word ends here, or goes on with a letter no run claims
-                free = [c for c in alphabet if c not in banned]
-                keys.add(read)
-                keys.update(read + c for c in free)
-                if not read:
-                    keys.update(c + d for c in free for d in alphabet)
+                keys.update(read + "".join(tail) for k in range(room + 1)
+                            for tail in itertools.product(alphabet, repeat=k)
+                            if not tail or tail[0] not in banned)
                 return
             letter, _, lo, hi = atoms[i]
             after = frozenset(letter) if i < len(atoms) - 1 else frozenset()
             if lo <= 0 <= hi:
                 walk(i + 1, read, banned | after)
             if letter not in banned:
-                if lo <= 1 <= hi:
-                    walk(i + 1, read + letter, after)
-                if hi >= max(lo, 2):
-                    keys.add((read + letter * 2)[:2])
+                for run in range(max(lo, 1), min(hi, room - 1) + 1):
+                    walk(i + 1, read + letter * run, after)
+                if hi >= max(lo, room):  # the run fills the window
+                    keys.add(read + letter * room)
 
         walk(0, "", frozenset())
         return keys
@@ -489,6 +497,7 @@ class RewriteSystem:
     # compiled in __post_init__; see the module docstring
     _matchers: tuple = field(init=False, repr=False, compare=False)
     _table: dict = field(init=False, repr=False, compare=False)
+    _by_rule: dict = field(init=False, repr=False, compare=False)  # the table per rule id
     _rank: dict = field(init=False, repr=False, compare=False)
     _max_atoms: int = field(init=False, repr=False, compare=False)
 
@@ -501,10 +510,12 @@ class RewriteSystem:
             if not {letter for letter, _ in s.lhs} <= set(self.alphabet):
                 raise ValueError(f"schema {s.id}: lhs letters outside the alphabet")
         self._matchers = tuple(_Matcher(s, self.parameter_n) for s in self.schemas)
-        found = [m.window_keys(self.alphabet) for m in self._matchers]
-        windows = [""] + [c + d for c in self.alphabet for d in ("", *self.alphabet)]
-        self._table = {key: tuple(m for m, keys in zip(self._matchers, found) if key in keys)
-                       for key in windows}
+        windows = ["".join(key) for k in range(_WINDOW + 1)
+                   for key in itertools.product(self.alphabet, repeat=k)]
+        self._table, self._by_rule = dict.fromkeys(windows, ()), {}
+        for m in self._matchers:
+            for key in m.window_keys(self.alphabet):
+                self._table[key] += (m,)
         self._rank = {ch: i for i, ch in enumerate(self.order)}
         self._max_atoms = max((len(s.lhs) for s in self.schemas), default=1)
 
@@ -568,27 +579,35 @@ def _lex_key(w: str, rank: dict[str, int]) -> tuple:
                          f"{''.join(rank)!r}") from None
 
 
-def _matches(system: RewriteSystem, w: str, rule_id: str | None = None, start: int = 0):
-    """Yield (matcher, position, assignment, consumed) for every match in w at
-    ``start`` or later, by position, then schema, then assignment; with
-    ``rule_id``, only the matches of that rule's matchers."""
-    table = system._table
-    for pos in range(start, len(w)):
-        ms = table.get(w[pos:pos + 2])
-        if ms is None:  # a letter outside the alphabet, which ends every run
-            ms = table.get(w[pos], table[""])
-        for m in ms:
-            if (rule_id is None or m.schema.id == rule_id) and \
-                    (found := _match_at(m, w, pos)) is not None:
-                assignment, consumed, longest = found
-                yield m, pos, assignment, consumed
-                name = m.last[1]
-                for k in range(1, longest - consumed + 1):
-                    yield m, pos, {**assignment, name: assignment[name] + k}, consumed + k
+def _scan(table: dict, w: str, pos: int, i: int, end: int):
+    """The first match at the cursor (pos, i), the i-th matcher filed under the
+    window at pos, or after it, below ``end`` <= len(w): (matcher, pos, i,
+    assignment, consumed, longest), the last three from ``_match_at``; or None."""
+    while pos < end:
+        key = w[pos:pos + _WINDOW]
+        while (ms := table.get(key)) is None:  # a letter outside the alphabet,
+            key = key[:-1]                       # which ends every run
+        for m in ms[i:] if i else ms:
+            if (found := _match_at(m, w, pos)) is not None:
+                return m, pos, ms.index(m), *found
+        pos, i = pos + 1, 0
+    return None
+
+
+def _matches(w: str, table: dict, end: int):
+    """Yield (matcher, position, assignment, consumed) for every match of
+    ``_scan`` over ``table`` below ``end``, in its order, then by assignment."""
+    pos = i = 0
+    while (found := _scan(table, w, pos, i, end)) is not None:
+        m, pos, i, assignment, consumed, longest = found
+        yield m, pos, assignment, consumed
+        for k in range(1, longest - consumed + 1):  # the last variable's larger values
+            yield m, pos, {**assignment, m.last[1]: assignment[m.last[1]] + k}, consumed + k
+        i += 1
 
 
 def reduce_once(system: RewriteSystem, w: str) -> Reduction | None:
-    """One step under the deterministic strategy: leftmost position, lowest
+    """The first step of ``leftmost_reductions``: leftmost position, lowest
     schema index, smallest assignment.  None iff w is irreducible."""
     return next(leftmost_reductions(system, w, 1), None)
 
@@ -596,18 +615,28 @@ def reduce_once(system: RewriteSystem, w: str) -> Reduction | None:
 def enumerate_redexes(system: RewriteSystem, w: str) -> list[Reduction]:
     """Every applicable (position, rule, assignment) reduction of w."""
     out = []
-    for m, pos, assignment, consumed in _matches(system, w):
+    for m, pos, assignment, consumed in _matches(w, system._table, len(w)):
         rhs = render_atoms(m.rhs, assignment)
         out.append(Reduction(w[:pos] + rhs + w[pos + consumed:], pos, m.schema.id,
                              assignment, w[pos:pos + consumed], rhs))
     return out
 
 
-def _rule_results(system: RewriteSystem, w: str, rule_id: str) -> set[str]:
-    """The words one step of rule ``rule_id`` gives from w: the words of
-    ``enumerate_redexes`` with that rule id."""
-    return {w[:pos] + render_atoms(m.rhs, assignment) + w[pos + consumed:]
-            for m, pos, assignment, consumed in _matches(system, w, rule_id)}
+def _one_step(system: RewriteSystem, w: str, rule_id: str, target: str) -> bool:
+    """Whether one step of rule ``rule_id`` turns w into ``target``; a step at
+    pos keeps w[:pos], so it is tried only up to their common prefix."""
+    tables = system._by_rule
+    if not tables:  # every rule's own window table, built on the first call
+        tables.update((m.schema.id, dict.fromkeys(system._table, ())) for m in system._matchers)
+        for key, ms in system._table.items():
+            for m in ms:
+                tables[m.schema.id][key] += (m,)
+    table = tables.get(rule_id) or dict.fromkeys(system._table, ())  # no such rule
+    end = min(len(os.path.commonprefix((w, target))) + 1, len(w))
+    for m, pos, assignment, consumed in _matches(w, table, end):
+        if w[:pos] + render_atoms(m.rhs, assignment) + w[pos + consumed:] == target:
+            return True
+    return False
 
 
 def _step_limit(step_limit: int | None) -> int:
@@ -649,15 +678,18 @@ def _limit_error(system: RewriteSystem, limit: int, w: str) -> StepLimitError:
                           f"(system {system.name}, stuck at {w[:80]!r})")
 
 
-def _steps(system: RewriteSystem, w: str, limit: int):
+def _steps(system: RewriteSystem, w: str, limit: int, largest: bool = False):
     """Yield (rewritten word, (matcher, position, assignment, consumed), rhs)
-    for each leftmost step from w: the first of ``_matches``, searched when
-    asked for (after the first step, from ``_resume_point``) and checked as
-    the module docstring says."""
+    for each leftmost step from w: the first match of ``_scan`` (after the
+    first step, from ``_resume_point``), the last variable at its smallest
+    value or with ``largest`` its largest, checked as the module docstring says."""
     rank = system._rank if system.assert_decrease else None
     start = steps = 0
-    while (match := next(_matches(system, w, start=start), None)) is not None:
-        m, pos, assignment, consumed = match
+    while (found := _scan(system._table, w, start, 0, len(w))) is not None:
+        m, pos, _, assignment, consumed, longest = found
+        if largest and longest > consumed:
+            assignment[m.last[1]] += longest - consumed
+            consumed = longest
         rhs = render_atoms(m.rhs, assignment)
         new = w[:pos] + rhs + w[pos + consumed:]
         if rank is not None:
@@ -668,7 +700,7 @@ def _steps(system: RewriteSystem, w: str, limit: int):
         steps += 1
         if steps > limit:
             raise _limit_error(system, limit, new)
-        yield new, match, rhs
+        yield new, (m, pos, assignment, consumed), rhs
         w = new
         start = _resume_point(w, pos, system._max_atoms)
 
@@ -683,13 +715,15 @@ def leftmost_reductions(system: RewriteSystem, w: str, step_limit: int | None = 
 
 def normal_form(system: RewriteSystem, w: str, step_limit: int | None = None,
                 memo: dict[str, str] | None = None) -> str:
-    """The end of w's chain of ``_steps``.  With ``memo`` (words to their leftmost
-    normal forms) the walk stops at the first key (at once if w is one), so the
-    step limit counts only the steps taken; unless it is passed, every word the
-    walk stepped through and the word it reached are mapped to the result."""
+    """The end of w's leftmost-largest chain of ``_steps`` (``leftmost_reductions``
+    takes the smallest; their ends differ only on a system that is not
+    confluent).  With ``memo`` (words to their normal forms) the walk stops at
+    the first key (at once if w is one), so the step limit counts only the
+    steps taken; unless it is passed, every word the walk stepped through and
+    the word it reached are mapped to the result."""
     if memo is not None and w in memo:
         return memo[w]
-    walk = _steps(system, w, _step_limit(step_limit))
+    walk = _steps(system, w, _step_limit(step_limit), largest=True)
     if memo is None:
         for w, _, _ in walk:
             pass
@@ -709,11 +743,11 @@ def random_normal_form(system: RewriteSystem, w: str, rng: random.Random,
                        step_limit: int | None = None) -> str:
     """Reduce w by a match that ``rng`` draws from all of ``_matches`` (the
     redexes of ``enumerate_redexes``, in its order) at each step.  On a
-    convergent system this is the leftmost normal form; the walk exists to
-    test exactly that.  StepLimitError as in ``normal_form``."""
+    convergent system this is ``normal_form``; the walk exists to test
+    exactly that.  StepLimitError as in ``normal_form``."""
     limit = _step_limit(step_limit)
     steps = 0
-    while matches := list(_matches(system, w)):
+    while matches := list(_matches(w, system._table, len(w))):
         m, pos, assignment, consumed = rng.choice(matches)
         w = w[:pos] + render_atoms(m.rhs, assignment) + w[pos + consumed:]
         steps += 1

@@ -26,8 +26,8 @@ from lef.fsg import MulTable
 from lef.lwf import build_lwf_wrapping
 from lef.oracle import sm_canonical
 from lef.rewrite import (Condition, ConditionError, LinExpr, RewriteSystem, RuleSchema,
-                         _Matcher, compile_atoms, parse_condition, parse_linexpr,
-                         parse_pattern, render_atoms)
+                         _Matcher, compile_atoms, enumerate_redexes, parse_condition,
+                         parse_linexpr, parse_pattern, render_atoms)
 from lef.search import relational_assignments
 from lef.words import one_step_words
 
@@ -203,6 +203,12 @@ def instantiate(schema: RuleSchema, assignment: dict[str, int], n: int | None = 
 def render_pattern(text: str, assignment: dict[str, int], n: int | None) -> str:
     """Concrete word for a pattern like 'x a^alpha c^beta+1 x' under an assignment."""
     return render_atoms(compile_atoms(parse_pattern(text), n), assignment)
+
+
+def rule_results(system: RewriteSystem, w: str, rule_id: str) -> set[str]:
+    """Every word one step of rule ``rule_id`` gives from w, read off all of
+    w's redexes: the reference for ``rewrite._one_step``."""
+    return {r.word for r in enumerate_redexes(system, w) if r.rule_id == rule_id}
 
 
 def get_row(label: str) -> JointRow:

@@ -17,10 +17,10 @@ from lef.appendix import (
     check_row,
     verify_appendix,
 )
-from conftest import get_row, render_pattern
+from conftest import get_row, render_pattern, rule_results
 from lef.presets import Q_SYSTEM, build_fn_system
-from lef.rewrite import (_UNBOUNDED, bounded_assignments, compile_conditions,
-                         conditions_hold, enumerate_redexes, parse_condition)
+from lef.rewrite import (_UNBOUNDED, _one_step, bounded_assignments, compile_atoms,
+                         compile_conditions, conditions_hold, parse_condition, render_atoms)
 
 # rows that admit no assignment at n = 1: every row whose side conditions
 # demand an open window like n < alpha - beta < 2n collapses when n = 1
@@ -136,14 +136,14 @@ def _fold_nothing(checks, variables):
     return dict.fromkeys(variables, 0), dict.fromkeys(variables, _UNBOUNDED), list(checks)
 
 
-def _via_all_redexes(system, w, rule_id):
-    return {r.word for r in enumerate_redexes(system, w) if r.rule_id == rule_id}
+def _in_rule_results(system, w, rule_id, target):
+    return target in rule_results(system, w, rule_id)
 
 
 def _reference_check_row(monkeypatch, system, row, bound):
     with monkeypatch.context() as m:
         m.setattr(lef.rewrite, "_split_bounds", _fold_nothing)
-        m.setattr(lef.appendix, "_rule_results", _via_all_redexes)
+        m.setattr(lef.appendix, "_one_step", _in_rule_results)
         return check_row(system, row, bound)
 
 
@@ -164,22 +164,45 @@ def test_check_row_matches_the_full_product_reference(monkeypatch):
         assert check_row(system, row, 4).as_json() == expected, (row.label, system.name)
 
 
+def test_one_step_agrees_with_every_rule_result():
+    """The prefix-bounded one-step check against the full set of one rule's
+    results: every row instance of A, and of B at n = 1 and 2, at bound 4,
+    asked about each result of both rules and about t, t1, t2 and t0."""
+    for system, row in _reference_cases():
+        parsed, conditions = row.parsed
+        n = system.parameter_n
+        patterns = [compile_atoms(p, n) for p in parsed]
+        seen = set()
+        for assignment in bounded_assignments(compile_conditions(conditions, n),
+                                              row.variables, 4):
+            words = tuple(render_atoms(p, assignment) for p in patterns)
+            if words in seen:
+                continue
+            seen.add(words)
+            t = words[0]
+            for rule_id in (row.first_rule, row.second_rule):
+                results = rule_results(system, t, rule_id)
+                for target in results | set(words):
+                    assert _one_step(system, t, rule_id, target) == (target in results), \
+                        (row.label, n, t, rule_id, target)
+
+
 def test_bounded_assignments_keep_every_admissible_assignment():
-    """Every row's and every schema's conditions at n = 1, 2 over bounds
-    0..3: the assignments are the filtered full product, order included."""
+    """Every row's and every schema's conditions at n = 1, 2, 3 over bounds
+    0..6: the assignments are the filtered full product, order included."""
     alpha = compile_conditions((parse_condition("0<alpha<=2n"),), 1)
     assert list(bounded_assignments(alpha, ("alpha", "beta"), 4)) == [
         {"alpha": a, "beta": b} for a in (1, 2) for b in range(5)]
     with pytest.raises(ValueError, match="exponent bound -1 is below 0"):
         next(bounded_assignments(alpha, ("alpha",), -1))
     cases = [(row.parsed[1], row.variables, None) for row in A_ROWS]
-    cases += [(row.parsed[1], row.variables, n) for row in B_ROWS for n in (1, 2)]
+    cases += [(row.parsed[1], row.variables, n) for row in B_ROWS for n in (1, 2, 3)]
     cases += [(schema.conditions, schema.variables, system.parameter_n)
-              for system in (Q_SYSTEM, build_fn_system(1), build_fn_system(2))
+              for system in (Q_SYSTEM, build_fn_system(1), build_fn_system(2), build_fn_system(3))
               for schema in system.schemas]
     for conditions, variables, n in cases:
         checks = compile_conditions(conditions, n)
-        for bound in range(4):
+        for bound in range(7):
             full = [dict(zip(variables, values))
                     for values in itertools.product(range(bound + 1), repeat=len(variables))]
             full = [assignment for assignment in full if conditions_hold(checks, assignment)]

@@ -360,14 +360,26 @@ def test_int_group_handle():
     assert pair.F.order == 6
 
 
-def test_a_wrap_checks_its_images_only_as_words_of_a_word_preset():
+def test_a_wrap_reads_its_images_as_handles_of_its_host():
     dense = WrapMap(D=cyclic_table(2), d={0: "a", 1: "ay"})
-    # a table host takes its labels, free:<letters> any word: neither is checked
-    for host in (cyclic_table(2), "free:ay", "free:int"):
-        assert dense.check_images(host) is dense
+    # free:<letters> takes any word
+    assert dense.check_images("free:ay").d == dense.d
     with pytest.raises(ValueError, match=r"^/d_words/1: word 'ay' uses letters \['y'\]"):
         dense.check_images("s")
+    # a table host takes its labels
+    with pytest.raises(ValueError, match="^/d_words/0: no element labelled 'a' in a table of order 2$"):
+        dense.check_images(cyclic_table(2))
+    assert WrapMap(D=cyclic_table(2), d={0: "1", 1: "0"}).check_images(cyclic_table(2)).d == \
+        {0: "1", 1: "0"}
+    # free:int takes integers, and the map's images become them
+    with pytest.raises(ValueError, match="^/d_words/0: 'a' is not an integer$"):
+        dense.check_images("free:int")
     rule = WrapMap(D=sm_ideal_quotient(3, 2), d={1: "a"}, fallback="")
-    assert rule.check_images("free:ab") is rule
+    assert (rule.check_images("free:ab").d, rule.check_images("free:ab").fallback) == ({1: "a"}, "")
     with pytest.raises(ValueError, match="^/fallback: the empty word names no element$"):
         rule.check_images("t")
+    with pytest.raises(ValueError, match="^/d/e: 'a' is not an integer$"):
+        rule.check_images("free:int")
+    ints = WrapMap(D=quotient_by_length_ideal("a", 2), d={1: "1", 2: "-2"}, fallback="2")
+    assert (ints.check_images("free:int").d, ints.check_images("free:int").fallback) == \
+        ({1: 1, 2: -2}, 2)

@@ -387,6 +387,36 @@ def test_approx_check_wrap(capsys, tmp_path):
     assert "check: valid" in out
 
 
+def test_wrap_images_are_read_as_handles_of_a_table_or_integer_host(capsys, tmp_path):
+    # over a table host an image must be one of its labels
+    z2 = cyclic_table(2).to_json()
+    table, dense = tmp_path / "z2.json", tmp_path / "dense.json"
+    table.write_text(json.dumps(z2))
+    dense.write_text(json.dumps({"table": z2, "d_words": ["0", "zz"]}))
+    code, out, err = run(capsys, "approx", "check", "--wrap", str(dense),
+                         "--host-table", str(table), "--members", "0")
+    assert (code, out, err) == (
+        1, "", f"error: {dense}: /d_words/1: no element labelled 'zz' in a table of order 2\n")
+    # over free:int the images are integers, so a correct map is valid
+    ints = tmp_path / "ints.json"
+    carrier = {"kind": "length_ideal", "alphabet": "a", "max_len": 4}
+    ints.write_text(json.dumps({"carrier": carrier, "fallback": "0",
+                                "d": {"a": "1", "aa": "2", "aaa": "3", "aaaa": "4"}}))
+    code, out, _ = run(capsys, "approx", "check", "--wrap", str(ints),
+                       "--host", "free:int", "--words", "1,2")
+    assert (code, out) == (0, "wrapping map on a subset of 2 elements\ncheck: valid\n")
+    # on a carrier cut at length 2, aa.aa falls into the zero, whose image is not 2 + 2
+    ints.write_text(json.dumps({"carrier": {**carrier, "max_len": 2}, "fallback": "2",
+                                "d": {"a": "1", "aa": "2"}}))
+    code, out, _ = run(capsys, "approx", "check", "--wrap", str(ints),
+                       "--host", "free:int", "--words", "1,2")
+    assert (code, out.splitlines()[-1]) == (3, "check: INVALID (product) on (2, 2, 2, 4)")
+    ints.write_text(json.dumps({"carrier": carrier, "fallback": "0", "d": {"a": "one"}}))
+    code, _, err = run(capsys, "approx", "check", "--wrap", str(ints),
+                       "--host", "free:int", "--words", "1")
+    assert (code, err) == (1, f"error: {ints}: /d/a: 'one' is not an integer\n")
+
+
 @pytest.mark.parametrize("change, message", [
     ({"carrier": {"kind": "dense", "m": 3, "bound": 3}},
      "/carrier/kind: expected 'length_ideal' or 'sm_ideal', got 'dense'"),

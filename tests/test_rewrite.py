@@ -20,7 +20,7 @@ from lef.rewrite import (
     CriticalPair,
     RewriteSystem,
     StepLimitError,
-    _rule_results,
+    _one_step,
     check_local_confluence,
     check_termination_order,
     compile_atoms,
@@ -292,11 +292,22 @@ def _full_rescan(system, w):
     return w, chain
 
 
+def _full_rescan_largest(system, w):
+    """The words of w's leftmost-largest chain, each step the first of a
+    fresh walk, searched from position 0."""
+    chain = []
+    while (step := next(lef.rewrite._steps(system, w, 1, largest=True), None)) is not None:
+        w = step[0]
+        chain.append(w)
+    return chain
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEMS) + ["edge"])
 def test_resuming_normal_form_matches_full_rescan(name, monkeypatch):
     """leftmost_reductions, and normal_form, walk the steps of ``_steps``,
-    which resumes near each edit; the reference rescans from 0.  The step
-    count of normal_form is the number of steps its walk yields."""
+    which resumes near each edit; the references rescan from 0.  The step
+    count of normal_form is the number of steps of its leftmost-largest
+    walk."""
     steps = 0
     original = lef.rewrite._steps
 
@@ -312,9 +323,46 @@ def test_resuming_normal_form_matches_full_rescan(name, monkeypatch):
     for word in words:
         final, chain = _full_rescan(system, word)
         assert list(leftmost_reductions(system, word)) == chain, word
+        largest = _full_rescan_largest(system, word)
         before = steps
-        assert normal_form(system, word) == final, word
-        assert steps - before == len(chain), word
+        assert normal_form(system, word) == (largest[-1] if largest else word) == final, word
+        assert steps - before == len(largest), word
+
+
+def _long_run_words(kmax):
+    for k in range(1, kmax + 1):
+        yield "x" + "a" * k + "c" * (k - 1) + "x"
+        yield "x" + "a" * k + "c" * k + "e" * k + "x"
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_normal_form_is_the_end_of_the_leftmost_smallest_walk(name):
+    """On a convergent system the leftmost-largest walk of normal_form and
+    the leftmost-smallest walk of leftmost_reductions end at one word."""
+    system = SYSTEMS[name]
+    for word in all_words(system.alphabet, 6) + list(_long_run_words(60)):
+        end = word
+        for red in leftmost_reductions(system, word):
+            end = red.word
+        assert normal_form(system, word) == end, word
+
+
+def test_a_long_run_takes_two_largest_steps(monkeypatch):
+    """x a^k c^(k-1) x: q2 takes all of c^(k-1) at once, then q7 ends at xax;
+    the smallest walk would take about k^2/2 steps."""
+    steps = 0
+    original = lef.rewrite._steps
+
+    def counting(*args, **kwargs):
+        nonlocal steps
+        for step in original(*args, **kwargs):
+            steps += 1
+            yield step
+
+    monkeypatch.setattr(lef.rewrite, "_steps", counting)
+    word = "x" + "a" * 100_000 + "c" * 99_999 + "x"
+    assert normal_form(Q_SYSTEM, word, step_limit=2) == "xax"
+    assert steps == 2
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
@@ -352,7 +400,7 @@ def test_one_memoised_call_records_its_whole_chain(name):
     system = MEMO_SYSTEMS[name]
     shared: dict[str, str] = {}
     for word in all_words(system.alphabet, 4):
-        chain = [word] + [red.word for red in leftmost_reductions(system, word)]
+        chain = [word] + [step[0] for step in _reference_chain(system, word, largest=True)]
         final = chain[-1]
         memo: dict[str, str] = {}
         assert normal_form(system, word, memo=memo) == final == normal_form(system, word)
@@ -489,9 +537,11 @@ def _reference_matches(system, w, first=False):
 @pytest.mark.parametrize("name", sorted(DISPATCH))
 def test_dispatch_matches_the_unfiltered_reference(name):
     system = DISPATCH[name]
-    # a letter outside the alphabet ends every run, like the end of the word
-    # (a system that checks each step's decrease rejects such words)
-    foreign = [] if system.assert_decrease else ["az", "ez", "zez", "xazccc", "bzzb", "aazcccc"]
+    # a letter outside the alphabet ends every run, like the end of the word,
+    # also at offset 1 or 2 of a 3-letter window (a system that checks each
+    # step's decrease rejects such words)
+    foreign = [] if system.assert_decrease else [
+        "az", "ez", "zez", "xazccc", "bzzb", "aazcccc", "aza", "abza", "xzx", "cazb", "aaza"]
     rhs = {s.id: compile_atoms(s.rhs, system.parameter_n) for s in system.schemas}
     for w in _dispatch_words(name) + foreign:
         expected = _reference_matches(system, w)
@@ -499,22 +549,29 @@ def test_dispatch_matches_the_unfiltered_reference(name):
                for r in enumerate_redexes(system, w)]
         assert got == expected, w
         # one rule's one-step results, as the appendix rows check them
-        for rule_id in rhs:
-            words = {w[:pos] + render_atoms(rhs[rule_id], asg) + w[pos + consumed:]
-                     for pos, rid, asg, consumed in expected if rid == rule_id}
-            assert _rule_results(system, w, rule_id) == words, (w, rule_id)
+        results = {rule_id: {w[:pos] + render_atoms(rhs[rule_id], asg) + w[pos + consumed:]
+                             for pos, rid, asg, consumed in expected if rid == rule_id}
+                   for rule_id in rhs}
+        candidates = {w}.union(*results.values())
+        for rule_id, words in results.items():
+            assert {v for v in candidates if _one_step(system, w, rule_id, v)} == words, \
+                (w, rule_id)
         red = reduce_once(system, w)
         first = None if red is None else (red.position, red.rule_id, red.assignment,
                                           len(red.matched))
         assert first == (expected[0] if expected else None), w
 
 
-def _reference_chain(system, w):
+def _reference_chain(system, w, largest=False):
     """The leftmost chain of w as (word, position, rule id, assignment,
-    matched, replacement) tuples, each step the first of _reference_matches."""
+    matched, replacement) tuples, each step the first of _reference_matches;
+    with ``largest``, the last match of that position and rule (the largest
+    assignment of the last variable)."""
     rhs = {s.id: compile_atoms(s.rhs, system.parameter_n) for s in system.schemas}
     chain = []
     while found := _reference_matches(system, w, first=True):
+        if largest:
+            found = [f for f in found if f[:2] == found[0][:2]][::-1]
         pos, rule_id, assignment, consumed = found[0]
         replacement = render_atoms(rhs[rule_id], assignment)
         matched = w[pos:pos + consumed]
@@ -532,7 +589,8 @@ def test_leftmost_walk_matches_the_reference_chain(name):
         trace = list(leftmost_reductions(system, w))
         assert [(r.word, r.position, r.rule_id, r.assignment, r.matched, r.replacement)
                 for r in trace] == chain, w
-        assert normal_form(system, w) == (chain[-1][0] if chain else w), w
+        largest = _reference_chain(system, w, largest=True)
+        assert normal_form(system, w) == (largest[-1][0] if largest else w), w
 
 
 @pytest.mark.parametrize("system", [Q_SYSTEM, build_fn_system(2)], ids=["q", "fn:2"])
@@ -552,7 +610,7 @@ def test_every_match_is_filed_under_its_window(name):
     system = DISPATCH[name]
     for w in _dispatch_words(name):
         for pos in range(len(w)):
-            listed = system._table[w[pos:pos + 2]]
+            listed = system._table[w[pos:pos + 3]]
             for m in system._matchers:
                 if lef.rewrite._match_at(m, w, pos) is not None:
                     assert m in listed, (w, pos, m.schema.id)
@@ -567,8 +625,11 @@ def test_window_table_skips_schemas_that_cannot_start_there():
     assert max(len(ms) for key, ms in fn2._table.items() if key.startswith("x")) == 12
     assert all(ZERO_START._table[key] for key in ZERO_START._table if key)
     assert not ONE_START._table["ba"] and not ONE_START._table[""]
-    assert [m.schema.id for m in CONSTANT._table["aa"]] == ["k1", "k3"]
-    assert not CONSTANT._table["ab"] and not CONSTANT._table["a"]
+    assert [m.schema.id for m in CONSTANT._table["aaa"]] == ["k1", "k3"]
+    # a key shorter than 3 letters is a window cut by the end of the word
+    assert not CONSTANT._table["aa"] and not CONSTANT._table["ab"] and not CONSTANT._table["a"]
+    # k3's c^beta has beta < 3, so three c's are no start of it
+    assert [m.schema.id for m in CONSTANT._table["cca"]] == ["k3"] and not CONSTANT._table["ccc"]
 
 
 def test_q_matching_tries_few_schemas(monkeypatch):
